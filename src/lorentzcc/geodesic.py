@@ -346,13 +346,16 @@ def geodesic_parametric_with_velocity(
         return (rho, phi), (drho / r, dphi / r)
 
     # lorentz-neg
-    c = math.cos(eps) * math.cosh(u)
-    if c <= 1.0:
+    # c - 1 for c = cos(eps) cosh(u), written without cancellation so that
+    # c^2 - 1, rho and the velocity stay accurate next to the branch boundary
+    cm1 = 2.0 * (math.cos(eps) * math.sinh(0.5 * u) ** 2 - math.sin(0.5 * eps) ** 2)
+    if cm1 <= 0.0:
         raise OutOfChart(
             f"tau = {tau} is outside the branch (cos(eps) cosh(u) <= 1, u = {u})"
         )
-    rho = math.atanh(1.0 / c)
-    c2m1 = c * c - 1.0
+    c = 1.0 + cm1
+    rho = 0.5 * math.log1p(2.0 / cm1)
+    c2m1 = cm1 * (c + 1.0)
     cosh_rho = c / math.sqrt(c2m1)
     phi = sigma - math.asinh(math.tan(eps) * cosh_rho)
     drho = -math.cos(eps) * math.sinh(u) / c2m1

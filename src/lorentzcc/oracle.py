@@ -1,20 +1,25 @@
 """Numerical cross-checks that know nothing about the closed forms.
 
-This module treats a surface purely as a metric field: Christoffel symbols
-come from finite differences of the metric tensor, geodesics from a
-fixed-step RK4 integration of the geodesic equation, lengths from midpoint
-quadrature of polylines, and the arc-length field tau from adaptive Simpson
-quadrature of its defining integral.  Nothing in here looks at the conic
-family, so agreement between the two routes is an actual test.
+This module treats a surface purely as a conformal metric field
+``lambda (da^2 + s db^2)``: Christoffel symbols come from finite differences
+of ``L = ln lambda``, geodesics from a fixed-step RK4 integration of the
+geodesic equation, lengths from midpoint quadrature of polylines, and the
+arc-length field tau from adaptive Simpson quadrature of its defining
+integral.  Nothing in here looks at the conic family, so agreement between
+the two routes is an actual test.
 
 Numerical notes
 ---------------
-* ``christoffel`` uses a central stencil of half-width ``step`` on the
-  metric tensor and a hand-rolled 2x2 inverse; the truncation error is
-  O(step^2), so errors shrink about 4x when the step halves.
-* ``integrate_geodesic`` is classical RK4 with Christoffel symbols
-  re-evaluated from finite differences at every stage (stencil width one
-  tenth of the time step).  It refuses non-unit-speed starts and raises
+* ``_log_factor_gradient`` is the one finite-difference stencil of the
+  geodesic code: ``(L_a, L_b)`` from four factor calls at half-width
+  ``step``, each component ``ln(lambda_+ / lambda_-) / (2 step)``.  The
+  truncation error is O(step^2), so errors shrink about 4x when the step
+  halves.  ``christoffel`` fills its (2, 2, 2) array from
+  ``(L_a, L_b)`` with the closed index formulas of a conformal metric.
+* ``integrate_geodesic`` is classical RK4 in plain floats; every stage
+  re-evaluates ``(L_a, L_b)`` (stencil half-width one hundredth of the time
+  step) and forms the acceleration from it directly, so halving the step
+  cuts the error about 16x.  It refuses non-unit-speed starts and raises
   :class:`~lorentzcc.errors.DomainExit` carrying the partial trajectory when
   the path drifts within ``10 * step`` of a chart boundary.
 * ``_adaptive_simpson`` accepts an interval when ``|S2 - S1| <= 15 tol``,
@@ -72,50 +77,45 @@ class FlatPlaneField:
     def factor(self, a: float, b: float) -> float:
         return 1.0
 
-    def tensor(self, a: float, b: float) -> np.ndarray:
-        return np.array([[1.0, 0.0], [0.0, self.signature_sign]])
-
     def boundary_distance(self, a: float, b: float) -> float:
         return math.inf
 
 
-def christoffel(field, a: float, b: float, step: float = 1e-5) -> np.ndarray:
-    """Christoffel symbols Gamma^l_ik from finite differences of the metric.
-
-    Returns a (2, 2, 2) array indexed [l, i, k], symmetric in (i, k).
+def _log_factor_gradient(field, a: float, b: float, step: float) -> tuple[float, float]:
+    """``(d_a ln lambda, d_b ln lambda)`` by central differences of the factor.
 
     Raises:
         NearSingular: a stencil point left the chart domain.
     """
     try:
-        g0 = field.tensor(a, b)
-        gpa = field.tensor(a + step, b)
-        gma = field.tensor(a - step, b)
-        gpb = field.tensor(a, b + step)
-        gmb = field.tensor(a, b - step)
+        fpa = field.factor(a + step, b)
+        fma = field.factor(a - step, b)
+        fpb = field.factor(a, b + step)
+        fmb = field.factor(a, b - step)
     except GeometryError as exc:
         raise NearSingular(
             f"metric stencil at ({a}, {b}) with step {step} left the domain: {exc}"
         ) from exc
+    width = 2.0 * step
+    return math.log(fpa / fma) / width, math.log(fpb / fmb) / width
 
-    dg = np.empty((2, 2, 2))  # dg[m, i, k] = d_m g_ik
-    dg[0] = (gpa - gma) / (2.0 * step)
-    dg[1] = (gpb - gmb) / (2.0 * step)
 
-    det = g0[0, 0] * g0[1, 1] - g0[0, 1] * g0[1, 0]
-    ginv = np.array(
-        [[g0[1, 1], -g0[0, 1]], [-g0[1, 0], g0[0, 0]]]
-    ) / det
+def christoffel(field, a: float, b: float, step: float = 1e-5) -> np.ndarray:
+    """Christoffel symbols Gamma^l_ik of the conformal metric
+    ``lambda diag(1, s)`` from finite differences of ``L = ln lambda``.
 
-    gamma = np.zeros((2, 2, 2))
-    for l in range(2):
-        for i in range(2):
-            for k in range(2):
-                acc = 0.0
-                for m in range(2):
-                    acc += ginv[l, m] * (dg[i, m, k] + dg[k, m, i] - dg[m, i, k])
-                gamma[l, i, k] = 0.5 * acc
-    return gamma
+    Returns a (2, 2, 2) array indexed [l, i, k], symmetric in (i, k):
+
+        G^0_00 = G^1_01 = L_a / 2      G^0_11 = -s L_a / 2
+        G^0_01 = G^1_11 = L_b / 2      G^1_00 = -s L_b / 2
+
+    Raises:
+        NearSingular: a stencil point left the chart domain.
+    """
+    la, lb = _log_factor_gradient(field, a, b, step)
+    ha, hb = 0.5 * la, 0.5 * lb
+    s = field.signature_sign
+    return np.array([[[ha, hb], [hb, -s * ha]], [[-s * hb, ha], [ha, hb]]])
 
 
 def integrate_geodesic(
@@ -134,46 +134,46 @@ def integrate_geodesic(
     """
     if state.chart is not field.chart:
         raise ValueError(f"state chart {state.chart} != field chart {field.chart}")
-    x0, y0 = state.position
-    vx0, vy0 = state.velocity
-    lam = field.factor(x0, y0)
-    speed2 = lam * (vx0 * vx0 + field.signature_sign * vy0 * vy0)
+    x, y = state.position
+    vx, vy = state.velocity
+    s = field.signature_sign
+    speed2 = field.factor(x, y) * (vx * vx + s * vy * vy)
     if abs(abs(speed2) - 1.0) >= 1e-9:
         raise ValueError(f"initial velocity is not unit speed: |ds^2| = {abs(speed2)}")
 
-    # Christoffel FD step: well below the integration step so the O(fd^2)
-    # stencil truncation stays negligible against the RK4 error even where
-    # the conformal factor has steep higher derivatives.
+    # FD step: well below the integration step so the O(fd^2) stencil
+    # truncation stays negligible against the RK4 error even where the
+    # conformal factor has steep higher derivatives.
     fd_step = 0.01 * step
     n_steps = max(1, int(round(length / step)))
 
-    def rhs(y: np.ndarray) -> np.ndarray:
-        gamma = christoffel(field, y[0], y[1], fd_step)
-        v = y[2:]
-        acc = np.empty(2)
-        for l in range(2):
-            acc[l] = -(
-                gamma[l, 0, 0] * v[0] * v[0]
-                + 2.0 * gamma[l, 0, 1] * v[0] * v[1]
-                + gamma[l, 1, 1] * v[1] * v[1]
-            )
-        return np.concatenate([v, acc])
+    def accel(x: float, y: float, vx: float, vy: float) -> tuple[float, float]:
+        # -Gamma^l_ik v^i v^k = n (L_a, s L_b) - (v . grad L) v, n = <v, v>_s / 2
+        la, lb = _log_factor_gradient(field, x, y, fd_step)
+        n = 0.5 * (vx * vx + s * vy * vy)
+        dot = la * vx + lb * vy
+        return la * n - vx * dot, s * lb * n - vy * dot
 
-    y = np.array([x0, y0, vx0, vy0])
+    half, sixth = 0.5 * step, step / 6.0
     chart = state.chart
     states = [state]
     for _ in range(n_steps):
-        if field.boundary_distance(y[0], y[1]) < 10.0 * step:
+        if field.boundary_distance(x, y) < 10.0 * step:
             raise DomainExit(
-                f"geodesic reached the chart boundary near ({y[0]}, {y[1]})",
-                states,
+                f"geodesic reached the chart boundary near ({x}, {y})", states
             )
-        k1 = rhs(y)
-        k2 = rhs(y + 0.5 * step * k1)
-        k3 = rhs(y + 0.5 * step * k2)
-        k4 = rhs(y + step * k3)
-        y = y + (step / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        states.append(GeodesicState((y[0], y[1]), (y[2], y[3]), chart))
+        ax1, ay1 = accel(x, y, vx, vy)
+        vx2, vy2 = vx + half * ax1, vy + half * ay1
+        ax2, ay2 = accel(x + half * vx, y + half * vy, vx2, vy2)
+        vx3, vy3 = vx + half * ax2, vy + half * ay2
+        ax3, ay3 = accel(x + half * vx2, y + half * vy2, vx3, vy3)
+        vx4, vy4 = vx + step * ax3, vy + step * ay3
+        ax4, ay4 = accel(x + step * vx3, y + step * vy3, vx4, vy4)
+        x += sixth * (vx + 2.0 * vx2 + 2.0 * vx3 + vx4)
+        y += sixth * (vy + 2.0 * vy2 + 2.0 * vy3 + vy4)
+        vx += sixth * (ax1 + 2.0 * ax2 + 2.0 * ax3 + ax4)
+        vy += sixth * (ay1 + 2.0 * ay2 + 2.0 * ay3 + ay4)
+        states.append(GeodesicState((x, y), (vx, vy), chart))
     return states
 
 

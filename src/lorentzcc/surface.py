@@ -57,7 +57,6 @@ __all__ = [
     "line_element_cartesian",
     "exp_map_to_cartesian",
     "exp_map_pushforward",
-    "metric_tensor",
     "causal_class",
 ]
 
@@ -165,7 +164,8 @@ def _cartesian_base(spec: SurfaceSpec, x: float, y: float) -> float:
     if spec.signature is Signature.DEFINITE:
         quad = x * x + y * y
     else:
-        quad = x * x - y * y
+        # factored: x*x - y*y loses digits far out near the null lines
+        quad = (x - y) * (x + y)
     return r2 + quad if spec.curvature_sign is CurvatureSign.POSITIVE else quad - r2
 
 
@@ -184,7 +184,9 @@ class MetricField:
     """Conformal metric of one chart, packaged for the numerical routines.
 
     ``factor(a, b)`` is the scalar lambda in ``ds^2 = lambda (da^2 + s db^2)``
-    with ``s = signature_sign``; ``tensor`` is the same data as a 2x2 matrix.
+    with ``s = signature_sign``; it is all the numerical oracle reads (its
+    Christoffel symbols come from central differences of ``ln lambda``).
+    ``tensor`` is the same data as a 2x2 matrix, for callers that want one.
     ``boundary_distance`` estimates how far a point is from the nearest
     metric singularity of the chart (first-order estimate where no exact
     expression is available); it returns ``inf`` for charts without one.
@@ -303,13 +305,6 @@ def exp_map_pushforward(
     if spec.signature is Signature.LORENTZIAN:
         return x * drho + y * dphi, y * drho + x * dphi
     return x * drho - y * dphi, y * drho + x * dphi
-
-
-def metric_tensor(
-    spec: SurfaceSpec, chart: Chart, a: float, b: float
-) -> np.ndarray:
-    """2x2 metric matrix diag(lambda, s * lambda) at a chart point."""
-    return MetricField(spec, chart).tensor(a, b)
 
 
 def causal_class(

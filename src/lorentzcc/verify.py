@@ -225,9 +225,6 @@ class _ScaledField:
     def factor(self, a: float, b: float) -> float:
         return self._scale * self._base.factor(a, b)
 
-    def tensor(self, a: float, b: float):
-        return self._scale * self._base.tensor(a, b)
-
     def boundary_distance(self, a: float, b: float) -> float:
         return self._base.boundary_distance(a, b)
 

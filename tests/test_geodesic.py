@@ -158,6 +158,16 @@ class TestParametrization:
             assert drho == pytest.approx((rp[0] - rm[0]) / (2 * h), rel=1e-5, abs=1e-7)
             assert dphi == pytest.approx((rp[1] - rm[1]) / (2 * h), rel=1e-5, abs=1e-7)
 
+    def test_unit_speed_next_to_lorentz_negative_branch_boundary(self):
+        """cos(eps) cosh(u) - 1 = 8.6e-9 here, so c^2 - 1 formed by
+        cancellation would put |ds^2| off one by 1.4e-8."""
+        spec = SurfaceSpec.lorentzian_negative(radius=2.0)
+        eps, sigma, u = -0.024938759472635973, 1.1866265070776025, 0.024941690271326866
+        tau = constant_A(spec, eps) * sigma + spec.radius * u
+        (rho, phi), (drho, dphi) = geodesic_parametric_with_velocity(spec, eps, sigma, tau)
+        ds2 = line_element_isometric(spec, rho, drho, dphi)
+        assert abs(abs(ds2) - 1.0) <= 1e-10
+
     def test_definite_positive_crosses_many_turns(self):
         """The angle branch must stay continuous across u = pi multiples."""
         spec = SurfaceSpec.definite_positive()

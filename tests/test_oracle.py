@@ -31,7 +31,12 @@ from lorentzcc import (
     arc_length,
     beltrami_delta1,
     christoffel,
+    constant_A,
+    exp_map_pushforward,
+    exp_map_to_cartesian,
     geodesic_constants_check,
+    geodesic_parametric,
+    geodesic_parametric_with_velocity,
     integrate_geodesic,
     isothermal_curvature,
     plane_geodesic,
@@ -118,6 +123,28 @@ class TestIntegrateGeodesic:
         assert end.position[0] == pytest.approx(0.1 + 2.0 * vx, abs=1e-12)
         assert end.position[1] == pytest.approx(-0.2 + 2.0 * vy, abs=1e-12)
         assert end.velocity[0] == pytest.approx(vx, abs=1e-12)
+
+    def test_fourth_order_convergence(self):
+        """Halving the RK4 step cuts the end-point error about 16x against
+        the closed-form track (Hairer, Norsett & Wanner, Solving ODEs I,
+        section II.4)."""
+        spec = SurfaceSpec.definite_negative()
+        field = MetricField(spec, Chart.CARTESIAN)
+        eps, sigma, length = 0.5, 0.3, 0.4
+        tau = constant_A(spec, eps) * sigma - 0.5
+        (rho, phi), (drho, dphi) = geodesic_parametric_with_velocity(spec, eps, sigma, tau)
+        state = GeodesicState(
+            exp_map_to_cartesian(spec, rho, phi),
+            exp_map_pushforward(spec, rho, phi, drho, dphi),
+            Chart.CARTESIAN,
+        )
+        want = exp_map_to_cartesian(spec, *geodesic_parametric(spec, eps, sigma, tau + length))
+        errs = []
+        for h in (0.04, 0.02, 0.01):
+            px, py = integrate_geodesic(field, state, length, step=h)[-1].position
+            errs.append(math.hypot(px - want[0], py - want[1]))
+        assert 12.0 <= errs[0] / errs[1] <= 20.0
+        assert 12.0 <= errs[1] / errs[2] <= 20.0
 
     def test_requires_unit_speed(self):
         field = FlatPlaneField()

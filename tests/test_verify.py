@@ -2,7 +2,7 @@
 
 import pytest
 
-from lorentzcc import CHECK_NAMES, DEFAULT_TOLERANCES, CheckResult, run_all
+from lorentzcc import CHECK_NAMES, DEFAULT_TOLERANCES, CheckResult, MetricField, run_all
 
 
 def test_check_names_are_stable():
@@ -69,6 +69,18 @@ def test_metric_perturbation_is_detected():
     assert clean.passed
     assert not tampered.passed
     assert tampered.measured > 100.0 * clean.measured
+
+
+def test_position_dependent_metric_tampering_is_detected(monkeypatch):
+    """A constant rescale leaves every Christoffel symbol unchanged; a factor
+    that varies with position changes the geodesics themselves."""
+    factor = MetricField.factor
+    monkeypatch.setattr(
+        MetricField, "factor", lambda self, a, b: factor(self, a, b) * (1.0 + 1e-4 * a)
+    )
+    (tampered,) = run_all(seed=5, scale=0.05, names=("oracle_equivalence",))
+    assert not tampered.passed
+    assert tampered.measured > 100.0 * tampered.tolerance
 
 
 def test_summary_line_format():
