@@ -210,6 +210,9 @@ def cmd_geodesic(args) -> int:
     if args.points is not None and (args.eps is not None or args.sigma is not None):
         raise ValueError("give either --points or --eps/--sigma, not both")
 
+    if args.samples < 2:
+        raise ValueError(f"need at least 2 samples, got {args.samples}")
+
     if args.points is not None:
         p1 = _parse_point(args.points[0])
         p2 = _parse_point(args.points[1])

@@ -61,7 +61,6 @@ __all__ = [
     "parametric_window",
     "hyperbola_parameters",
     "circle_parameters",
-    "circle_geodesic_parametric",
     "limiting_curve",
     "LimitingIntersection",
     "limiting_intersections",
@@ -139,14 +138,28 @@ class Worldline:
         if not self.accel > 0.0:
             raise ValueError(f"proper acceleration must be positive, got {self.accel}")
 
+    def _boost(self, s: float) -> tuple[float, float]:
+        """``(cosh(accel s), sinh(accel s))``; a :class:`DomainError` where
+        they overflow or ``accel s`` is not finite."""
+        gs = self.accel * s
+        try:
+            ch = math.cosh(gs)
+        except OverflowError:
+            ch = math.inf
+        if not math.isfinite(ch):
+            raise DomainError(
+                f"cosh(accel s) is not finite at proper time s = {s} (accel = {self.accel})"
+            )
+        return ch, math.sinh(gs)
+
     def position(self, s: float) -> tuple[float, float]:
         g = self.accel
-        return (self.t0 + math.sinh(g * s) / g, self.x0 + (math.cosh(g * s) - 1.0) / g)
+        ch, sh = self._boost(s)
+        return (self.t0 + sh / g, self.x0 + (ch - 1.0) / g)
 
     def velocity(self, s: float) -> tuple[float, float]:
         """(dt/ds, dx/ds); a unit timelike vector, so dx/dt = tanh(accel s)."""
-        g = self.accel
-        return (math.cosh(g * s), math.sinh(g * s))
+        return self._boost(s)
 
     def invariant_residual(self, s: float) -> float:
         """Scale-relative defect of the hyperbola invariant at proper time s.
@@ -408,20 +421,6 @@ def circle_parameters(
     yc = -conic.lin_y / (2.0 * conic.quad)
     rad2 = xc * xc + yc * yc - conic.const_term / conic.quad
     return (xc, yc, math.sqrt(rad2))
-
-
-def circle_geodesic_parametric(
-    spec: SurfaceSpec, eps: float, sigma: float, angle: float
-) -> tuple[float, float]:
-    """Cartesian point of a definite-surface geodesic at circle angle
-    ``angle`` (the Euclidean angle seen from the circle's center, not arc
-    length).
-
-    Raises:
-        DegenerateEpsilon: the eps = 0 member is a line, not a circle.
-    """
-    xc, yc, rad = circle_parameters(spec, eps, sigma)
-    return (xc + rad * math.cos(angle), yc + rad * math.sin(angle))
 
 
 def hyperbola_parameters(

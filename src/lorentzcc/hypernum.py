@@ -1,13 +1,22 @@
 """Arithmetic of split-complex (hyperbolic) and ordinary complex numbers.
 
-A hyperbolic number is ``z = x + h*y`` with ``h*h = +1``.  Its indefinite
-square modulus ``D(z) = x*x - y*y`` is signed; the lines ``|x| = |y|`` are
-null lines whose elements are divisors of zero.  A complex number is
-``z = x + i*y`` with ``i*i = -1`` and positive square modulus ``x*x + y*y``.
+Both planes share one number type, ``x + j*y`` with a unit ``j`` whose
+square is the class constant ``unit``: ``+1`` for a hyperbolic number
+(:class:`HyperbolicNumber`, ``j = h``) and ``-1`` for a complex number
+(:class:`ComplexNumber`, ``j = i``), as in Yaglom's uniform treatment of
+the two planes.  The product and the square modulus are then one formula,
 
-Both types expose the same field names, so the callers in
-:mod:`lorentzcc.motion` can stay generic.  The near-null guard used
-throughout is
+    (a.x + j a.y)(b.x + j b.y) = a.x b.x + unit a.y b.y + j (a.x b.y + a.y b.x)
+    D(z) = z conj(z) = x*x - unit y*y,
+
+signed in the hyperbolic plane, where the lines ``|x| = |y|`` are null
+lines whose elements are divisors of zero.  Multiplying by ``unit = +-1``
+is exact, so each plane gets the same bits as its own textbook formula.
+Only the modulus, the null test and the zero guard of the inverse, the
+exponential and the polar form differ in kind between the planes; they
+branch on ``unit``.
+
+The near-null guard of the hyperbolic plane is
 
     tol = 1e-12 * max(1, |x|, |y|)
 
@@ -20,7 +29,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Union
 
 from .errors import DivisorOfZero, OnNullLine
 
@@ -37,74 +45,51 @@ __all__ = [
     "inverse",
     "hyper_exp",
     "polar",
-    "hyper_arg",
     "is_null",
     "zero_divisor_tolerance",
 ]
 
 
 @dataclass(frozen=True, slots=True)
-class HyperbolicNumber:
+class Number:
+    """``x + j*y`` with ``j*j = unit``; instantiate one of the two planes."""
+
+    x: float
+    y: float
+
+    def __add__(self, other: "Number") -> "Number":
+        return type(self)(self.x + other.x, self.y + other.y)
+
+    def __sub__(self, other: "Number") -> "Number":
+        return type(self)(self.x - other.x, self.y - other.y)
+
+    def __neg__(self) -> "Number":
+        return type(self)(-self.x, -self.y)
+
+    def __mul__(self, other):
+        if isinstance(other, Number):
+            return mul(self, other)
+        return type(self)(self.x * other, self.y * other)
+
+    def __rmul__(self, scalar: float) -> "Number":
+        return type(self)(scalar * self.x, scalar * self.y)
+
+    def __truediv__(self, scalar: float) -> "Number":
+        return type(self)(self.x / scalar, self.y / scalar)
+
+
+class HyperbolicNumber(Number):
     """``x + h*y``, ``h*h = +1``."""
 
-    x: float
-    y: float
-
-    def __add__(self, other: "HyperbolicNumber") -> "HyperbolicNumber":
-        return HyperbolicNumber(self.x + other.x, self.y + other.y)
-
-    def __sub__(self, other: "HyperbolicNumber") -> "HyperbolicNumber":
-        return HyperbolicNumber(self.x - other.x, self.y - other.y)
-
-    def __neg__(self) -> "HyperbolicNumber":
-        return HyperbolicNumber(-self.x, -self.y)
-
-    def __mul__(self, other):
-        if isinstance(other, HyperbolicNumber):
-            return mul(self, other)
-        return HyperbolicNumber(self.x * other, self.y * other)
-
-    def __rmul__(self, scalar: float) -> "HyperbolicNumber":
-        return HyperbolicNumber(scalar * self.x, scalar * self.y)
-
-    def __truediv__(self, scalar: float) -> "HyperbolicNumber":
-        return HyperbolicNumber(self.x / scalar, self.y / scalar)
+    __slots__ = ()
+    unit = 1.0
 
 
-@dataclass(frozen=True, slots=True)
-class ComplexNumber:
-    """``x + i*y``, ``i*i = -1``.
+class ComplexNumber(Number):
+    """``x + i*y``, ``i*i = -1``."""
 
-    A thin mirror of :class:`HyperbolicNumber` (same field names) rather than
-    the builtin ``complex`` so that code handling "a number with components
-    ``x`` and ``y``" is type-agnostic.
-    """
-
-    x: float
-    y: float
-
-    def __add__(self, other: "ComplexNumber") -> "ComplexNumber":
-        return ComplexNumber(self.x + other.x, self.y + other.y)
-
-    def __sub__(self, other: "ComplexNumber") -> "ComplexNumber":
-        return ComplexNumber(self.x - other.x, self.y - other.y)
-
-    def __neg__(self) -> "ComplexNumber":
-        return ComplexNumber(-self.x, -self.y)
-
-    def __mul__(self, other):
-        if isinstance(other, ComplexNumber):
-            return mul(self, other)
-        return ComplexNumber(self.x * other, self.y * other)
-
-    def __rmul__(self, scalar: float) -> "ComplexNumber":
-        return ComplexNumber(scalar * self.x, scalar * self.y)
-
-    def __truediv__(self, scalar: float) -> "ComplexNumber":
-        return ComplexNumber(self.x / scalar, self.y / scalar)
-
-
-Number = Union[HyperbolicNumber, ComplexNumber]
+    __slots__ = ()
+    unit = -1.0
 
 
 class Sector(Enum):
@@ -155,35 +140,32 @@ def zero_divisor_tolerance(z: Number) -> float:
 
 def mul(a: Number, b: Number) -> Number:
     """Product; the two factors must be of the same kind."""
-    if isinstance(a, HyperbolicNumber) and isinstance(b, HyperbolicNumber):
-        return HyperbolicNumber(a.x * b.x + a.y * b.y, a.x * b.y + a.y * b.x)
-    if isinstance(a, ComplexNumber) and isinstance(b, ComplexNumber):
-        return ComplexNumber(a.x * b.x - a.y * b.y, a.x * b.y + a.y * b.x)
-    raise TypeError(f"cannot multiply {type(a).__name__} by {type(b).__name__}")
+    cls = type(a)
+    if type(b) is not cls or not isinstance(a, Number):
+        raise TypeError(f"cannot multiply {cls.__name__} by {type(b).__name__}")
+    return cls(a.x * b.x + a.unit * a.y * b.y, a.x * b.y + a.y * b.x)
 
 
 def conj(z: Number) -> Number:
-    """Conjugation ``x + h*y -> x - h*y`` (same formula in both planes)."""
+    """Conjugation ``x + j*y -> x - j*y`` (same formula in both planes)."""
     return type(z)(z.x, -z.y)
 
 
 def square_modulus(z: Number) -> float:
     """``x*x - y*y`` (signed) for hyperbolic, ``x*x + y*y`` for complex."""
-    if isinstance(z, HyperbolicNumber):
-        return z.x * z.x - z.y * z.y
-    return z.x * z.x + z.y * z.y
+    return z.x * z.x - z.unit * z.y * z.y
 
 
 def modulus(z: Number) -> float:
     """``sqrt(|square_modulus|)``; equals ``hypot(x, y)`` in the complex case."""
-    if isinstance(z, HyperbolicNumber):
+    if z.unit > 0.0:
         return math.sqrt(abs((abs(z.x) - abs(z.y)) * (abs(z.x) + abs(z.y))))
     return math.hypot(z.x, z.y)
 
 
 def is_null(z: Number) -> bool:
     """True when ``z`` is (numerically) a divisor of zero."""
-    if isinstance(z, HyperbolicNumber):
+    if z.unit > 0.0:
         return abs(square_modulus(z)) <= zero_divisor_tolerance(z)
     return z.x == 0.0 and z.y == 0.0
 
@@ -192,18 +174,18 @@ def inverse(z: Number) -> Number:
     """Multiplicative inverse ``conj(z) / square_modulus(z)``.
 
     Raises:
-        DivisorOfZero: hyperbolic ``z`` with ``|D| <= tol``, or complex zero.
+        DivisorOfZero: hyperbolic ``z`` with ``|D| <= tol``, or complex ``z``
+            whose ``D`` is zero (which includes underflow of ``x*x + y*y``).
     """
     d = square_modulus(z)
-    if isinstance(z, HyperbolicNumber):
+    if z.unit > 0.0:
         if abs(d) <= zero_divisor_tolerance(z):
             raise DivisorOfZero(
                 f"({z.x}, {z.y}) lies on a null line and has no inverse"
             )
-        return HyperbolicNumber(z.x / d, -z.y / d)
-    if d == 0.0:
+    elif d == 0.0:
         raise DivisorOfZero("complex zero has no inverse")
-    return ComplexNumber(z.x / d, -z.y / d)
+    return type(z)(z.x / d, -z.y / d)
 
 
 def hyper_exp(w: Number) -> Number:
@@ -213,9 +195,9 @@ def hyper_exp(w: Number) -> Number:
     in the right sector.
     """
     e = math.exp(w.x)
-    if isinstance(w, HyperbolicNumber):
-        return HyperbolicNumber(e * math.cosh(w.y), e * math.sinh(w.y))
-    return ComplexNumber(e * math.cos(w.y), e * math.sin(w.y))
+    if w.unit > 0.0:
+        return type(w)(e * math.cosh(w.y), e * math.sinh(w.y))
+    return type(w)(e * math.cos(w.y), e * math.sin(w.y))
 
 
 def polar(z: Number) -> PolarForm:
@@ -224,7 +206,7 @@ def polar(z: Number) -> PolarForm:
     Hyperbolic case raises :class:`OnNullLine` when ``|D(z)| <= tol``; the
     complex case raises :class:`DivisorOfZero` at the origin only.
     """
-    if isinstance(z, ComplexNumber):
+    if z.unit < 0.0:
         if z.x == 0.0 and z.y == 0.0:
             raise DivisorOfZero("complex zero has no polar form")
         return PolarForm(math.hypot(z.x, z.y), math.atan2(z.y, z.x), None, 1)
@@ -243,12 +225,3 @@ def polar(z: Number) -> PolarForm:
         rho = math.sqrt((ay - ax) * (ay + ax))
         theta = math.atanh(z.x / z.y)
     return PolarForm(rho, theta, sector, sign)
-
-
-def hyper_arg(z: Number) -> float:
-    """Hyperbolic (or circular) angle of the polar form of ``z``."""
-    if isinstance(z, ComplexNumber):
-        if z.x == 0.0 and z.y == 0.0:
-            raise DivisorOfZero("complex zero has no argument")
-        return math.atan2(z.y, z.x)
-    return polar(z).theta

@@ -14,8 +14,12 @@ case).  Only :func:`geodesic_distance` and :func:`geodesic_through` convert
 back to physical units (factor ``2R`` on distances, ``1/R`` powers on conic
 coefficients).
 
-The flat-plane rigid motions ``w = a z + b`` / ``w = a conj(z) + b`` with
-``D(a) = 1`` are kept separately in :class:`PlaneMotion`.
+Points and motion constants carry the number type of the surface's
+signature (:func:`number_for`); plain ``(x, y)`` pairs are accepted, and
+every point entering a motion, the two-point solver or the distance must be
+finite.  The flat-plane rigid motions ``w = a z + b`` / ``w = a conj(z) + b``
+with ``D(a) = 1`` are kept separately in :class:`PlaneMotion` and applied by
+:func:`plane_apply`.
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ from .errors import (
     CoincidentPoints,
     DegenerateTuple,
     DivisorOfZero,
+    DomainError,
     InvalidMotion,
     MapsToInfinity,
     NoGeodesic,
@@ -49,7 +54,6 @@ from .surface import CurvatureSign, Signature, SurfaceSpec
 
 __all__ = [
     "PlaneMotion",
-    "plane_motion",
     "plane_apply",
     "BilinearMotion",
     "apply",
@@ -77,10 +81,6 @@ class PlaneMotion:
     reflect: bool = False
 
 
-def plane_motion(a: HyperbolicNumber, b: HyperbolicNumber, reflect: bool = False) -> PlaneMotion:
-    return PlaneMotion(a, b, reflect)
-
-
 def plane_apply(motion: PlaneMotion, z: HyperbolicNumber) -> HyperbolicNumber:
     """Apply a plane motion.
 
@@ -98,19 +98,29 @@ def plane_apply(motion: PlaneMotion, z: HyperbolicNumber) -> HyperbolicNumber:
 # curved surfaces
 
 
+def _number_type(spec: SurfaceSpec) -> type[Number]:
+    return HyperbolicNumber if spec.signature is Signature.LORENTZIAN else ComplexNumber
+
+
 def number_for(spec: SurfaceSpec, x: float, y: float) -> Number:
     """Wrap chart components in the number type matching the signature."""
-    if spec.signature is Signature.LORENTZIAN:
-        return HyperbolicNumber(float(x), float(y))
-    return ComplexNumber(float(x), float(y))
+    return _number_type(spec)(float(x), float(y))
 
 
 def _as_number(spec: SurfaceSpec, z) -> Number:
+    """Coerce a point to the surface's number type.
+
+    Raises:
+        DomainError: a component is NaN or infinite.
+    """
     if isinstance(z, (tuple, list)):
-        return number_for(spec, z[0], z[1])
-    want = HyperbolicNumber if spec.signature is Signature.LORENTZIAN else ComplexNumber
-    if not isinstance(z, want):
-        raise TypeError(f"{spec.name} points must be {want.__name__}, got {type(z).__name__}")
+        z = number_for(spec, z[0], z[1])
+    else:
+        want = _number_type(spec)
+        if not isinstance(z, want):
+            raise TypeError(f"{spec.name} points must be {want.__name__}, got {type(z).__name__}")
+    if not (math.isfinite(z.x) and math.isfinite(z.y)):
+        raise DomainError(f"{spec.name} point ({z.x}, {z.y}) is not finite")
     return z
 
 
@@ -123,11 +133,7 @@ class BilinearMotion:
     spec: SurfaceSpec
 
     def __post_init__(self) -> None:
-        want = (
-            HyperbolicNumber
-            if self.spec.signature is Signature.LORENTZIAN
-            else ComplexNumber
-        )
+        want = _number_type(self.spec)
         if not (isinstance(self.alpha, want) and isinstance(self.beta, want)):
             raise TypeError(f"{self.spec.name} motions need {want.__name__} constants")
         da, db = square_modulus(self.alpha), square_modulus(self.beta)
@@ -136,12 +142,6 @@ class BilinearMotion:
             raise InvalidMotion(
                 f"degenerate motion: D(alpha) {'+' if nd == da + db else '-'} D(beta) = {nd}"
             )
-
-    def apply(self, z) -> Number:
-        return apply(self, z)
-
-    def inverse(self) -> "BilinearMotion":
-        return inverse_motion(self)
 
 
 def apply(motion: BilinearMotion, z) -> Number:

@@ -35,7 +35,6 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import (
-    DegenerateEpsilon,
     DomainError,
     DomainExit,
     GeometryError,
@@ -52,8 +51,6 @@ __all__ = [
     "arc_length",
     "TauField",
     "beltrami_delta1",
-    "ConstantsReport",
-    "geodesic_constants_check",
     "isothermal_curvature",
 ]
 
@@ -296,103 +293,6 @@ def beltrami_delta1(
     except GeometryError as exc:
         raise NearSingular(f"tau stencil at {point} left the domain: {exc}") from exc
     return ta * ta + s * tb * tb
-
-
-@dataclass(frozen=True, slots=True)
-class ConstantsReport:
-    """Residuals of the two conserved quantities along a geodesic."""
-
-    b_residuals: tuple[float, ...]
-    tau_residuals: tuple[float, ...]
-
-    @property
-    def max_residual(self) -> float:
-        return max(self.b_residuals + self.tau_residuals)
-
-
-def geodesic_constants_check(
-    spec: SurfaceSpec, A: float, B: float, rhos: Sequence[float]
-) -> ConstantsReport:
-    """Cross-check the closed-form phase and arc-length of a geodesic
-    against independent quadrature, at each rho in ``rhos``.
-
-    The closed forms used here:
-
-        lorentz-pos:  phi(rho) = B - asinh(A sinh(rho) / sqrt(R^2 + A^2))
-                      tau(rho) - tau(0) = R asin(tanh(rho) / sqrt(1 + (A/R)^2))
-        lorentz-neg:  phi(rho) = B - [G(rho) - G(1)],
-                      G(r) = asinh(A cosh(r) / sqrt(R^2 - A^2))
-                      |tau(rho) - tau(1)| = R |u(rho) - u(1)|,
-                      u(r) = acosh(R coth(r) / sqrt(R^2 - A^2))
-
-    The quadrature side integrates ``A / sqrt(factor + A^2)`` for the phase
-    and uses :class:`TauField` for the arc length.
-
-    Raises:
-        DomainError: definite surface, or |A| >= R at negative curvature.
-        DegenerateEpsilon: |A| below 1e-12 R at negative curvature (the
-            u(rho) form needs a nonradial geodesic).
-    """
-    if spec.signature is not Signature.LORENTZIAN:
-        raise DomainError("constants check applies to Lorentzian surfaces")
-    r = spec.radius
-    positive = spec.curvature_sign is CurvatureSign.POSITIVE
-    if not positive:
-        if not abs(A) < r:
-            raise DomainError(f"lorentz-neg needs |A| < R = {r}, got A = {A}")
-        if abs(A) < 1e-12 * r:
-            raise DegenerateEpsilon(f"A = {A} is radial; no phase to check")
-
-    metric = MetricField(spec, Chart.ISOMETRIC)
-    a2 = A * A
-
-    def phase_integrand(rr: float) -> float:
-        return A / math.sqrt(metric.factor(rr, 0.0) + a2)
-
-    if positive:
-        root = math.sqrt(r * r + a2)
-
-        def phi_closed(rho: float) -> float:
-            return B - math.asinh(A * math.sinh(rho) / root)
-
-        def tau_closed(rho: float) -> float:
-            return r * math.asin(math.tanh(rho) / math.sqrt(1.0 + a2 / (r * r)))
-
-        rho_ref = 0.0
-    else:
-        root = math.sqrt((r - A) * (r + A))
-
-        def g_anti(rr: float) -> float:
-            return math.asinh(A * math.cosh(rr) / root)
-
-        def u_of(rr: float) -> float:
-            return math.acosh(r / (math.tanh(rr) * root))
-
-        def phi_closed(rho: float) -> float:
-            return B - (g_anti(rho) - g_anti(1.0))
-
-        def tau_closed(rho: float) -> float:
-            return r * abs(u_of(rho) - u_of(1.0))
-
-        rho_ref = 1.0
-
-    tau_field = TauField(A, 0.0, spec)
-    tau_at_ref = tau_field(rho_ref, phi_closed(rho_ref)) if not positive else None
-
-    b_res = []
-    tau_res = []
-    for rho in rhos:
-        if not positive and rho <= 0.0:
-            raise DomainError(f"need rho > 0 on {spec.name}, got {rho}")
-        q = _adaptive_simpson(phase_integrand, rho_ref, rho)
-        b_res.append(abs(phi_closed(rho) + q - B))
-        if positive:
-            t_num = tau_field(rho, phi_closed(rho)) - tau_field(0.0, B)
-            tau_res.append(abs(t_num - tau_closed(rho)))
-        else:
-            t_num = tau_field(rho, phi_closed(rho)) - tau_at_ref
-            tau_res.append(abs(abs(t_num) - tau_closed(rho)))
-    return ConstantsReport(tuple(b_res), tuple(tau_res))
 
 
 def isothermal_curvature(

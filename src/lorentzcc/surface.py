@@ -57,7 +57,6 @@ __all__ = [
     "line_element_cartesian",
     "exp_map_to_cartesian",
     "exp_map_pushforward",
-    "causal_class",
 ]
 
 
@@ -305,18 +304,3 @@ def exp_map_pushforward(
     if spec.signature is Signature.LORENTZIAN:
         return x * drho + y * dphi, y * drho + x * dphi
     return x * drho - y * dphi, y * drho + x * dphi
-
-
-def causal_class(
-    spec: SurfaceSpec, chart: Chart, a: float, b: float, da: float, db: float
-) -> str:
-    """Classify a tangent vector as "spacelike", "timelike" or "null".
-
-    On a definite surface every nonzero vector is spacelike.  The null band
-    is relative: |ds^2| below ``1e-12 * lambda * (da^2 + db^2)``.
-    """
-    lam = MetricField(spec, chart).factor(a, b)
-    ds2 = lam * (da * da + spec.metric_sign * db * db)
-    if abs(ds2) <= 1e-12 * lam * (da * da + db * db):
-        return "null"
-    return "spacelike" if ds2 > 0.0 else "timelike"

@@ -87,6 +87,16 @@ class TestGeodesicCommand:
         assert proc.returncode == 2
         assert json.loads(proc.stderr)["error"] == "ValueError"
 
+    @pytest.mark.parametrize("samples", ["0", "1"])
+    def test_fewer_than_two_samples_exit_2(self, samples):
+        proc = run_cli(
+            "geodesic", "--surface", "def-pos", "--eps", "0.3",
+            "--sigma", "0.1", "--samples", samples,
+        )
+        assert proc.returncode == 2
+        err = json.loads(proc.stderr)
+        assert err == {"error": "ValueError", "message": f"need at least 2 samples, got {samples}"}
+
     def test_points_and_constants_conflict(self):
         proc = run_cli(
             "geodesic", "--surface", "def-neg", "--eps", "0.3",
@@ -135,6 +145,14 @@ class TestDistanceCommand:
         assert proc.returncode == 2
         assert json.loads(proc.stderr)["error"] == "InvalidMotion"
 
+    @pytest.mark.parametrize("point", ["nan,0", "inf,0"])
+    def test_non_finite_point_exits_2(self, point):
+        proc = run_cli("distance", "--surface", "def-neg", "--points", point, "0.5,0")
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert len(proc.stderr.splitlines()) == 1
+        assert json.loads(proc.stderr)["error"] == "DomainError"
+
 
 class TestWorldlineCommand:
     def test_csv_columns_and_velocity(self):
@@ -162,6 +180,12 @@ class TestWorldlineCommand:
         assert doc["g"] == 1.5
         assert len(doc["samples"]) == 3
         assert doc["samples"][0]["t"] == 0.5
+
+    def test_overflow_exits_2(self):
+        proc = run_cli("worldline", "--g", "1", "--s-range", "0,1000,3")
+        assert proc.returncode == 2
+        assert len(proc.stderr.splitlines()) == 1
+        assert json.loads(proc.stderr)["error"] == "DomainError"
 
     def test_bad_acceleration_exits_2(self):
         proc = run_cli("worldline", "--g", "-1", "--s-range", "0,1")

@@ -17,7 +17,6 @@ from lorentzcc import (
     NoRealIntersection,
     OutOfChart,
     SurfaceSpec,
-    circle_geodesic_parametric,
     circle_parameters,
     constant_A,
     epsilon_from_constant,
@@ -236,8 +235,9 @@ class TestCircleGeodesics:
     def test_circle_points_lie_on_conic(self):
         spec = SurfaceSpec.definite_negative()
         conic = geodesic_from_constants(spec, 0.7, -0.4)
+        xc, yc, rad = circle_parameters(spec, 0.7, -0.4)
         for ang in np.linspace(0.0, 2.0 * math.pi, 17):
-            x, y = circle_geodesic_parametric(spec, 0.7, -0.4, float(ang))
+            x, y = xc + rad * math.cos(ang), yc + rad * math.sin(ang)
             assert conic.residual(x, y) == pytest.approx(0.0, abs=1e-12)
 
     def test_lorentz_rejected(self):
@@ -386,6 +386,14 @@ class TestWorldline:
         wl = worldline_hyperbolic(0.5, t0=-2.0, x0=3.0)
         for s in np.linspace(-6.0, 6.0, 25):
             assert abs(wl.invariant_residual(float(s))) < 1e-12
+
+    def test_overflow_is_a_domain_error(self):
+        wl = worldline_hyperbolic(1.0)
+        for s in (1000.0, -1000.0, math.inf, math.nan):
+            with pytest.raises(DomainError, match="not finite"):
+                wl.position(s)
+            with pytest.raises(DomainError, match="not finite"):
+                wl.velocity(s)
 
     def test_bad_acceleration(self):
         with pytest.raises(ValueError, match="positive"):

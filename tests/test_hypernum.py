@@ -18,7 +18,6 @@ from lorentzcc import (
     OnNullLine,
     Sector,
     conj,
-    hyper_arg,
     hyper_exp,
     inverse,
     is_null,
@@ -55,6 +54,22 @@ class TestProduct:
             left = _as_matrix(mul(a, b))
             right = _as_matrix(a) @ _as_matrix(b)
             assert left == pytest.approx(right, abs=1e-12)
+
+    @pytest.mark.parametrize("cls", [HyperbolicNumber, ComplexNumber])
+    def test_each_plane_keeps_its_textbook_bits(self, cls):
+        # the shared formulas multiply by unit = +-1, which is exact
+        rng = np.random.default_rng(16)
+        for _ in range(200):
+            a = cls(*rng.uniform(-3.0, 3.0, size=2))
+            b = cls(*rng.uniform(-3.0, 3.0, size=2))
+            if cls is HyperbolicNumber:
+                want = (a.x * b.x + a.y * b.y, a.x * b.y + a.y * b.x)
+                d = a.x * a.x - a.y * a.y
+            else:
+                want = (a.x * b.x - a.y * b.y, a.x * b.y + a.y * b.x)
+                d = a.x * a.x + a.y * a.y
+            assert mul(a, b) == cls(*want)
+            assert square_modulus(a) == d
 
     def test_mixed_types_rejected(self):
         with pytest.raises(TypeError, match="cannot multiply"):
@@ -231,9 +246,9 @@ class TestExponential:
 
 class TestArgument:
     def test_complex_argument(self):
-        assert hyper_arg(ComplexNumber(1.0, 1.0)) == pytest.approx(math.pi / 4.0)
+        assert polar(ComplexNumber(1.0, 1.0)).theta == pytest.approx(math.pi / 4.0)
 
     def test_hyperbolic_argument(self):
-        assert hyper_arg(HyperbolicNumber(2.0, 1.0)) == pytest.approx(math.atanh(0.5))
+        assert polar(HyperbolicNumber(2.0, 1.0)).theta == pytest.approx(math.atanh(0.5))
         # the up sector measures its angle from the y axis
-        assert hyper_arg(HyperbolicNumber(1.0, 2.0)) == pytest.approx(math.atanh(0.5))
+        assert polar(HyperbolicNumber(1.0, 2.0)).theta == pytest.approx(math.atanh(0.5))

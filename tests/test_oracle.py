@@ -16,7 +16,6 @@ import pytest
 
 from lorentzcc import (
     Chart,
-    DegenerateEpsilon,
     DomainError,
     DomainExit,
     FlatPlaneField,
@@ -34,11 +33,11 @@ from lorentzcc import (
     constant_A,
     exp_map_pushforward,
     exp_map_to_cartesian,
-    geodesic_constants_check,
     geodesic_parametric,
     geodesic_parametric_with_velocity,
     integrate_geodesic,
     isothermal_curvature,
+    parametric_window,
     plane_geodesic,
 )
 
@@ -255,31 +254,31 @@ class TestBeltrami:
 
 
 class TestConstantsCheck:
+    """The tau field built from the conserved momentum ``A`` measures arc
+    length along the closed-form geodesic with that ``A``: by quadrature,
+    tau changes by exactly the parameter step between any two points."""
+
+    @staticmethod
+    def _tau_residuals(spec, eps, sigma, count=5, span=3.0):
+        field = TauField(constant_A(spec, eps), 0.0, spec)
+        lo, hi = parametric_window(spec, eps, sigma)
+        taus = np.linspace(lo, min(hi, lo + span), count + 2)[1:-1]
+        t_ref = float(taus[0])
+        f_ref = field(*geodesic_parametric(spec, eps, sigma, t_ref))
+        return [
+            abs(abs(field(*geodesic_parametric(spec, eps, sigma, float(t))) - f_ref) - (t - t_ref))
+            for t in taus[1:]
+        ]
+
     def test_positive_surface_residuals(self):
-        rep = geodesic_constants_check(
-            SurfaceSpec.lorentzian_positive(), 0.4, 0.1, (0.3, 0.7, 1.2)
-        )
-        assert len(rep.b_residuals) == 3
-        assert len(rep.tau_residuals) == 3
-        assert rep.max_residual < 1e-10
+        for radius, eps, sigma in ((1.0, 0.4, 0.1), (2.0, -0.3, 0.2)):
+            spec = SurfaceSpec.lorentzian_positive(radius)
+            assert max(self._tau_residuals(spec, eps, sigma)) < 1e-10
 
     def test_negative_surface_residuals(self):
-        rep = geodesic_constants_check(
-            SurfaceSpec.lorentzian_negative(), 0.4, 0.1, (1.1, 1.6, 2.3)
-        )
-        assert rep.max_residual < 1e-10
-
-    def test_rejections(self):
-        with pytest.raises(DomainError, match="Lorentzian"):
-            geodesic_constants_check(SurfaceSpec.definite_positive(), 0.4, 0.1, (0.5,))
-        with pytest.raises(DegenerateEpsilon):
-            geodesic_constants_check(SurfaceSpec.lorentzian_negative(), 0.0, 0.1, (1.5,))
-        with pytest.raises(DomainError, match=r"\|A\| < R"):
-            geodesic_constants_check(SurfaceSpec.lorentzian_negative(), 1.5, 0.1, (1.5,))
-        with pytest.raises(DomainError, match="rho > 0"):
-            geodesic_constants_check(
-                SurfaceSpec.lorentzian_negative(), 0.4, 0.1, (-1.0,)
-            )
+        for radius, eps, sigma in ((1.0, 0.4, 0.1), (1.3, -0.7, 0.3)):
+            spec = SurfaceSpec.lorentzian_negative(radius)
+            assert max(self._tau_residuals(spec, eps, sigma)) < 1e-10
 
 
 class TestIsothermalCurvature:

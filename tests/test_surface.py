@@ -16,7 +16,6 @@ from lorentzcc import (
     Signature,
     SingularPoint,
     SurfaceSpec,
-    causal_class,
     exp_map_pushforward,
     exp_map_to_cartesian,
     gauss_curvature_of_profile,
@@ -232,20 +231,3 @@ class TestExponentialMap:
             dx, dy = exp_map_pushforward(spec, rho, phi, drho, dphi)
             cart = line_element_cartesian(spec, x, y, dx, dy)
             assert cart == pytest.approx(iso, rel=1e-10, abs=1e-12)
-
-
-class TestCausalClass:
-    def test_lorentz_classes(self):
-        spec = SurfaceSpec.lorentzian_positive()
-        assert causal_class(spec, Chart.CARTESIAN, 1.5, 0.2, 1.0, 0.1) == "spacelike"
-        assert causal_class(spec, Chart.CARTESIAN, 1.5, 0.2, 0.1, 1.0) == "timelike"
-        assert causal_class(spec, Chart.CARTESIAN, 1.5, 0.2, 0.8, 0.8) == "null"
-
-    def test_definite_always_spacelike(self):
-        spec = SurfaceSpec.definite_negative()
-        assert causal_class(spec, Chart.CARTESIAN, 0.2, 0.1, -0.3, 0.9) == "spacelike"
-
-    def test_isometric_chart(self):
-        spec = SurfaceSpec.lorentzian_negative()
-        assert causal_class(spec, Chart.ISOMETRIC, 0.8, 0.0, 1.0, 0.0) == "spacelike"
-        assert causal_class(spec, Chart.ISOMETRIC, 0.8, 0.0, 0.0, 1.0) == "timelike"
