@@ -8,187 +8,24 @@ arithmetic; an independent numerical layer (Christoffel symbols, geodesic
 integration, quadrature) cross-checks every closed-form result.
 """
 
-from .errors import (
-    CoincidentPoints,
-    DegenerateEpsilon,
-    DegenerateTuple,
-    DivisorOfZero,
-    DomainError,
-    DomainExit,
-    GeometryError,
-    InvalidMotion,
-    MapsToInfinity,
-    MixedCausality,
-    NearSingular,
-    NoGeodesic,
-    NoRealIntersection,
-    OnLimitingCurve,
-    OnNullLine,
-    OutOfChart,
-    OutOfDisk,
-    ProfileZero,
-    SingularPoint,
-)
-from .hypernum import (
-    ComplexNumber,
-    HyperbolicNumber,
-    PolarForm,
-    Sector,
-    conj,
-    hyper_exp,
-    inverse,
-    is_null,
-    modulus,
-    mul,
-    polar,
-    square_modulus,
-    zero_divisor_tolerance,
-)
-from .surface import (
-    Chart,
-    CurvatureSign,
-    MetricField,
-    Signature,
-    SurfaceSpec,
-    exp_map_pushforward,
-    exp_map_to_cartesian,
-    gauss_curvature_of_profile,
-    line_element_cartesian,
-    line_element_isometric,
-    rho_from_u,
-)
-from .geodesic import (
-    GeodesicConic,
-    LimitingIntersection,
-    LineKind,
-    PlaneLine,
-    Worldline,
-    circle_parameters,
-    constant_A,
-    epsilon_from_constant,
-    geodesic_from_AB,
-    geodesic_from_constants,
-    geodesic_parametric,
-    geodesic_parametric_with_velocity,
-    hyperbola_parameters,
-    limiting_curve,
-    limiting_intersections,
-    origin_line,
-    parametric_window,
-    plane_geodesic,
-    worldline_hyperbolic,
-)
-from .motion import (
-    BilinearMotion,
-    PlaneMotion,
-    TwoPointSolution,
-    apply,
-    cross_ratio,
-    geodesic_distance,
-    geodesic_through,
-    inverse_motion,
-    number_for,
-    plane_apply,
-    solve_two_point,
-)
-from .oracle import (
-    FlatPlaneField,
-    GeodesicState,
-    TauField,
-    arc_length,
-    beltrami_delta1,
-    christoffel,
-    integrate_geodesic,
-    isothermal_curvature,
-)
-from .verify import CHECK_NAMES, DEFAULT_TOLERANCES, CheckResult, run_all
+from . import errors, geodesic, hypernum, motion, oracle, surface, verify
+from .errors import *
+from .hypernum import *
+from .surface import *
+from .geodesic import *
+from .motion import *
+from .oracle import *
+from .verify import *
 
 __version__ = "0.1.0"
 
+# each module's own __all__ is the one list of its public names
 __all__ = [
-    "BilinearMotion",
-    "CHECK_NAMES",
-    "Chart",
-    "CheckResult",
-    "CoincidentPoints",
-    "ComplexNumber",
-    "CurvatureSign",
-    "DEFAULT_TOLERANCES",
-    "DegenerateEpsilon",
-    "DegenerateTuple",
-    "DivisorOfZero",
-    "DomainError",
-    "DomainExit",
-    "FlatPlaneField",
-    "GeodesicConic",
-    "GeodesicState",
-    "GeometryError",
-    "HyperbolicNumber",
-    "InvalidMotion",
-    "LimitingIntersection",
-    "LineKind",
-    "MapsToInfinity",
-    "MetricField",
-    "MixedCausality",
-    "NearSingular",
-    "NoGeodesic",
-    "NoRealIntersection",
-    "OnLimitingCurve",
-    "OnNullLine",
-    "OutOfChart",
-    "OutOfDisk",
-    "PlaneLine",
-    "PlaneMotion",
-    "PolarForm",
-    "ProfileZero",
-    "Sector",
-    "Signature",
-    "SingularPoint",
-    "SurfaceSpec",
-    "TauField",
-    "TwoPointSolution",
-    "Worldline",
-    "apply",
-    "arc_length",
-    "beltrami_delta1",
-    "christoffel",
-    "circle_parameters",
-    "conj",
-    "constant_A",
-    "cross_ratio",
-    "epsilon_from_constant",
-    "exp_map_pushforward",
-    "exp_map_to_cartesian",
-    "gauss_curvature_of_profile",
-    "geodesic_distance",
-    "geodesic_from_AB",
-    "geodesic_from_constants",
-    "geodesic_parametric",
-    "geodesic_parametric_with_velocity",
-    "geodesic_through",
-    "hyper_exp",
-    "hyperbola_parameters",
-    "integrate_geodesic",
-    "inverse",
-    "inverse_motion",
-    "is_null",
-    "isothermal_curvature",
-    "limiting_curve",
-    "limiting_intersections",
-    "line_element_cartesian",
-    "line_element_isometric",
-    "modulus",
-    "mul",
-    "number_for",
-    "origin_line",
-    "parametric_window",
-    "plane_apply",
-    "plane_geodesic",
-    "polar",
-    "rho_from_u",
-    "run_all",
-    "solve_two_point",
-    "square_modulus",
-    "worldline_hyperbolic",
-    "zero_divisor_tolerance",
+    *errors.__all__,
+    *hypernum.__all__,
+    *surface.__all__,
+    *geodesic.__all__,
+    *motion.__all__,
+    *oracle.__all__,
+    *verify.__all__,
 ]

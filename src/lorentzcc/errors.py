@@ -7,6 +7,28 @@ while still catching specific conditions.
 
 from __future__ import annotations
 
+__all__ = [
+    "GeometryError",
+    "DivisorOfZero",
+    "OnNullLine",
+    "ProfileZero",
+    "DomainError",
+    "SingularPoint",
+    "OnLimitingCurve",
+    "DegenerateEpsilon",
+    "OutOfChart",
+    "NoRealIntersection",
+    "InvalidMotion",
+    "MapsToInfinity",
+    "NoGeodesic",
+    "CoincidentPoints",
+    "OutOfDisk",
+    "DegenerateTuple",
+    "NearSingular",
+    "MixedCausality",
+    "DomainExit",
+]
+
 
 class GeometryError(Exception):
     """Base class for all domain and algebra errors raised by this package."""

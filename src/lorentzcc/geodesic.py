@@ -4,15 +4,17 @@ In the conformal Cartesian chart every geodesic of every surface is a conic,
 and the whole geodesic family is parametrized by two constants
 ``(eps, sigma)``:
 
-    quad = 1/R^2
-    const_term = -1  (positive curvature)   +1  (negative curvature)
-    definite:    lin_x = +2 sin(sigma)/(R t),   lin_y = -2 cos(sigma)/(R t)
-    lorentzian:  lin_x = -2 sinh(sigma)/(R t),  lin_y = +2 cosh(sigma)/(R t)
+    quad = 1/R^2,   const_term = -kappa
+    (lin_x, lin_y) = (2 s S, -2 s C)/(R t),   (C, S) = cos_sin(-s, sigma)
 
-where
+with the surface signs ``s`` and ``kappa`` of :mod:`lorentzcc.surface`, so
+``(C, S) = (cos, sin)(sigma)`` on definite and ``(cosh, sinh)(sigma)`` on
+Lorentzian surfaces, and
 
-    t = tan(eps),  A = R sin(eps)   on def-pos and lorentz-neg (|eps| < pi/2)
-    t = tanh(eps), A = R sinh(eps)  on def-neg and lorentz-pos
+    t = tan(eps),  A = R sin(eps)   where s = kappa: def-pos, lorentz-neg
+    t = tanh(eps), A = R sinh(eps)  where s = -kappa: def-neg, lorentz-pos
+
+(``|eps| < pi/2`` in the tan family).
 
 ``A`` is the conserved momentum conjugate to ``phi`` and ``sigma`` the
 conserved phase; ``eps -> 0`` degenerates the conic into a straight line
@@ -42,6 +44,7 @@ from .errors import (
     NoRealIntersection,
     OutOfChart,
 )
+from .hypernum import cos_sin
 from .surface import CurvatureSign, Signature, SurfaceSpec
 
 __all__ = [
@@ -167,12 +170,18 @@ class Worldline:
         Measured against ``max(1/accel^2, dx^2)`` because the raw difference
         of two nearly equal squares grows like ``dx^2 * ulp`` far along the
         branch, which no parametrization can beat in double precision.
+        Where ``dx^2`` overflows (``accel s`` beyond about 355) the identity
+        is divided through by ``dx^2`` before anything is squared.
         """
         t, x = self.position(s)
         dt = t - self.t0
         dx = x - self.x0 + 1.0 / self.accel
         target = 1.0 / (self.accel * self.accel)
-        return abs((dx * dx - dt * dt) - target) / max(target, dx * dx)
+        dx2 = dx * dx
+        if math.isfinite(dx2):
+            return abs((dx2 - dt * dt) - target) / max(target, dx2)
+        q, k = dt / dx, 1.0 / (self.accel * dx)
+        return abs((1.0 - q) * (1.0 + q) - k * k)
 
 
 def worldline_hyperbolic(accel: float, t0: float = 0.0, x0: float = 0.0) -> Worldline:
@@ -217,10 +226,8 @@ class GeodesicConic:
 
 
 def _uses_tan(spec: SurfaceSpec) -> bool:
-    # tan(eps) on def-pos and lorentz-neg, tanh(eps) on the other two
-    return (spec.signature is Signature.DEFINITE) == (
-        spec.curvature_sign is CurvatureSign.POSITIVE
-    )
+    # tan(eps) where s = kappa (def-pos, lorentz-neg), tanh(eps) elsewhere
+    return spec.metric_sign == spec.kappa
 
 
 def _check_eps(spec: SurfaceSpec, eps: float) -> None:
@@ -262,17 +269,12 @@ def geodesic_from_constants(
         DomainError: |eps| >= pi/2 where t = tan(eps).
     """
     _check_eps(spec, eps)
-    r = spec.radius
+    r, s = spec.radius, spec.metric_sign
     t = math.tan(eps) if _uses_tan(spec) else math.tanh(eps)
-    quad = 1.0 / (r * r)
-    const = -1.0 if spec.curvature_sign is CurvatureSign.POSITIVE else 1.0
-    if spec.signature is Signature.DEFINITE:
-        lin_x = 2.0 * math.sin(sigma) / (r * t)
-        lin_y = -2.0 * math.cos(sigma) / (r * t)
-    else:
-        lin_x = -2.0 * math.sinh(sigma) / (r * t)
-        lin_y = 2.0 * math.cosh(sigma) / (r * t)
-    return GeodesicConic(quad, lin_x, lin_y, const, spec)
+    c, sn = cos_sin(-s, sigma)
+    lin_x = 2.0 * s * sn / (r * t)
+    lin_y = -2.0 * s * c / (r * t)
+    return GeodesicConic(1.0 / (r * r), lin_x, lin_y, -spec.kappa, spec)
 
 
 def geodesic_from_AB(spec: SurfaceSpec, A: float, B: float) -> GeodesicConic:
@@ -286,9 +288,9 @@ def origin_line(spec: SurfaceSpec, sigma: float) -> GeodesicConic:
     Definite surfaces: the radial line at polar angle sigma.  Lorentzian
     surfaces: the timelike line ``y = tanh(sigma) x``.
     """
-    if spec.signature is Signature.DEFINITE:
-        return GeodesicConic(0.0, math.sin(sigma), -math.cos(sigma), 0.0, spec)
-    return GeodesicConic(0.0, -math.sinh(sigma), math.cosh(sigma), 0.0, spec)
+    s = spec.metric_sign
+    c, sn = cos_sin(-s, sigma)
+    return GeodesicConic(0.0, s * sn, -s * c, 0.0, spec)
 
 
 # --------------------------------------------------------------------------
@@ -460,12 +462,10 @@ def hyperbola_parameters(
 def limiting_curve(spec: SurfaceSpec) -> GeodesicConic:
     """Curve where the Cartesian conformal factor diverges.
 
-    ``x^2 +/- y^2 = -/+ R^2``; on def-pos the right side is ``-R^2`` and the
-    curve is imaginary (that chart has no boundary).
+    ``x^2 + s y^2 + kappa R^2 = 0``; on def-pos the curve is imaginary
+    (that chart has no boundary).
     """
-    r2 = spec.radius * spec.radius
-    const = r2 if spec.curvature_sign is CurvatureSign.POSITIVE else -r2
-    return GeodesicConic(1.0, 0.0, 0.0, const, spec)
+    return GeodesicConic(1.0, 0.0, 0.0, spec.kappa * spec.radius * spec.radius, spec)
 
 
 @dataclass(frozen=True, slots=True)
@@ -554,8 +554,7 @@ def limiting_intersections(
         h = math.sqrt(h2)
         pts = [(fx - h * b / n, fy + h * a / n), (fx + h * b / n, fy - h * a / n)]
     else:
-        rhs = -r2 if spec.curvature_sign is CurvatureSign.POSITIVE else r2
-        pts = _conic_limiting_solutions(conic, rhs)
+        pts = _conic_limiting_solutions(conic, -spec.kappa * r2)
 
     lim = limiting_curve(spec)
     s = spec.metric_sign

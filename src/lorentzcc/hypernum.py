@@ -14,7 +14,9 @@ lines whose elements are divisors of zero.  Multiplying by ``unit = +-1``
 is exact, so each plane gets the same bits as its own textbook formula.
 Only the modulus, the null test and the zero guard of the inverse, the
 exponential and the polar form differ in kind between the planes; they
-branch on ``unit``.
+branch on ``unit``.  ``cos_sin(unit, t)`` is the one such branch for the
+pair ``(cosh t, sinh t)`` / ``(cos t, sin t)``: the two parts of
+``exp(j t)``, shared with the chart maps of the surfaces.
 
 The near-null guard of the hyperbolic plane is
 
@@ -30,7 +32,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import DivisorOfZero, OnNullLine
+from .errors import DivisorOfZero, DomainError, OnNullLine
 
 __all__ = [
     "HyperbolicNumber",
@@ -176,8 +178,12 @@ def inverse(z: Number) -> Number:
     Raises:
         DivisorOfZero: hyperbolic ``z`` with ``|D| <= tol``, or complex ``z``
             whose ``D`` is zero (which includes underflow of ``x*x + y*y``).
+        DomainError: ``D`` is not finite (it overflows, or ``z`` is not
+            finite); the quotient would silently read zero or NaN.
     """
     d = square_modulus(z)
+    if not math.isfinite(d):
+        raise DomainError(f"D({z.x}, {z.y}) = {d} is not finite; no inverse")
     if z.unit > 0.0:
         if abs(d) <= zero_divisor_tolerance(z):
             raise DivisorOfZero(
@@ -188,6 +194,13 @@ def inverse(z: Number) -> Number:
     return type(z)(z.x / d, -z.y / d)
 
 
+def cos_sin(unit: float, t: float) -> tuple[float, float]:
+    """``(cosh t, sinh t)`` for ``unit = +1``, ``(cos t, sin t)`` for ``-1``."""
+    if unit > 0.0:
+        return math.cosh(t), math.sinh(t)
+    return math.cos(t), math.sin(t)
+
+
 def hyper_exp(w: Number) -> Number:
     """Exponential; ``exp(x) * (cosh y + h sinh y)`` in the hyperbolic plane.
 
@@ -195,9 +208,8 @@ def hyper_exp(w: Number) -> Number:
     in the right sector.
     """
     e = math.exp(w.x)
-    if w.unit > 0.0:
-        return type(w)(e * math.cosh(w.y), e * math.sinh(w.y))
-    return type(w)(e * math.cos(w.y), e * math.sin(w.y))
+    c, s = cos_sin(w.unit, w.y)
+    return type(w)(e * c, e * s)
 
 
 def polar(z: Number) -> PolarForm:

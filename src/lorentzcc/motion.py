@@ -4,14 +4,14 @@ geodesic solver, invariant distance, and cross ratios.
 Everything in this module works in NORMALIZED model coordinates
 ``zeta = z / R`` (radius scaled out).  Motions of the curved surfaces are
 
-    positive curvature:  w = (alpha z + beta) / (-conj(beta) z + conj(alpha))
-    negative curvature:  w = (alpha z + beta) / (+conj(beta) z + conj(alpha))
+    w = (alpha z + beta) / (-kappa conj(beta) z + conj(alpha))
 
-with hyperbolic-number constants on Lorentzian surfaces and complex ones on
-definite surfaces, defined up to a common scale, nondegenerate when
-``D(alpha) +/- D(beta) != 0`` (``|alpha|^2 +/- |beta|^2`` in the complex
-case).  Only :func:`geodesic_distance` and :func:`geodesic_through` convert
-back to physical units (factor ``2R`` on distances, ``1/R`` powers on conic
+(``kappa`` the sign of the curvature) with hyperbolic-number constants on
+Lorentzian surfaces and complex ones on definite surfaces, defined up to a
+common scale, nondegenerate when ``D(alpha) + kappa D(beta) != 0``
+(``|alpha|^2 +/- |beta|^2`` in the complex case) and finite.  Only
+:func:`geodesic_distance` and :func:`geodesic_through` convert back to
+physical units (factor ``2R`` on distances, ``1/R`` powers on conic
 coefficients).
 
 Points and motion constants carry the number type of the surface's
@@ -37,6 +37,7 @@ from .errors import (
     NoGeodesic,
     OutOfDisk,
 )
+from .geodesic import GeodesicConic
 from .hypernum import (
     ComplexNumber,
     HyperbolicNumber,
@@ -126,22 +127,33 @@ def _as_number(spec: SurfaceSpec, z) -> Number:
 
 @dataclass(frozen=True, slots=True)
 class BilinearMotion:
-    """Isometry of a curved surface in normalized model coordinates."""
+    """Isometry of a curved surface in normalized model coordinates.
+
+    Raises:
+        DomainError: a constant is not finite, or its ``D`` overflows.
+        InvalidMotion: ``D(alpha) + kappa D(beta)`` vanishes (to 1e-12).
+    """
 
     alpha: Number
     beta: Number
     spec: SurfaceSpec
 
     def __post_init__(self) -> None:
-        want = _number_type(self.spec)
+        spec = self.spec
+        want = _number_type(spec)
         if not (isinstance(self.alpha, want) and isinstance(self.beta, want)):
-            raise TypeError(f"{self.spec.name} motions need {want.__name__} constants")
+            raise TypeError(f"{spec.name} motions need {want.__name__} constants")
         da, db = square_modulus(self.alpha), square_modulus(self.beta)
-        nd = da + db if self.spec.curvature_sign is CurvatureSign.POSITIVE else da - db
-        if abs(nd) <= 1e-12 * max(1.0, abs(da), abs(db)):
-            raise InvalidMotion(
-                f"degenerate motion: D(alpha) {'+' if nd == da + db else '-'} D(beta) = {nd}"
+        if not (math.isfinite(da) and math.isfinite(db)):
+            raise DomainError(
+                f"{spec.name} motion constants {self.alpha}, {self.beta} are not "
+                f"finite or overflow D (D(alpha) = {da}, D(beta) = {db})"
             )
+        kappa = spec.kappa
+        nd = da + kappa * db
+        if abs(nd) <= 1e-12 * max(1.0, abs(da), abs(db)):
+            sign = "+" if kappa > 0.0 else "-"
+            raise InvalidMotion(f"degenerate motion: D(alpha) {sign} D(beta) = {nd}")
 
 
 def apply(motion: BilinearMotion, z) -> Number:
@@ -200,6 +212,8 @@ def solve_two_point(spec: SurfaceSpec, z1, z2) -> TwoPointSolution:
 
     Raises:
         CoincidentPoints: z1 == z2 (to 1e-14, relative).
+        DomainError: ``D`` of a point, or of the normal-form denominator,
+            overflows.
         NoGeodesic: no geodesic of the closed-form family joins the points
             (null or spacelike separation on a Lorentzian surface, a null or
             limiting-curve base point, antipodal points, ...).
@@ -208,21 +222,20 @@ def solve_two_point(spec: SurfaceSpec, z1, z2) -> TwoPointSolution:
     z2 = _as_number(spec, z2)
     if _coincident(z1, z2):
         raise CoincidentPoints(f"points coincide: {z1}")
-    positive = spec.curvature_sign is CurvatureSign.POSITIVE
     hyperbolic = spec.signature is Signature.LORENTZIAN
 
     if hyperbolic and is_null(z1) and not (z1.x == 0.0 and z1.y == 0.0):
         raise NoGeodesic(f"base point {z1} lies on a null line of the model")
     d1 = square_modulus(z1)
-    if positive:
-        if hyperbolic and abs(1.0 + d1) <= 1e-12 * max(1.0, abs(d1)):
-            raise NoGeodesic(f"base point {z1} lies on the limiting curve")
-    else:
-        if abs(1.0 - d1) <= 1e-12 * max(1.0, abs(d1)):
-            raise NoGeodesic(f"base point {z1} lies on the limiting curve")
+    if not math.isfinite(d1):
+        raise DomainError(f"D of the base point {z1} overflows")
+    kappa = spec.kappa
+    # the normalized limiting curve D(z) + kappa = 0 (never met on def-pos)
+    if abs(d1 + kappa) <= 1e-12 * max(1.0, abs(d1)):
+        raise NoGeodesic(f"base point {z1} lies on the limiting curve")
 
     one = type(z1)(1.0, 0.0)
-    den = one + mul(conj(z1), z2) if positive else one - mul(conj(z1), z2)
+    den = one + mul(conj(z1), z2) if kappa > 0.0 else one - mul(conj(z1), z2)
     try:
         q = mul(z2 - z1, inverse(den))
     except DivisorOfZero as exc:
@@ -263,25 +276,17 @@ def geodesic_through(spec: SurfaceSpec, z1, z2):
     """Physical-chart conic of the geodesic through two normalized points.
 
     The coefficients come straight from the normal-form motion constants:
-    with ``G = alpha beta`` and ``S = alpha^2 +/- conj(beta)^2`` the
-    normalized conic is ``(-/+ G.y, S.y, S.x, G.y)``, rescaled here to the
+    with ``G = alpha beta`` and ``S = alpha^2 + kappa conj(beta)^2`` the
+    normalized conic is ``(-kappa G.y, S.y, S.x, G.y)``, rescaled here to the
     physical chart.  Raises everything :func:`solve_two_point` raises.
     """
-    from .geodesic import GeodesicConic
-
     sol = solve_two_point(spec, z1, z2)
     alpha, beta = sol.motion.alpha, sol.motion.beta
     g = mul(alpha, beta)
-    a2 = mul(alpha, alpha)
     cb = conj(beta)
-    b2 = mul(cb, cb)
-    positive = spec.curvature_sign is CurvatureSign.POSITIVE
-    s = a2 + b2 if positive else a2 - b2
-    sgn = 1.0 if positive else -1.0
+    s = mul(alpha, alpha) + spec.kappa * mul(cb, cb)
     r = spec.radius
-    return GeodesicConic(
-        -sgn * g.y / (r * r), s.y / r, s.x / r, g.y, spec
-    )
+    return GeodesicConic(-spec.kappa * g.y / (r * r), s.y / r, s.x / r, g.y, spec)
 
 
 def geodesic_distance(spec: SurfaceSpec, z1, z2) -> float:

@@ -1,29 +1,30 @@
 """Constant-curvature surfaces: specs, charts, and metric fields.
 
-Four surfaces are indexed by metric signature and curvature sign.  Each one
-carries an isometric chart ``(rho, phi)`` and a conformal Cartesian chart
-``(x, y)``:
+Four surfaces are indexed by two signs: the metric sign ``s`` (``+1`` for
+a definite signature, ``-1`` for a Lorentzian one) and the curvature sign
+``kappa`` (the sign of K).  Each one carries an isometric chart
+``(rho, phi)`` and a conformal Cartesian chart ``(x, y)``:
 
-    name         K        isometric factor        Cartesian denominator
-    -----------  -------  ----------------------  ---------------------
-    def-pos      +1/R^2   R^2 / cosh(rho)^2       R^2 + x^2 + y^2
-    def-neg      -1/R^2   R^2 / sinh(rho)^2       x^2 + y^2 - R^2
-    lorentz-pos  +1/R^2   R^2 / cosh(rho)^2       R^2 + x^2 - y^2
-    lorentz-neg  -1/R^2   R^2 / sinh(rho)^2       x^2 - y^2 - R^2
+    name         s   kappa  K        isometric factor    Cartesian denominator
+    -----------  --  -----  -------  ------------------  ---------------------
+    def-pos      +1  +1     +1/R^2   R^2 / cosh(rho)^2   R^2 + x^2 + y^2
+    def-neg      +1  -1     -1/R^2   R^2 / sinh(rho)^2   x^2 + y^2 - R^2
+    lorentz-pos  -1  +1     +1/R^2   R^2 / cosh(rho)^2   R^2 + x^2 - y^2
+    lorentz-neg  -1  -1     -1/R^2   R^2 / sinh(rho)^2   x^2 - y^2 - R^2
 
 with line elements
 
     ds^2 = factor(rho) * (drho^2 + s dphi^2)
-    ds^2 = (4 R^4 / base^2) * (dx^2 + s dy^2)
+    ds^2 = (4 R^4 / base^2) * (dx^2 + s dy^2),   base = x^2 + s y^2 + kappa R^2
 
-where ``s = +1`` for a definite signature and ``s = -1`` for a Lorentzian
-one.  The curve ``base = 0`` (when real) is the limiting curve of the chart:
+The curve ``base = 0`` (when real) is the limiting curve of the chart:
 the conformal factor diverges there and the curve sits at infinite distance.
 For ``def-pos`` the denominator never vanishes, so that chart covers the
 whole plane.
 
 The two charts are linked by the exponential-type map
 
+    (x, y) = R e^rho cos_sin(-s, phi)
     lorentzian:  x = R e^rho cosh(phi),  y = R e^rho sinh(phi)
     definite:    x = R e^rho cos(phi),   y = R e^rho sin(phi)
 
@@ -32,18 +33,23 @@ whose image is the wedge ``x > |y|`` (lorentzian) or the punctured plane
 surfaces both signs of ``rho`` chart the surface — ``rho -> -rho`` is an
 isometry of the isometric line element — so the wedge splits into the part
 inside the limiting curve (``rho < 0``) and the part outside (``rho > 0``).
+
+Formulas that differ between the surfaces only by a sign are written once,
+keyed on ``SurfaceSpec.metric_sign`` and ``SurfaceSpec.kappa``; multiplying
+by ``+-1.0`` is exact, so each surface gets the bits of its own formula.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable
 
 import numpy as np
 
 from .errors import DomainError, OnLimitingCurve, ProfileZero, SingularPoint
+from .hypernum import cos_sin
 
 __all__ = [
     "Signature",
@@ -77,15 +83,26 @@ class Chart(Enum):
 
 @dataclass(frozen=True, slots=True)
 class SurfaceSpec:
-    """A constant-curvature surface: signature, sign of K, and radius R > 0."""
+    """A constant-curvature surface: signature, sign of K, and radius R > 0.
+
+    ``metric_sign`` is s in ``ds^2 = factor * (da^2 + s db^2)``: +1 definite,
+    -1 Lorentzian.  ``kappa`` is the sign of the Gauss curvature.  Both are
+    derived from the enums and stored, since every chart formula reads them.
+    """
 
     signature: Signature
     curvature_sign: CurvatureSign
     radius: float = 1.0
+    metric_sign: float = field(init=False, repr=False, compare=False)
+    kappa: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.radius > 0.0:
             raise ValueError(f"radius must be positive, got {self.radius}")
+        s = 1.0 if self.signature is Signature.DEFINITE else -1.0
+        kappa = 1.0 if self.curvature_sign is CurvatureSign.POSITIVE else -1.0
+        object.__setattr__(self, "metric_sign", s)
+        object.__setattr__(self, "kappa", kappa)
 
     # -- constructors ------------------------------------------------------
 
@@ -132,13 +149,7 @@ class SurfaceSpec:
 
     @property
     def gauss_curvature(self) -> float:
-        k = 1.0 / (self.radius * self.radius)
-        return k if self.curvature_sign is CurvatureSign.POSITIVE else -k
-
-    @property
-    def metric_sign(self) -> float:
-        """s in ds^2 = factor * (da^2 + s db^2): +1 definite, -1 lorentzian."""
-        return 1.0 if self.signature is Signature.DEFINITE else -1.0
+        return self.kappa / (self.radius * self.radius)
 
     def normalized(self) -> "SurfaceSpec":
         """Same surface rescaled to R = 1 (model coordinates)."""
@@ -165,7 +176,7 @@ def _cartesian_base(spec: SurfaceSpec, x: float, y: float) -> float:
     else:
         # factored: x*x - y*y loses digits far out near the null lines
         quad = (x - y) * (x + y)
-    return r2 + quad if spec.curvature_sign is CurvatureSign.POSITIVE else quad - r2
+    return quad + spec.kappa * r2
 
 
 def _cartesian_factor(spec: SurfaceSpec, x: float, y: float) -> float:
@@ -291,9 +302,8 @@ def exp_map_to_cartesian(
 ) -> tuple[float, float]:
     """Isometric -> Cartesian chart change."""
     r = spec.radius * math.exp(rho)
-    if spec.signature is Signature.LORENTZIAN:
-        return r * math.cosh(phi), r * math.sinh(phi)
-    return r * math.cos(phi), r * math.sin(phi)
+    c, s = cos_sin(-spec.metric_sign, phi)
+    return r * c, r * s
 
 
 def exp_map_pushforward(
@@ -301,6 +311,4 @@ def exp_map_pushforward(
 ) -> tuple[float, float]:
     """Tangent map of :func:`exp_map_to_cartesian` at ``(rho, phi)``."""
     x, y = exp_map_to_cartesian(spec, rho, phi)
-    if spec.signature is Signature.LORENTZIAN:
-        return x * drho + y * dphi, y * drho + x * dphi
-    return x * drho - y * dphi, y * drho + x * dphi
+    return x * drho - spec.metric_sign * y * dphi, y * drho + x * dphi

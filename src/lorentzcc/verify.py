@@ -22,6 +22,7 @@ import numpy as np
 from .errors import GeometryError, NoRealIntersection
 from .geodesic import (
     LineKind,
+    _uses_tan,
     constant_A,
     geodesic_from_AB,
     geodesic_from_constants,
@@ -60,7 +61,6 @@ from .oracle import (
 from .surface import (
     Chart,
     MetricField,
-    Signature,
     SurfaceSpec,
     exp_map_pushforward,
     exp_map_to_cartesian,
@@ -108,15 +108,30 @@ def _result(name: str, measured: float, tol: float, detail: str) -> CheckResult:
     return CheckResult(name, bool(measured <= tol), float(measured), tol, detail)
 
 
+def _fail(name: str, tol: float, detail: str) -> CheckResult:
+    """A check that could not measure: failed whatever the tolerance."""
+    return CheckResult(name, False, math.inf, tol, detail)
+
+
+def _conic_error(conic, x: float, y: float) -> float:
+    """Conic residual at ``(x, y)`` relative to the conic's largest term."""
+    term = max(
+        1.0,
+        abs(conic.quad) * (x * x + y * y),
+        abs(conic.lin_x * x),
+        abs(conic.lin_y * y),
+        abs(conic.const_term),
+    )
+    return abs(conic.residual(x, y)) / term
+
+
 def _sign_draw(rng) -> float:
     return 1.0 if rng.integers(0, 2) == 0 else -1.0
 
 
-def _eps_range(spec_name: str) -> tuple[float, float]:
+def _eps_range(spec: SurfaceSpec) -> tuple[float, float]:
     # tan-based families keep a margin below pi/2
-    if spec_name in ("def-pos", "lorentz-neg"):
-        return (0.05, 1.2)
-    return (0.05, 1.5)
+    return (0.05, 1.2) if _uses_tan(spec) else (0.05, 1.5)
 
 
 def _u_window(spec_name: str, eps: float) -> tuple[float, float]:
@@ -172,7 +187,7 @@ def _check_closed_form_consistency(rng, tol, scale, perturb) -> CheckResult:
     for name in _ALL_NAMES:
         spec = SurfaceSpec.from_name(name)
         field = MetricField(spec, Chart.ISOMETRIC)
-        lo_e, hi_e = _eps_range(name)
+        lo_e, hi_e = _eps_range(spec)
         for _ in range(n_draws):
             eps = _sign_draw(rng) * rng.uniform(lo_e, hi_e)
             sigma = rng.uniform(-1.5, 1.5)
@@ -182,15 +197,7 @@ def _check_closed_form_consistency(rng, tol, scale, perturb) -> CheckResult:
             for u in np.linspace(u_lo, u_hi, 40):
                 rho, phi = geodesic_parametric(spec, eps, sigma, tau0 + float(u))
                 x, y = exp_map_to_cartesian(spec, rho, phi)
-                res = conic.residual(x, y)
-                term = max(
-                    1.0,
-                    abs(conic.quad) * (x * x + y * y),
-                    abs(conic.lin_x * x),
-                    abs(conic.lin_y * y),
-                    abs(conic.const_term),
-                )
-                worst_conic = max(worst_conic, abs(res) / term)
+                worst_conic = max(worst_conic, _conic_error(conic, x, y))
             poly = [
                 geodesic_parametric(spec, eps, sigma, tau0 + float(u))
                 for u in np.linspace(u_lo, u_hi, n_poly + 1)
@@ -243,8 +250,7 @@ def _check_oracle_equivalence(rng, tol, scale, perturb) -> CheckResult:
             sigma = rng.uniform(-1.5, 1.5)
             tau0 = constant_A(spec, eps) * sigma
             if name == "lorentz-neg":
-                u_s = math.acosh(1.0 / (math.tanh(2.0) * math.cos(eps)))
-                tau_launch = tau0 + u_s
+                tau_launch = tau0 + _u_window(name, eps)[0]
             else:
                 tau_launch = tau0 - 0.5
             (rho, phi), (drho, dphi) = geodesic_parametric_with_velocity(
@@ -275,14 +281,16 @@ def _check_oracle_equivalence(rng, tol, scale, perturb) -> CheckResult:
 # 4. motions preserve the line element and distances
 
 
-def _draw_offnull(rng, spec: SurfaceSpec, bound: float, margin: float = 0.05):
+def _draw_offnull(rng, spec: SurfaceSpec, bound: float, floor: float = 1e-3):
+    """A point of the square ``[-bound, bound]^2`` with ``|x| + |y| >= floor``,
+    kept 5% away from the null lines on Lorentzian surfaces."""
     while True:
         x = rng.uniform(-bound, bound)
         y = rng.uniform(-bound, bound)
-        if spec.signature is Signature.LORENTZIAN:
-            if abs(abs(x) - abs(y)) <= margin * (abs(x) + abs(y)):
-                continue
-        if abs(x) + abs(y) < 1e-3:
+        ax, ay = abs(x), abs(y)
+        if spec.metric_sign < 0.0 and abs(ax - ay) <= 0.05 * (ax + ay):
+            continue
+        if ax + ay < floor:
             continue
         return number_for(spec, x, y)
 
@@ -304,10 +312,8 @@ def _check_motion_invariance(rng, tol, scale, perturb) -> CheckResult:
             z2 = _draw_offnull(rng, spec, 0.4)
             ang = rng.uniform(0.0, 2.0 * math.pi)
             dx, dy = math.cos(ang), math.sin(ang)
-            if (
-                spec.signature is Signature.LORENTZIAN
-                and abs(dx * dx - dy * dy) < 1e-3 * (dx * dx + dy * dy)
-            ):
+            # skip near-null directions (never met on definite surfaces)
+            if abs(dx * dx + spec.metric_sign * dy * dy) < 1e-3 * (dx * dx + dy * dy):
                 continue
             try:
                 motion = BilinearMotion(alpha, beta, spec)
@@ -330,13 +336,8 @@ def _check_motion_invariance(rng, tol, scale, perturb) -> CheckResult:
         if made < n:
             short = name
     if short is not None:
-        return CheckResult(
-            "motion_invariance",
-            False,
-            math.inf,
-            tol,
-            f"could not draw enough valid samples on {short}",
-        )
+        detail = f"could not draw enough valid samples on {short}"
+        return _fail("motion_invariance", tol, detail)
     measured = max(worst_push / 1e-6, worst_dist / 1e-9)
     return _result(
         "motion_invariance",
@@ -390,14 +391,7 @@ def _check_two_point_solver(rng, tol, scale, perturb) -> CheckResult:
             )
             conic = geodesic_through(spec, z1, z2)
             for z in (z1, z2):
-                term = max(
-                    1.0,
-                    abs(conic.quad) * (z.x * z.x + z.y * z.y),
-                    abs(conic.lin_x * z.x),
-                    abs(conic.lin_y * z.y),
-                    abs(conic.const_term),
-                )
-                worst_conic = max(worst_conic, abs(conic.residual(z.x, z.y)) / term)
+                worst_conic = max(worst_conic, _conic_error(conic, z.x, z.y))
             dist = geodesic_distance(spec, z1, z2)
             path = [
                 motion_apply(inv, number_for(spec, t, 0.0))
@@ -407,13 +401,8 @@ def _check_two_point_solver(rng, tol, scale, perturb) -> CheckResult:
             worst_dist = max(worst_dist, abs(qlen - dist))
             made += 1
         if made < n:
-            return CheckResult(
-                "two_point_solver",
-                False,
-                math.inf,
-                tol,
-                f"could not draw enough joinable pairs on {name}",
-            )
+            detail = f"could not draw enough joinable pairs on {name}"
+            return _fail("two_point_solver", tol, detail)
     measured = max(worst_round / 1e-12, worst_conic / 1e-9, worst_dist / 1e-6)
     return _result(
         "two_point_solver",
@@ -468,19 +457,15 @@ def _check_limiting_orthogonality(rng, tol, scale, perturb) -> CheckResult:
         try:
             hits = limiting_intersections(spec_n, conic)
         except NoRealIntersection:
-            return CheckResult(
+            return _fail(
                 "limiting_orthogonality",
-                False,
-                math.inf,
                 tol,
                 f"lorentz-neg geodesic (eps={eps:.3f}, sigma={sigma:.3f}) "
                 "unexpectedly missed the limiting curve",
             )
         if len(hits) != 2:
-            return CheckResult(
+            return _fail(
                 "limiting_orthogonality",
-                False,
-                math.inf,
                 tol,
                 f"expected 2 limiting-curve crossings, got {len(hits)}",
             )
@@ -498,10 +483,8 @@ def _check_limiting_orthogonality(rng, tol, scale, perturb) -> CheckResult:
             hits = limiting_intersections(spec_p, conic)
         except NoRealIntersection:
             continue
-        return CheckResult(
+        return _fail(
             "limiting_orthogonality",
-            False,
-            math.inf,
             tol,
             f"lorentz-pos geodesic (eps={eps:.3f}) unexpectedly crossed the "
             f"limiting curve at {len(hits)} points",
@@ -597,23 +580,13 @@ def _check_worldline_invariant(rng, tol, scale, perturb) -> CheckResult:
 # 10. split-complex algebra laws
 
 
-def _draw_hyp(rng, bound: float = 3.0) -> HyperbolicNumber:
-    while True:
-        x = rng.uniform(-bound, bound)
-        y = rng.uniform(-bound, bound)
-        if abs(abs(x) - abs(y)) <= 0.05 * (abs(x) + abs(y)):
-            continue
-        if abs(x) + abs(y) < 0.1:
-            continue
-        return HyperbolicNumber(x, y)
-
-
 def _check_algebra_properties(rng, tol, scale, perturb) -> CheckResult:
     n = max(50, int(round(1000 * scale)))
+    plane = SurfaceSpec.lorentzian_positive()  # draws hyperbolic numbers
     worst = 0.0
     for _ in range(n):
-        a = _draw_hyp(rng)
-        b = _draw_hyp(rng)
+        a = _draw_offnull(rng, plane, 3.0, floor=0.1)
+        b = _draw_offnull(rng, plane, 3.0, floor=0.1)
         da, db = square_modulus(a), square_modulus(b)
         dab = square_modulus(mul(a, b))
         worst = max(worst, abs(dab - da * db) / max(1.0, abs(da * db)))
@@ -639,26 +612,16 @@ def _check_algebra_properties(rng, tol, scale, perturb) -> CheckResult:
         except GeometryError:
             rejected = True
         if not rejected:
-            return CheckResult(
-                "algebra_properties",
-                False,
-                math.inf,
-                tol,
-                f"polar form failed to reject the null element {null}",
-            )
+            detail = f"polar form failed to reject the null element {null}"
+            return _fail("algebra_properties", tol, detail)
         try:
             inverse(null)
             inverted = True
         except GeometryError:
             inverted = False
         if inverted:
-            return CheckResult(
-                "algebra_properties",
-                False,
-                math.inf,
-                tol,
-                f"inverse failed to reject the divisor of zero {null}",
-            )
+            detail = f"inverse failed to reject the divisor of zero {null}"
+            return _fail("algebra_properties", tol, detail)
     return _result(
         "algebra_properties",
         worst,

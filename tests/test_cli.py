@@ -145,6 +145,34 @@ class TestDistanceCommand:
         assert proc.returncode == 2
         assert json.loads(proc.stderr)["error"] == "InvalidMotion"
 
+    def test_degenerate_motion_message_carries_the_curvature_sign(self):
+        # def-neg tests D(alpha) - D(beta), and the message says so
+        proc = run_cli(
+            "distance", "--surface", "def-neg", "--points", "0.1,0.05", "0.3,-0.02",
+            "--apply-motion", "0,0,0,0",
+        )
+        assert proc.returncode == 2
+        assert "D(alpha) - D(beta) = 0.0" in json.loads(proc.stderr)["message"]
+
+    @pytest.mark.parametrize(
+        "surface, p1, p2, motion",
+        [
+            ("def-pos", "1e200,0", "3e200,0", None),
+            ("def-neg", "1e200,0", "3e200,0", None),
+            ("def-pos", "1e160,0", "0.1,0", "1,0.1,0.2,-0.1"),
+            ("lorentz-pos", "0.1,0", "0.3,0.1", "1e200,0,0,0"),
+            ("def-neg", "0.1,0", "0.3,0.1", "nan,0,0,0"),
+        ],
+    )
+    def test_overflow_inside_finite_input_exits_2(self, surface, p1, p2, motion):
+        # D overflows inside finite input, or a motion constant is not finite
+        extra = ["--apply-motion", motion] if motion else []
+        proc = run_cli("distance", "--surface", surface, "--points", p1, p2, *extra)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert len(proc.stderr.splitlines()) == 1
+        assert json.loads(proc.stderr)["error"] == "DomainError"
+
     @pytest.mark.parametrize("point", ["nan,0", "inf,0"])
     def test_non_finite_point_exits_2(self, point):
         proc = run_cli("distance", "--surface", "def-neg", "--points", point, "0.5,0")
@@ -180,6 +208,12 @@ class TestWorldlineCommand:
         assert doc["g"] == 1.5
         assert len(doc["samples"]) == 3
         assert doc["samples"][0]["t"] == 0.5
+
+    def test_residual_finite_where_dx_squared_overflows(self):
+        proc = run_cli("worldline", "--g", "1", "--s-range", "0,400,3", check=True)
+        rows = [[float(v) for v in line.split(",")] for line in proc.stdout.split()[1:]]
+        assert [r[0] for r in rows] == [0.0, 200.0, 400.0]
+        assert all(math.isfinite(r[3]) and r[3] <= 1e-12 for r in rows)
 
     def test_overflow_exits_2(self):
         proc = run_cli("worldline", "--g", "1", "--s-range", "0,1000,3")

@@ -92,6 +92,34 @@ class TestFamilyConstants:
         assert c2.const_term == pytest.approx(c1.const_term)
 
 
+class TestSignedFormulas:
+    """One body on the surface signs (s, kappa) gives each surface the bits
+    of its own textbook formula: multiplying by +-1 is exact."""
+
+    @pytest.mark.parametrize("name", ALL_NAMES)
+    def test_family_conic_bits(self, name):
+        spec = SurfaceSpec.from_name(name, 1.7)
+        r = spec.radius
+        rng = np.random.default_rng(21)
+        for _ in range(50):
+            eps = float(rng.uniform(0.05, 1.2)) * (1.0 if rng.random() < 0.5 else -1.0)
+            sigma = float(rng.uniform(-2.0, 2.0))
+            tan_row = name in ("def-pos", "lorentz-neg")
+            rt = r * (math.tan(eps) if tan_row else math.tanh(eps))
+            if name.startswith("def"):
+                lin = (2.0 * math.sin(sigma) / rt, -2.0 * math.cos(sigma) / rt)
+                line = (math.sin(sigma), -math.cos(sigma))
+            else:
+                lin = (-2.0 * math.sinh(sigma) / rt, 2.0 * math.cosh(sigma) / rt)
+                line = (-math.sinh(sigma), math.cosh(sigma))
+            const = -1.0 if name.endswith("pos") else 1.0
+            want = GeodesicConic(1.0 / (r * r), *lin, const, spec)
+            assert geodesic_from_constants(spec, eps, sigma) == want
+            assert origin_line(spec, sigma) == GeodesicConic(0.0, *line, 0.0, spec)
+        lim = limiting_curve(spec).const_term
+        assert lim == (r * r if name.endswith("pos") else -(r * r))
+
+
 class TestConicForm:
     def test_frozen_lorentz_negative_coefficients(self):
         conic = geodesic_from_constants(SurfaceSpec.lorentzian_negative(), 0.3, 0.2)
@@ -386,6 +414,12 @@ class TestWorldline:
         wl = worldline_hyperbolic(0.5, t0=-2.0, x0=3.0)
         for s in np.linspace(-6.0, 6.0, 25):
             assert abs(wl.invariant_residual(float(s))) < 1e-12
+
+    @pytest.mark.parametrize("accel, s", [(1.0, 400.0), (1.0, -700.0), (2.0, 300.0)])
+    def test_residual_finite_where_dx_squared_overflows(self, accel, s):
+        # dx * dx overflows while the position is still finite
+        res = worldline_hyperbolic(accel, t0=0.3, x0=-1.0).invariant_residual(s)
+        assert math.isfinite(res) and res <= 1e-12
 
     def test_overflow_is_a_domain_error(self):
         wl = worldline_hyperbolic(1.0)

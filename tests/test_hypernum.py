@@ -14,6 +14,7 @@ import pytest
 from lorentzcc import (
     ComplexNumber,
     DivisorOfZero,
+    DomainError,
     HyperbolicNumber,
     OnNullLine,
     Sector,
@@ -27,6 +28,7 @@ from lorentzcc import (
     square_modulus,
     zero_divisor_tolerance,
 )
+from lorentzcc.hypernum import cos_sin
 
 
 def _as_matrix(z):
@@ -139,12 +141,33 @@ class TestInverse:
         with pytest.raises(DivisorOfZero, match="no inverse"):
             inverse(ComplexNumber(0.0, 0.0))
 
+    @pytest.mark.parametrize(
+        "z",
+        [
+            ComplexNumber(1e160, 0.0),
+            ComplexNumber(-3e200, 2.0),
+            HyperbolicNumber(2e159, 1e159),  # inf - inf: D reads NaN
+            HyperbolicNumber(1e200, 0.0),
+        ],
+    )
+    def test_overflowing_modulus_rejected(self, z):
+        # x / D with D = inf would read a silent (0, -0)
+        with pytest.raises(DomainError, match="not finite"):
+            inverse(z)
+
     def test_near_null_rejected_by_relative_tolerance(self):
         # D = (x - y)(x + y) ~ 2e-13 * x at x = y(1 + 1e-13): inside the guard
         x = 10.0
         z = HyperbolicNumber(x, x * (1.0 - 1e-14))
         with pytest.raises(DivisorOfZero):
             inverse(z)
+
+
+class TestCosSin:
+    def test_each_unit_is_its_own_pair(self):
+        for t in (-2.5, -0.3, 0.0, 0.7, 4.0):
+            assert cos_sin(1.0, t) == (math.cosh(t), math.sinh(t))
+            assert cos_sin(-1.0, t) == (math.cos(t), math.sin(t))
 
 
 class TestNullLines:

@@ -104,6 +104,39 @@ class TestBilinearMotion:
             assert w.x == pytest.approx(z.x, rel=1e-10, abs=1e-12)
             assert w.y == pytest.approx(z.y, rel=1e-10, abs=1e-12)
 
+    @pytest.mark.parametrize(
+        "alpha, beta",
+        [
+            ((math.nan, 0.0), (0.0, 0.0)),
+            ((1.0, 0.0), (math.inf, 0.0)),
+            ((1e200, 0.0), (0.0, 0.0)),  # finite, but D(alpha) overflows
+        ],
+    )
+    @pytest.mark.parametrize("name", ALL_NAMES)
+    def test_non_finite_constants_rejected(self, name, alpha, beta):
+        # abs(nan) <= tol is False: the degeneracy test alone lets NaN through
+        spec = SurfaceSpec.from_name(name)
+        with pytest.raises(DomainError, match="not finite"):
+            BilinearMotion(number_for(spec, *alpha), number_for(spec, *beta), spec)
+
+    @pytest.mark.parametrize("name", ALL_NAMES)
+    def test_degenerate_message_carries_the_curvature_sign(self, name):
+        spec = SurfaceSpec.from_name(name)
+        zero = number_for(spec, 0.0, 0.0)
+        sign = "+" if spec.kappa > 0 else "-"
+        with pytest.raises(InvalidMotion, match=rf"D\(alpha\) \{sign} D\(beta\)"):
+            BilinearMotion(zero, zero, spec)
+
+    def test_image_overflow_is_a_domain_error(self):
+        # D of the denominator overflows at |z| ~ 1e160; the true image is
+        # near (-4.2, 1.6), while x / inf would read (-0, 0)
+        spec = SurfaceSpec.definite_positive()
+        motion = BilinearMotion(
+            number_for(spec, 1.0, 0.1), number_for(spec, 0.2, -0.1), spec
+        )
+        with pytest.raises(DomainError, match="not finite"):
+            apply(motion, (1e160, 0.0))
+
     def test_projective_scaling_is_invisible(self):
         spec = SurfaceSpec.definite_negative()
         alpha = ComplexNumber(1.0, 0.2)
@@ -240,6 +273,15 @@ class TestTwoPointSolver:
         motion = BilinearMotion(number_for(spec, 1.0, 0.0), number_for(spec, 0.1, 0.0), spec)
         with pytest.raises(DomainError, match="not finite"):
             apply(motion, (bad, bad))
+
+    @pytest.mark.parametrize("name", ALL_NAMES)
+    def test_overflowing_points_are_a_domain_error(self, name):
+        # D(z1) = inf would read nan on def-pos, "on the limiting curve" elsewhere
+        spec = SurfaceSpec.from_name(name)
+        with pytest.raises(DomainError, match="overflows"):
+            solve_two_point(spec, (1e200, 0.0), (3e200, 0.0))
+        with pytest.raises(DomainError):
+            geodesic_distance(spec, (0.1, 0.0), (3e200, 0.0))
 
     def test_out_of_disk_distance(self):
         spec = SurfaceSpec.definite_negative()

@@ -41,6 +41,12 @@ class TestSurfaceSpec:
         assert spec.metric_sign == -1.0
 
     @pytest.mark.parametrize("name", ALL_NAMES)
+    def test_curvature_sign(self, name):
+        spec = SurfaceSpec.from_name(name, 2.5)
+        assert spec.kappa == (1.0 if name.endswith("pos") else -1.0)
+        assert spec.gauss_curvature == spec.kappa / 6.25
+
+    @pytest.mark.parametrize("name", ALL_NAMES)
     def test_from_name_round_trip(self, name):
         spec = SurfaceSpec.from_name(name, radius=1.5)
         assert spec.name == name
@@ -203,6 +209,21 @@ class TestExponentialMap:
             xm = exp_map_to_cartesian(spec, rho - h * drho, phi - h * dphi)
             assert dx == pytest.approx((xp[0] - xm[0]) / (2 * h), rel=1e-6, abs=1e-6)
             assert dy == pytest.approx((xp[1] - xm[1]) / (2 * h), rel=1e-6, abs=1e-6)
+
+    @pytest.mark.parametrize("name", ALL_NAMES)
+    def test_signed_map_keeps_each_surface_bits(self, name):
+        spec = SurfaceSpec.from_name(name, 1.3)
+        rng = np.random.default_rng(22)
+        for rho, phi, drho, dphi in rng.uniform(-1.5, 1.5, size=(50, 4)).tolist():
+            r = 1.3 * math.exp(rho)
+            if name.startswith("lorentz"):
+                x, y = r * math.cosh(phi), r * math.sinh(phi)
+                push = (x * drho + y * dphi, y * drho + x * dphi)
+            else:
+                x, y = r * math.cos(phi), r * math.sin(phi)
+                push = (x * drho - y * dphi, y * drho + x * dphi)
+            assert exp_map_to_cartesian(spec, rho, phi) == (x, y)
+            assert exp_map_pushforward(spec, rho, phi, drho, dphi) == push
 
     def test_lorentz_map_is_exponential_polar(self):
         spec = SurfaceSpec.lorentzian_positive(radius=2.0)
