@@ -40,7 +40,7 @@ from .motion import (
     number_for,
     solve_two_point,
 )
-from .surface import Signature, SurfaceSpec, exp_map_to_cartesian
+from .surface import SurfaceSpec, exp_map_to_cartesian
 from .verify import CHECK_NAMES, run_all
 
 logger = logging.getLogger("lorentzcc")
@@ -128,7 +128,7 @@ def _svg_document(spec: SurfaceSpec, curves, markers) -> str:
         f'<rect x="{-big:.6g}" y="{-big:.6g}" width="{2 * big:.6g}" '
         f'height="{2 * big:.6g}" fill="white"/>',
     ]
-    if spec.signature is Signature.LORENTZIAN:
+    if spec.metric_sign < 0.0:
         for sgn in (1.0, -1.0):
             lines.append(
                 f'<line x1="{-big:.6g}" y1="{sgn * big:.6g}" x2="{big:.6g}" '
@@ -156,13 +156,13 @@ def _svg_document(spec: SurfaceSpec, curves, markers) -> str:
 def _limiting_curve_polylines(spec: SurfaceSpec):
     r = spec.radius
     big = 2.0 * r
-    if spec.signature is Signature.DEFINITE:
-        if spec.name == "def-pos":
+    if spec.metric_sign > 0.0:
+        if spec.kappa > 0.0:
             return []
         ang = np.linspace(0.0, 2.0 * math.pi, 129)
         return [[(r * math.cos(a), r * math.sin(a)) for a in ang]]
     out = []
-    if spec.name == "lorentz-pos":
+    if spec.kappa > 0.0:
         xs = np.linspace(-big, big, 65)
         for sgn in (1.0, -1.0):
             out.append([(float(x), sgn * math.hypot(x, r)) for x in xs])

@@ -140,20 +140,17 @@ class Worldline:
     def __post_init__(self) -> None:
         if not self.accel > 0.0:
             raise ValueError(f"proper acceleration must be positive, got {self.accel}")
+        # the invariant holds 1/accel^2, which must be finite and nonzero
+        a2 = self.accel * self.accel
+        if not (0.0 < a2 < math.inf and 1.0 / a2 < math.inf):
+            raise DomainError(f"1/accel^2 is not finite and nonzero at accel = {self.accel}")
+        if not (math.isfinite(self.t0) and math.isfinite(self.x0)):
+            raise DomainError(f"start event (t0, x0) = ({self.t0}, {self.x0}) is not finite")
 
     def _boost(self, s: float) -> tuple[float, float]:
         """``(cosh(accel s), sinh(accel s))``; a :class:`DomainError` where
         they overflow or ``accel s`` is not finite."""
-        gs = self.accel * s
-        try:
-            ch = math.cosh(gs)
-        except OverflowError:
-            ch = math.inf
-        if not math.isfinite(ch):
-            raise DomainError(
-                f"cosh(accel s) is not finite at proper time s = {s} (accel = {self.accel})"
-            )
-        return ch, math.sinh(gs)
+        return cos_sin(1.0, self.accel * s)
 
     def position(self, s: float) -> tuple[float, float]:
         g = self.accel
@@ -230,7 +227,11 @@ def _uses_tan(spec: SurfaceSpec) -> bool:
     return spec.metric_sign == spec.kappa
 
 
-def _check_eps(spec: SurfaceSpec, eps: float) -> None:
+def _check_eps(spec: SurfaceSpec, eps: float, sigma: float, tau: float = 0.0) -> None:
+    if not (math.isfinite(eps) and math.isfinite(sigma) and math.isfinite(tau)):
+        raise DomainError(
+            f"eps, sigma and tau must be finite, got {eps}, {sigma} and {tau}"
+        )
     if abs(eps) < 1e-12:
         raise DegenerateEpsilon(
             f"eps = {eps} degenerates the conic; use origin_line(spec, sigma) "
@@ -241,12 +242,19 @@ def _check_eps(spec: SurfaceSpec, eps: float) -> None:
 
 
 def constant_A(spec: SurfaceSpec, eps: float) -> float:
-    """Conserved momentum A of the (eps, sigma) family."""
+    """Conserved momentum A of the (eps, sigma) family.
+
+    Raises:
+        DomainError: |eps| >= pi/2 where A = R sin(eps); sinh(eps) overflows.
+    """
     if _uses_tan(spec):
         if not abs(eps) < math.pi / 2.0:
             raise DomainError(f"{spec.name} needs |eps| < pi/2, got {eps}")
         return spec.radius * math.sin(eps)
-    return spec.radius * math.sinh(eps)
+    try:
+        return spec.radius * math.sinh(eps)
+    except OverflowError:
+        raise DomainError(f"sinh(eps) overflows at eps = {eps}") from None
 
 
 def epsilon_from_constant(spec: SurfaceSpec, A: float) -> float:
@@ -266,9 +274,10 @@ def geodesic_from_constants(
 
     Raises:
         DegenerateEpsilon: |eps| < 1e-12 (straight line; see origin_line).
-        DomainError: |eps| >= pi/2 where t = tan(eps).
+        DomainError: |eps| >= pi/2 where t = tan(eps); eps or sigma not
+            finite; cosh(sigma) overflows on a Lorentzian surface.
     """
-    _check_eps(spec, eps)
+    _check_eps(spec, eps, sigma)
     r, s = spec.radius, spec.metric_sign
     t = math.tan(eps) if _uses_tan(spec) else math.tanh(eps)
     c, sn = cos_sin(-s, sigma)
@@ -313,13 +322,14 @@ def geodesic_parametric_with_velocity(
     Raises:
         OutOfChart: tau outside the window where the geodesic stays in the
             chart (see :func:`parametric_window`).
+        DomainError: eps, sigma or tau not finite, or sinh(eps) overflows.
     """
-    _check_eps(spec, eps)
+    _check_eps(spec, eps, sigma, tau)
     r = spec.radius
     u = (tau - constant_A(spec, eps) * sigma) / r
-    name = spec.name
+    definite, positive = spec.metric_sign > 0.0, spec.kappa > 0.0
 
-    if name == "def-pos":
+    if definite and positive:  # def-pos
         w = math.cos(eps) * math.sin(u)
         if abs(w) >= 1.0:
             raise OutOfChart(f"tau = {tau} hits the chart's removed point")
@@ -333,7 +343,7 @@ def geodesic_parametric_with_velocity(
         dphi = math.sin(eps) / (cu * cu + math.sin(eps) ** 2 * su * su)
         return (rho, phi), (drho / r, dphi / r)
 
-    if name == "def-neg":
+    if definite:  # def-neg
         ch = math.cosh(eps) * math.cosh(u)
         w = 1.0 / ch
         if w >= 1.0:
@@ -346,7 +356,7 @@ def geodesic_parametric_with_velocity(
         dphi = se / (se * se * math.cosh(u) ** 2 + sh * sh)
         return (rho, phi), (drho / r, dphi / r)
 
-    if name == "lorentz-pos":
+    if positive:  # lorentz-pos
         w = math.cosh(eps) * math.sin(u)
         if abs(w) >= 1.0:
             raise OutOfChart(
@@ -394,7 +404,7 @@ def parametric_window(
     turning point tau0.  lorentz-neg: the branch beyond tau0 (the mirror
     branch ``tau < tau0 - ...`` is the reflection u -> -u).
     """
-    _check_eps(spec, eps)
+    _check_eps(spec, eps, sigma)
     r = spec.radius
     tau0 = constant_A(spec, eps) * sigma
     if spec.signature is Signature.DEFINITE:
@@ -495,31 +505,6 @@ def _solve_quadratic(qa: float, qb: float, qc: float) -> tuple[float, float]:
     return r1, r2
 
 
-def _conic_limiting_solutions(
-    conic: GeodesicConic, rhs: float
-) -> list[tuple[float, float]]:
-    """Real solutions of {conic = 0, x^2 - y^2 = rhs} (Lorentzian charts)."""
-    a, b, k = conic.lin_x, conic.lin_y, conic.const_term + conic.quad * rhs
-    if a == 0.0 and b == 0.0:
-        if k == 0.0:
-            raise ValueError("conic coincides with the limiting curve")
-        raise NoRealIntersection("conic and limiting curve are disjoint level sets")
-    if abs(a) == abs(b):
-        # line parallel to an asymptote: a single crossing
-        p = -k / a
-        if p == 0.0:
-            raise NoRealIntersection("asymptote-parallel line misses the curve")
-        q = rhs / p
-        if _sign(a) == _sign(b):
-            return [((p + q) / 2.0, (p - q) / 2.0)]
-        return [((q + p) / 2.0, (q - p) / 2.0)]
-    if abs(b) > abs(a):
-        xs = _solve_quadratic(b * b - a * a, -2.0 * a * k, -(k * k + b * b * rhs))
-        return [(x, -(a * x + k) / b) for x in xs]
-    ys = _solve_quadratic(b * b - a * a, 2.0 * b * k, k * k - a * a * rhs)
-    return [(-(b * y + k) / a, y) for y in ys]
-
-
 def limiting_intersections(
     spec: SurfaceSpec, conic: GeodesicConic
 ) -> list[LimitingIntersection]:
@@ -535,29 +520,35 @@ def limiting_intersections(
         DomainError: def-pos (imaginary limiting curve).
         NoRealIntersection: no real common point.
     """
-    r2 = spec.radius * spec.radius
-    if spec.signature is Signature.DEFINITE:
-        if spec.curvature_sign is CurvatureSign.POSITIVE:
-            raise DomainError("def-pos has no real limiting curve")
-        # circle x^2 + y^2 = R^2
-        a, b, k = conic.lin_x, conic.lin_y, conic.const_term + conic.quad * r2
-        n2 = a * a + b * b
-        if n2 == 0.0:
-            if k == 0.0:
-                raise ValueError("conic coincides with the limiting curve")
-            raise NoRealIntersection("conic and limiting circle are concentric")
-        h2 = r2 - k * k / n2
-        if h2 < 0.0:
-            raise NoRealIntersection("line of intersection misses the circle")
-        n = math.sqrt(n2)
-        fx, fy = -a * k / n2, -b * k / n2
-        h = math.sqrt(h2)
-        pts = [(fx - h * b / n, fy + h * a / n), (fx + h * b / n, fy - h * a / n)]
+    s = spec.metric_sign
+    if s > 0.0 and spec.kappa > 0.0:
+        raise DomainError("def-pos has no real limiting curve")
+    # both curves share the quadratic part x^2 + s y^2, so their common points
+    # lie on the line a x + b y + k = 0 and on x^2 + s y^2 = rhs
+    rhs = -spec.kappa * (spec.radius * spec.radius)
+    a, b, k = conic.lin_x, conic.lin_y, conic.const_term + conic.quad * rhs
+    if a == 0.0 and b == 0.0:
+        if k == 0.0:
+            raise ValueError("conic coincides with the limiting curve")
+        raise NoRealIntersection("conic and limiting curve are disjoint level sets")
+    if s < 0.0 and abs(a) == abs(b):
+        # line parallel to an asymptote: a single crossing
+        p = -k / a
+        if p == 0.0:
+            raise NoRealIntersection("asymptote-parallel line misses the curve")
+        q = rhs / p
+        if _sign(a) == _sign(b):
+            pts = [((p + q) / 2.0, (p - q) / 2.0)]
+        else:
+            pts = [((q + p) / 2.0, (q - p) / 2.0)]
+    elif abs(b) > abs(a):
+        xs = _solve_quadratic(b * b + s * a * a, 2.0 * s * a * k, s * k * k - b * b * rhs)
+        pts = [(x, -(a * x + k) / b) for x in xs]
     else:
-        pts = _conic_limiting_solutions(conic, -spec.kappa * r2)
+        ys = _solve_quadratic(b * b + s * a * a, 2.0 * b * k, k * k - a * a * rhs)
+        pts = [(-(b * y + k) / a, y) for y in ys]
 
     lim = limiting_curve(spec)
-    s = spec.metric_sign
     out = []
     for x, y in pts:
         g1 = conic.gradient(x, y)

@@ -195,10 +195,20 @@ def inverse(z: Number) -> Number:
 
 
 def cos_sin(unit: float, t: float) -> tuple[float, float]:
-    """``(cosh t, sinh t)`` for ``unit = +1``, ``(cos t, sin t)`` for ``-1``."""
-    if unit > 0.0:
-        return math.cosh(t), math.sinh(t)
-    return math.cos(t), math.sin(t)
+    """``(cosh t, sinh t)`` for ``unit = +1``, ``(cos t, sin t)`` for ``-1``.
+
+    Raises:
+        DomainError: ``t`` is not finite, or ``cosh t`` overflows.
+    """
+    if math.isfinite(t):
+        if unit < 0.0:
+            return math.cos(t), math.sin(t)
+        try:
+            return math.cosh(t), math.sinh(t)
+        except OverflowError:
+            pass
+    pair = "(cosh, sinh)" if unit > 0.0 else "(cos, sin)"
+    raise DomainError(f"{pair} of {t} is not finite")
 
 
 def hyper_exp(w: Number) -> Number:

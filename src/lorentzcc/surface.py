@@ -83,7 +83,7 @@ class Chart(Enum):
 
 @dataclass(frozen=True, slots=True)
 class SurfaceSpec:
-    """A constant-curvature surface: signature, sign of K, and radius R > 0.
+    """A constant-curvature surface: signature, sign of K, and finite radius R > 0.
 
     ``metric_sign`` is s in ``ds^2 = factor * (da^2 + s db^2)``: +1 definite,
     -1 Lorentzian.  ``kappa`` is the sign of the Gauss curvature.  Both are
@@ -97,8 +97,8 @@ class SurfaceSpec:
     kappa: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if not self.radius > 0.0:
-            raise ValueError(f"radius must be positive, got {self.radius}")
+        if not 0.0 < self.radius < math.inf:
+            raise ValueError(f"radius must be positive and finite, got {self.radius}")
         s = 1.0 if self.signature is Signature.DEFINITE else -1.0
         kappa = 1.0 if self.curvature_sign is CurvatureSign.POSITIVE else -1.0
         object.__setattr__(self, "metric_sign", s)

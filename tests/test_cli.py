@@ -182,6 +182,31 @@ class TestDistanceCommand:
         assert json.loads(proc.stderr)["error"] == "DomainError"
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("geodesic", "--surface", "lorentz-pos", "--eps", "0.5", "--sigma", "1000"),
+        ("geodesic", "--surface", "lorentz-neg", "--eps", "0.5", "--sigma", "1000"),
+        ("geodesic", "--surface", "def-neg", "--eps", "800", "--sigma", "0.1"),
+        ("geodesic", "--surface", "lorentz-pos", "--eps", "800", "--sigma", "0.1"),
+        ("geodesic", "--surface", "def-neg", "--eps", "nan", "--sigma", "0.1"),
+        ("geodesic", "--surface", "lorentz-neg", "--eps", "0.5", "--sigma", "nan"),
+        ("geodesic", "--surface", "lorentz-pos", "--eps", "0.5", "--sigma", "inf"),
+        ("distance", "--surface", "def-neg", "--R", "inf", "--points", "0,0", "0.5,0"),
+        ("worldline", "--g", "1e200", "--s-range", "0,1,3"),
+        ("worldline", "--g", "1e-200", "--s-range", "0,1,3"),
+        ("worldline", "--g", "1", "--t0", "nan", "--s-range", "0,1,2"),
+    ],
+)
+def test_overflow_and_non_finite_scalars_exit_2(args):
+    # once a traceback with exit 1, or an answer holding nan/inf with exit 0
+    proc = run_cli(*args)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert len(proc.stderr.splitlines()) == 1
+    assert json.loads(proc.stderr)["error"] in ("DomainError", "ValueError")
+
+
 class TestWorldlineCommand:
     def test_csv_columns_and_velocity(self):
         proc = run_cli(

@@ -73,6 +73,39 @@ class TestFamilyConstants:
         with pytest.raises(DomainError, match=r"\|A\| < R"):
             epsilon_from_constant(SurfaceSpec.definite_positive(), 1.0)
 
+    def test_sinh_overflow_is_a_domain_error(self):
+        for name in ("def-neg", "lorentz-pos"):
+            spec = SurfaceSpec.from_name(name)
+            with pytest.raises(DomainError, match="overflows"):
+                constant_A(spec, 800.0)
+            with pytest.raises(DomainError, match="overflows"):
+                geodesic_parametric(spec, 800.0, 0.1, 0.0)
+
+    @pytest.mark.parametrize("name", ALL_NAMES)
+    def test_non_finite_family_input_rejected(self, name):
+        spec = SurfaceSpec.from_name(name)
+        for eps, sigma, tau in (
+            (math.nan, 0.1, 0.0),
+            (0.5, math.nan, 0.0),
+            (0.5, math.inf, 0.0),
+            (-math.inf, 0.1, 0.0),
+            (0.5, 0.1, math.nan),
+            (0.5, 0.1, -math.inf),
+        ):
+            with pytest.raises(DomainError, match="must be finite"):
+                geodesic_parametric_with_velocity(spec, eps, sigma, tau)
+            if math.isfinite(tau):
+                with pytest.raises(DomainError, match="must be finite"):
+                    geodesic_from_constants(spec, eps, sigma)
+                with pytest.raises(DomainError, match="must be finite"):
+                    parametric_window(spec, eps, sigma)
+
+    @pytest.mark.parametrize("name", ["lorentz-pos", "lorentz-neg"])
+    def test_cosh_overflow_of_sigma_is_a_domain_error(self, name):
+        spec = SurfaceSpec.from_name(name)
+        with pytest.raises(DomainError, match="not finite"):
+            geodesic_from_constants(spec, 0.5, 1000.0)
+
     def test_eps_zero_is_degenerate(self):
         with pytest.raises(DegenerateEpsilon, match="origin_line"):
             geodesic_from_constants(SurfaceSpec.definite_positive(), 0.0, 0.3)
@@ -370,6 +403,46 @@ class TestLimitingCurve:
         with pytest.raises(DomainError, match="no real limiting curve"):
             limiting_intersections(spec, conic)
 
+    # (surface, quad, lin_x, lin_y, const_term, crossings) at R = 1; family
+    # conics always have |lin_y| > |lin_x|, so these reach the other branches
+    HAND_BUILT = [
+        ("lorentz-pos", 0.5, 2.0, 1.0, 1.5, 2),  # |a| > |b|
+        ("lorentz-pos", 0.0, 1.0, 0.5, 0.0, 2),  # |a| > |b|, a straight line
+        ("lorentz-pos", 0.0, 1.0, 1.0, -2.0, 1),  # parallel to an asymptote
+        ("lorentz-neg", 1.0, 1.0, -0.5, -3.0, 2),  # |a| > |b|
+        ("lorentz-neg", 1.0, 1.0, -1.0, -3.0, 1),  # parallel to an asymptote
+        ("lorentz-neg", 0.0, 1.0, 0.0, -2.0, 2),  # |b| = 0
+        ("def-neg", 1.0, 2.0, 1.0, -1.5, 2),  # |a| > |b|
+        ("def-neg", 0.0, 1.0, 1.0, -0.5, 2),  # |a| = |b|
+    ]
+
+    @pytest.mark.parametrize("radius", [1.0, 2.5])
+    @pytest.mark.parametrize("name, quad, a, b, c, count", HAND_BUILT)
+    def test_hand_built_conics_hit_both_curves(self, radius, name, quad, a, b, c, count):
+        spec = SurfaceSpec.from_name(name, radius)
+        # the R = 1 picture scaled by R
+        conic = GeodesicConic(quad / radius**2, a / radius, b / radius, c, spec)
+        lim = limiting_curve(spec)
+        hits = limiting_intersections(spec, conic)
+        assert len(hits) == count
+        for hit in hits:
+            scale = max(1.0, hit.x * hit.x, hit.y * hit.y)
+            assert abs(conic.residual(hit.x, hit.y)) <= 1e-14 * scale
+            assert abs(lim.residual(hit.x, hit.y)) <= 1e-14 * scale * radius**2
+
+    @pytest.mark.parametrize(
+        "name, quad, a, b, c",
+        [
+            ("lorentz-neg", 0.0, 1.0, 1.0, 0.0),  # asymptote itself
+            ("lorentz-neg", 0.0, 1.0, 0.0, -0.5),  # |b| = 0, between the branches
+            ("def-neg", 0.0, 1.0, 0.5, 3.0),  # line outside the circle
+        ],
+    )
+    def test_hand_built_conics_that_miss(self, name, quad, a, b, c):
+        spec = SurfaceSpec.from_name(name)
+        with pytest.raises(NoRealIntersection):
+            limiting_intersections(spec, GeodesicConic(quad, a, b, c, spec))
+
 
 class TestPlaneLines:
     def test_first_kind_is_spacelike(self):
@@ -434,3 +507,14 @@ class TestWorldline:
             worldline_hyperbolic(0.0)
         with pytest.raises(ValueError, match="positive"):
             worldline_hyperbolic(-1.0)
+
+    @pytest.mark.parametrize("accel", [1e200, math.inf, 1e-200, 1e-160])
+    def test_acceleration_whose_square_leaves_the_floats(self, accel):
+        # accel^2 overflows, underflows to zero, or is subnormal (1/accel^2 = inf)
+        with pytest.raises(DomainError, match="1/accel"):
+            worldline_hyperbolic(accel)
+
+    @pytest.mark.parametrize("t0, x0", [(math.nan, 0.0), (0.0, math.inf), (-math.inf, 1.0)])
+    def test_non_finite_start_event(self, t0, x0):
+        with pytest.raises(DomainError, match="not finite"):
+            worldline_hyperbolic(1.0, t0=t0, x0=x0)

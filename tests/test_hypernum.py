@@ -169,6 +169,19 @@ class TestCosSin:
             assert cos_sin(1.0, t) == (math.cosh(t), math.sinh(t))
             assert cos_sin(-1.0, t) == (math.cos(t), math.sin(t))
 
+    @pytest.mark.parametrize("unit", [1.0, -1.0])
+    def test_non_finite_argument_rejected(self, unit):
+        for t in (math.nan, math.inf, -math.inf):
+            with pytest.raises(DomainError, match="not finite"):
+                cos_sin(unit, t)
+
+    def test_overflow_rejected(self):
+        # cosh overflows past |t| ~ 710.5; cos and sin stay bounded
+        for t in (711.0, -1000.0):
+            with pytest.raises(DomainError, match="not finite"):
+                cos_sin(1.0, t)
+            assert cos_sin(-1.0, t) == (math.cos(t), math.sin(t))
+
 
 class TestNullLines:
     def test_is_null_on_the_lines(self):

@@ -57,6 +57,9 @@ class TestSurfaceSpec:
     def test_bad_inputs(self):
         with pytest.raises(ValueError, match="radius must be positive"):
             SurfaceSpec.definite_positive(radius=0.0)
+        for radius in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="radius must be positive and finite"):
+                SurfaceSpec.definite_negative(radius=radius)
         with pytest.raises(ValueError):
             SurfaceSpec.from_name("banana")
 

@@ -1,8 +1,18 @@
 """Plumbing of the cross-check battery: selection, overrides, sensitivity."""
 
+import math
+
 import pytest
 
-from lorentzcc import CHECK_NAMES, DEFAULT_TOLERANCES, CheckResult, MetricField, run_all
+from lorentzcc import (
+    CHECK_NAMES,
+    DEFAULT_TOLERANCES,
+    CheckResult,
+    MetricField,
+    NoGeodesic,
+    run_all,
+    verify,
+)
 
 
 def test_check_names_are_stable():
@@ -50,6 +60,24 @@ def test_tolerance_override_can_fail_a_check():
     assert not res.passed
     assert res.tolerance == 1e-30
     assert "[FAIL]" in res.summary_line()
+
+
+def test_check_that_cannot_measure_fails_under_any_tolerance(monkeypatch):
+    def no_geodesic(spec, z1, z2):
+        raise NoGeodesic("no pair is joinable")
+
+    monkeypatch.setattr(verify, "solve_two_point", no_geodesic)
+    (res,) = run_all(
+        seed=3,
+        scale=0.02,
+        names=("two_point_solver",),
+        tolerances={"two_point_solver": math.inf},
+    )
+    assert not res.passed
+    assert res.measured == math.inf
+    assert res.tolerance == math.inf
+    assert "def-pos" in res.detail
+    assert res.summary_line().startswith("[FAIL] two_point_solver: measured inf")
 
 
 def test_results_are_reproducible():
