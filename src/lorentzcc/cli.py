@@ -35,7 +35,6 @@ from .motion import (
     BilinearMotion,
     apply as motion_apply,
     geodesic_distance,
-    geodesic_through,
     inverse_motion,
     number_for,
     solve_two_point,
@@ -77,14 +76,6 @@ def _csv_row(values) -> str:
         else:
             cells.append(str(v))
     return ",".join(cells)
-
-
-def _emit(text: str, out: str | None) -> None:
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
 
 
 # --------------------------------------------------------------------------
@@ -177,6 +168,25 @@ _GEO_STYLE = 'stroke="#1f77b4" stroke-width="0.02"'
 _LIM_STYLE = 'stroke="#2ca02c" stroke-width="0.015"'
 
 
+def _render(args, spec, payload, header, rows, curve, markers) -> int:
+    """Write the json ``payload``, the csv ``header`` and ``rows``, or the svg
+    of ``curve`` and ``markers``, as ``args.format`` asks."""
+    if args.format == "json":
+        text = _json_dumps(payload) + "\n"
+    elif args.format == "csv":
+        text = "\n".join([header, *(_csv_row(row) for row in rows)]) + "\n"
+    else:
+        curves = [(pts, _LIM_STYLE) for pts in _limiting_curve_polylines(spec)]
+        curves.append((curve, _GEO_STYLE))
+        text = _svg_document(spec, curves, markers)
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
+    return 0
+
+
 # --------------------------------------------------------------------------
 # subcommands
 
@@ -221,41 +231,29 @@ def cmd_geodesic(args) -> int:
         z2 = number_for(spec, p2[0] / r, p2[1] / r)
         logger.debug("two-point geodesic on %s through %s and %s", spec.name, p1, p2)
         sol = solve_two_point(spec, z1, z2)
-        conic = geodesic_through(spec, z1, z2)
-        dist = geodesic_distance(spec, z1, z2)
         inv = inverse_motion(sol.motion)
-        ts = np.linspace(0.0, sol.l, args.samples)
         path = []
-        for t in ts:
+        for t in np.linspace(0.0, sol.l, args.samples):
             w = motion_apply(inv, number_for(spec, float(t), 0.0))
             path.append((float(t), w.x * r, w.y * r))
-        if args.format == "json":
-            payload = {
-                "surface": spec.name,
-                "radius": spec.radius,
-                "mode": "two_point",
-                "points": [list(p1), list(p2)],
-                "l": sol.l,
-                "distance": dist,
-                "motion": {
-                    "alpha": [sol.motion.alpha.x, sol.motion.alpha.y],
-                    "beta": [sol.motion.beta.x, sol.motion.beta.y],
-                    "theta_alpha": sol.theta_alpha,
-                    "theta_beta": sol.theta_beta,
-                    "rho_beta": sol.rho_beta,
-                },
-                "conic": _conic_payload(conic),
-            }
-            _emit(_json_dumps(payload) + "\n", args.out)
-        elif args.format == "csv":
-            rows = ["t,x,y"]
-            rows += [_csv_row(row) for row in path]
-            _emit("\n".join(rows) + "\n", args.out)
-        else:
-            curves = [(pts, _LIM_STYLE) for pts in _limiting_curve_polylines(spec)]
-            curves.append(([(x, y) for _, x, y in path], _GEO_STYLE))
-            _emit(_svg_document(spec, curves, [p1, p2]), args.out)
-        return 0
+        payload = {
+            "surface": spec.name,
+            "radius": spec.radius,
+            "mode": "two_point",
+            "points": [list(p1), list(p2)],
+            "l": sol.l,
+            "distance": sol.distance,
+            "motion": {
+                "alpha": [sol.motion.alpha.x, sol.motion.alpha.y],
+                "beta": [sol.motion.beta.x, sol.motion.beta.y],
+                "theta_alpha": sol.theta_alpha,
+                "theta_beta": sol.theta_beta,
+                "rho_beta": sol.rho_beta,
+            },
+            "conic": _conic_payload(sol.conic),
+        }
+        curve = [(x, y) for _, x, y in path]
+        return _render(args, spec, payload, "t,x,y", path, curve, [p1, p2])
 
     if args.eps is None or args.sigma is None:
         raise ValueError("family mode needs both --eps and --sigma")
@@ -267,31 +265,22 @@ def cmd_geodesic(args) -> int:
         rho, phi = geodesic_parametric(spec, args.eps, args.sigma, float(tau))
         x, y = exp_map_to_cartesian(spec, rho, phi)
         samples.append((float(tau), rho, phi, x, y))
-    if args.format == "json":
-        payload = {
-            "surface": spec.name,
-            "radius": spec.radius,
-            "mode": "family",
-            "eps": args.eps,
-            "sigma": args.sigma,
-            "A": constant_A(spec, args.eps),
-            "tau0": constant_A(spec, args.eps) * args.sigma,
-            "conic": _conic_payload(conic),
-            "samples": [
-                {"tau": t, "rho": rho, "phi": phi, "x": x, "y": y}
-                for t, rho, phi, x, y in samples
-            ],
-        }
-        _emit(_json_dumps(payload) + "\n", args.out)
-    elif args.format == "csv":
-        rows = ["tau,rho,phi,x,y"]
-        rows += [_csv_row(row) for row in samples]
-        _emit("\n".join(rows) + "\n", args.out)
-    else:
-        curves = [(pts, _LIM_STYLE) for pts in _limiting_curve_polylines(spec)]
-        curves.append(([(x, y) for *_, x, y in samples], _GEO_STYLE))
-        _emit(_svg_document(spec, curves, []), args.out)
-    return 0
+    payload = {
+        "surface": spec.name,
+        "radius": spec.radius,
+        "mode": "family",
+        "eps": args.eps,
+        "sigma": args.sigma,
+        "A": constant_A(spec, args.eps),
+        "tau0": constant_A(spec, args.eps) * args.sigma,
+        "conic": _conic_payload(conic),
+        "samples": [
+            {"tau": t, "rho": rho, "phi": phi, "x": x, "y": y}
+            for t, rho, phi, x, y in samples
+        ],
+    }
+    curve = [(x, y) for *_, x, y in samples]
+    return _render(args, spec, payload, "tau,rho,phi,x,y", samples, curve, [])
 
 
 def cmd_distance(args) -> int:
@@ -326,20 +315,13 @@ def cmd_worldline(args) -> int:
     for s in np.linspace(lo, hi, n):
         t, x = wl.position(float(s))
         rows.append((float(s), t, x, wl.invariant_residual(float(s))))
-    if args.format == "json":
-        payload = {
-            "g": args.g,
-            "t0": args.t0,
-            "x0": args.x0,
-            "samples": [
-                {"s": s, "t": t, "x": x, "residual": res} for s, t, x, res in rows
-            ],
-        }
-        _emit(_json_dumps(payload) + "\n", args.out)
-    else:
-        text = ["s,t,x,residual"] + [_csv_row(row) for row in rows]
-        _emit("\n".join(text) + "\n", args.out)
-    return 0
+    payload = {
+        "g": args.g,
+        "t0": args.t0,
+        "x0": args.x0,
+        "samples": [{"s": s, "t": t, "x": x, "residual": res} for s, t, x, res in rows],
+    }
+    return _render(args, None, payload, "s,t,x,residual", rows, None, [])
 
 
 def cmd_verify(args) -> int:

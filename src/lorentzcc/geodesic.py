@@ -45,7 +45,7 @@ from .errors import (
     OutOfChart,
 )
 from .hypernum import cos_sin
-from .surface import CurvatureSign, Signature, SurfaceSpec
+from .surface import SurfaceSpec
 
 __all__ = [
     "LineKind",
@@ -258,13 +258,20 @@ def constant_A(spec: SurfaceSpec, eps: float) -> float:
 
 
 def epsilon_from_constant(spec: SurfaceSpec, A: float) -> float:
-    """Inverse of :func:`constant_A`."""
+    """Inverse of :func:`constant_A`.
+
+    Raises:
+        DomainError: |A| >= R where A = R sin(eps); eps is not finite.
+    """
     r = spec.radius
     if _uses_tan(spec):
         if not abs(A) < r:
             raise DomainError(f"{spec.name} needs |A| < R = {r}, got A = {A}")
         return math.asin(A / r)
-    return math.asinh(A / r)
+    eps = math.asinh(A / r)
+    if not math.isfinite(eps):
+        raise DomainError(f"eps of A = {A} is not finite")
+    return eps
 
 
 def geodesic_from_constants(
@@ -407,9 +414,9 @@ def parametric_window(
     _check_eps(spec, eps, sigma)
     r = spec.radius
     tau0 = constant_A(spec, eps) * sigma
-    if spec.signature is Signature.DEFINITE:
+    if spec.metric_sign > 0.0:
         return (-math.inf, math.inf)
-    if spec.curvature_sign is CurvatureSign.POSITIVE:
+    if spec.kappa > 0.0:
         u_star = math.asin(1.0 / math.cosh(eps))
         return (tau0 - r * u_star, tau0 + r * u_star)
     u_min = math.acosh(1.0 / math.cos(eps))
@@ -424,7 +431,7 @@ def circle_parameters(
     spec: SurfaceSpec, eps: float, sigma: float
 ) -> tuple[float, float, float]:
     """Center and radius of a definite-surface geodesic circle."""
-    if spec.signature is not Signature.DEFINITE:
+    if spec.metric_sign < 0.0:
         raise DomainError(
             f"{spec.name} geodesics are hyperbolas; see hyperbola_parameters"
         )
@@ -450,23 +457,27 @@ def hyperbola_parameters(
     Raises:
         DegenerateEpsilon: A = 0 (the center escapes to infinity; the conic
             is the straight line y = tanh(B) x).
+        DomainError: A or B is not finite, cosh(B) overflows, or a returned
+            value is not finite.
     """
-    if spec.signature is not Signature.LORENTZIAN:
+    if spec.metric_sign > 0.0:
         raise DomainError(f"{spec.name} geodesics are circles, not hyperbolas")
+    if not math.isfinite(A):
+        raise DomainError(f"A must be finite, got {A}")
+    ch, sh = cos_sin(1.0, B)
     r = spec.radius
     if abs(A) < 1e-12 * r:
         raise DegenerateEpsilon(f"A = {A} gives a straight line, not a hyperbola")
-    if spec.curvature_sign is CurvatureSign.POSITIVE:
+    if spec.kappa > 0.0:
         root = math.sqrt(r * r + A * A)
     else:
         if not abs(A) < r:
             raise DomainError(f"lorentz-neg needs |A| < R = {r}, got A = {A}")
         root = math.sqrt((r - A) * (r + A))
-    return (
-        r * math.sinh(B) * root / A,
-        r * math.cosh(B) * root / A,
-        r * r / A,
-    )
+    out = (r * sh * root / A, r * ch * root / A, r * r / A)
+    if not all(math.isfinite(v) for v in out):
+        raise DomainError(f"hyperbola parameters {out} at A = {A}, B = {B} are not finite")
+    return out
 
 
 def limiting_curve(spec: SurfaceSpec) -> GeodesicConic:

@@ -12,9 +12,9 @@ the two planes.  The product and the square modulus are then one formula,
 signed in the hyperbolic plane, where the lines ``|x| = |y|`` are null
 lines whose elements are divisors of zero.  Multiplying by ``unit = +-1``
 is exact, so each plane gets the same bits as its own textbook formula.
-Only the modulus, the null test and the zero guard of the inverse, the
-exponential and the polar form differ in kind between the planes; they
-branch on ``unit``.  ``cos_sin(unit, t)`` is the one such branch for the
+Only the null test and the zero guard of the inverse, the exponential
+and the polar form differ in kind between the planes; they branch on
+``unit``.  ``cos_sin(unit, t)`` is the one such branch for the
 pair ``(cosh t, sinh t)`` / ``(cos t, sin t)``: the two parts of
 ``exp(j t)``, shared with the chart maps of the surfaces.
 
@@ -43,12 +43,9 @@ __all__ = [
     "mul",
     "conj",
     "square_modulus",
-    "modulus",
     "inverse",
     "hyper_exp",
     "polar",
-    "is_null",
-    "zero_divisor_tolerance",
 ]
 
 
@@ -156,13 +153,6 @@ def conj(z: Number) -> Number:
 def square_modulus(z: Number) -> float:
     """``x*x - y*y`` (signed) for hyperbolic, ``x*x + y*y`` for complex."""
     return z.x * z.x - z.unit * z.y * z.y
-
-
-def modulus(z: Number) -> float:
-    """``sqrt(|square_modulus|)``; equals ``hypot(x, y)`` in the complex case."""
-    if z.unit > 0.0:
-        return math.sqrt(abs((abs(z.x) - abs(z.y)) * (abs(z.x) + abs(z.y))))
-    return math.hypot(z.x, z.y)
 
 
 def is_null(z: Number) -> bool:

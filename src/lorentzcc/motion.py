@@ -9,10 +9,10 @@ Everything in this module works in NORMALIZED model coordinates
 (``kappa`` the sign of the curvature) with hyperbolic-number constants on
 Lorentzian surfaces and complex ones on definite surfaces, defined up to a
 common scale, nondegenerate when ``D(alpha) + kappa D(beta) != 0``
-(``|alpha|^2 +/- |beta|^2`` in the complex case) and finite.  Only
-:func:`geodesic_distance` and :func:`geodesic_through` convert back to
-physical units (factor ``2R`` on distances, ``1/R`` powers on conic
-coefficients).
+(``|alpha|^2 +/- |beta|^2`` in the complex case) and finite.  A pair of
+points is solved once: the :class:`TwoPointSolution` carries its conic and
+distance, the only values converted back to physical units (factor ``2R``
+on distances, ``1/R`` powers on conic coefficients).
 
 Points and motion constants carry the number type of the surface's
 signature (:func:`number_for`); plain ``(x, y)`` pairs are accepted, and
@@ -51,7 +51,7 @@ from .hypernum import (
     polar,
     square_modulus,
 )
-from .surface import CurvatureSign, Signature, SurfaceSpec
+from .surface import SurfaceSpec
 
 __all__ = [
     "PlaneMotion",
@@ -100,7 +100,7 @@ def plane_apply(motion: PlaneMotion, z: HyperbolicNumber) -> HyperbolicNumber:
 
 
 def _number_type(spec: SurfaceSpec) -> type[Number]:
-    return HyperbolicNumber if spec.signature is Signature.LORENTZIAN else ComplexNumber
+    return HyperbolicNumber if spec.metric_sign < 0.0 else ComplexNumber
 
 
 def number_for(spec: SurfaceSpec, x: float, y: float) -> Number:
@@ -166,7 +166,7 @@ def apply(motion: BilinearMotion, z) -> Number:
     z = _as_number(spec, z)
     num = mul(motion.alpha, z) + motion.beta
     cb = conj(motion.beta)
-    if spec.curvature_sign is CurvatureSign.POSITIVE:
+    if spec.kappa > 0.0:
         den = -mul(cb, z) + conj(motion.alpha)
     else:
         den = mul(cb, z) + conj(motion.alpha)
@@ -201,10 +201,34 @@ class TwoPointSolution:
     theta_beta: float
     rho_beta: float
 
+    @property
+    def conic(self) -> GeodesicConic:
+        """Physical-chart conic through the two points: with ``G = alpha beta``
+        and ``S = alpha^2 + kappa conj(beta)^2`` the normalized conic is
+        ``(-kappa G.y, S.y, S.x, G.y)``, rescaled here to the physical chart."""
+        alpha, beta, spec = self.motion.alpha, self.motion.beta, self.motion.spec
+        g = mul(alpha, beta)
+        cb = conj(beta)
+        s = mul(alpha, alpha) + spec.kappa * mul(cb, cb)
+        r = spec.radius
+        return GeodesicConic(-spec.kappa * g.y / (r * r), s.y / r, s.x / r, g.y, spec)
 
-def _coincident(z1: Number, z2: Number) -> bool:
-    scale = max(1.0, abs(z1.x), abs(z1.y), abs(z2.x), abs(z2.y))
-    return abs(z1.x - z2.x) <= 1e-14 * scale and abs(z1.y - z2.y) <= 1e-14 * scale
+    @property
+    def distance(self) -> float:
+        """Physical distance: ``2R atanh(l)`` at negative curvature,
+        ``2R atan(l)`` at positive.
+
+        Raises:
+            OutOfDisk: negative curvature with ``l >= 1`` (the second point
+                is not inside the model domain).
+        """
+        spec = self.motion.spec
+        l, r = self.l, spec.radius
+        if spec.kappa < 0.0:
+            if l >= 1.0:
+                raise OutOfDisk(f"image abscissa l = {l} >= 1; point outside the model")
+            return 2.0 * r * math.atanh(l)
+        return 2.0 * r * math.atan(l)
 
 
 def solve_two_point(spec: SurfaceSpec, z1, z2) -> TwoPointSolution:
@@ -220,9 +244,10 @@ def solve_two_point(spec: SurfaceSpec, z1, z2) -> TwoPointSolution:
     """
     z1 = _as_number(spec, z1)
     z2 = _as_number(spec, z2)
-    if _coincident(z1, z2):
+    tol = 1e-14 * max(1.0, abs(z1.x), abs(z1.y), abs(z2.x), abs(z2.y))
+    if abs(z1.x - z2.x) <= tol and abs(z1.y - z2.y) <= tol:
         raise CoincidentPoints(f"points coincide: {z1}")
-    hyperbolic = spec.signature is Signature.LORENTZIAN
+    hyperbolic = spec.metric_sign < 0.0
 
     if hyperbolic and is_null(z1) and not (z1.x == 0.0 and z1.y == 0.0):
         raise NoGeodesic(f"base point {z1} lies on a null line of the model")
@@ -272,43 +297,20 @@ def solve_two_point(spec: SurfaceSpec, z1, z2) -> TwoPointSolution:
     return TwoPointSolution(motion, pol.rho, -half, theta_beta, rho_beta)
 
 
-def geodesic_through(spec: SurfaceSpec, z1, z2):
-    """Physical-chart conic of the geodesic through two normalized points.
-
-    The coefficients come straight from the normal-form motion constants:
-    with ``G = alpha beta`` and ``S = alpha^2 + kappa conj(beta)^2`` the
-    normalized conic is ``(-kappa G.y, S.y, S.x, G.y)``, rescaled here to the
-    physical chart.  Raises everything :func:`solve_two_point` raises.
-    """
-    sol = solve_two_point(spec, z1, z2)
-    alpha, beta = sol.motion.alpha, sol.motion.beta
-    g = mul(alpha, beta)
-    cb = conj(beta)
-    s = mul(alpha, alpha) + spec.kappa * mul(cb, cb)
-    r = spec.radius
-    return GeodesicConic(-spec.kappa * g.y / (r * r), s.y / r, s.x / r, g.y, spec)
+def geodesic_through(spec: SurfaceSpec, z1, z2) -> GeodesicConic:
+    """:attr:`TwoPointSolution.conic` of two normalized points; raises
+    everything :func:`solve_two_point` raises."""
+    return solve_two_point(spec, z1, z2).conic
 
 
 def geodesic_distance(spec: SurfaceSpec, z1, z2) -> float:
-    """Geodesic distance between two normalized model points, in physical
-    units (the radius scales back in here: ``2R atanh(l)`` at negative
-    curvature, ``2R atan(l)`` at positive).
-
-    Raises:
-        OutOfDisk: negative curvature with the image abscissa ``l >= 1``
-            (the second point is not inside the model domain).
-    """
-    z1 = _as_number(spec, z1)
-    z2 = _as_number(spec, z2)
-    if _coincident(z1, z2):
+    """:attr:`TwoPointSolution.distance` of two normalized points, ``0.0``
+    where they coincide (to 1e-14, relative); raises everything else that
+    :func:`solve_two_point` and the property raise."""
+    try:
+        return solve_two_point(spec, z1, z2).distance
+    except CoincidentPoints:
         return 0.0
-    l = solve_two_point(spec, z1, z2).l
-    r = spec.radius
-    if spec.curvature_sign is CurvatureSign.NEGATIVE:
-        if l >= 1.0:
-            raise OutOfDisk(f"image abscissa l = {l} >= 1; point outside the model")
-        return 2.0 * r * math.atanh(l)
-    return 2.0 * r * math.atan(l)
 
 
 def cross_ratio(a: Number, b: Number, c: Number, d: Number) -> Number:

@@ -23,7 +23,9 @@ Numerical notes
   :class:`~lorentzcc.errors.DomainExit` carrying the partial trajectory when
   the path drifts within ``10 * step`` of a chart boundary.
 * ``_adaptive_simpson`` accepts an interval when ``|S2 - S1| <= 15 tol``,
-  which bounds the extrapolated error by roughly ``tol``.
+  which bounds the extrapolated error by roughly ``tol``.  A non-finite
+  bound, sample or panel sum could never pass that test, so it raises
+  :class:`~lorentzcc.errors.DomainError`.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ from .errors import (
     MixedCausality,
     NearSingular,
 )
-from .surface import Chart, CurvatureSign, MetricField, Signature, SurfaceSpec
+from .surface import Chart, MetricField, SurfaceSpec
 
 __all__ = [
     "GeodesicState",
@@ -205,7 +207,13 @@ def arc_length(field, points: Sequence[tuple[float, float]]) -> float:
 def _adaptive_simpson(
     fn: Callable[[float], float], a: float, b: float, tol: float = 1e-10
 ) -> float:
-    """Adaptive Simpson quadrature with Richardson end correction."""
+    """Adaptive Simpson quadrature with Richardson end correction.
+
+    Raises:
+        DomainError: a bound, a first sample or a panel sum is not finite.
+    """
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise DomainError(f"quadrature bounds ({a}, {b}) are not finite")
     if a == b:
         return 0.0
 
@@ -219,6 +227,8 @@ def _adaptive_simpson(
         flm, frm = fn(lmid), fn(rmid)
         left = simpson(lo, mid, flo, flm, fmid)
         right = simpson(mid, hi, fmid, frm, fhi)
+        if not math.isfinite(left + right):
+            raise DomainError(f"integrand is not finite on [{lo}, {hi}]")
         if depth <= 0 or abs(left + right - whole) <= 15.0 * eps:
             return left + right + (left + right - whole) / 15.0
         half = eps / 2.0
@@ -229,6 +239,8 @@ def _adaptive_simpson(
     fa, fb = fn(a), fn(b)
     m = 0.5 * (a + b)
     fm = fn(m)
+    if not (math.isfinite(fa) and math.isfinite(fb) and math.isfinite(fm)):
+        raise DomainError(f"integrand is not finite at {a}, {m} or {b}")
     whole = simpson(a, b, fa, fm, fb)
     return recurse(a, b, fa, fm, fb, whole, tol, 48)
 
@@ -251,15 +263,15 @@ class TauField:
     spec: SurfaceSpec
 
     def __post_init__(self) -> None:
-        if self.spec.signature is not Signature.LORENTZIAN:
+        if self.spec.metric_sign > 0.0:
             raise DomainError("tau fields are defined for Lorentzian surfaces")
 
     @property
     def rho_ref(self) -> float:
-        return 0.0 if self.spec.curvature_sign is CurvatureSign.POSITIVE else 1.0
+        return 0.0 if self.spec.kappa > 0.0 else 1.0
 
     def __call__(self, rho: float, phi: float) -> float:
-        if self.spec.curvature_sign is CurvatureSign.NEGATIVE and rho <= 0.0:
+        if self.spec.kappa < 0.0 and rho <= 0.0:
             raise DomainError(f"need rho > 0 on {self.spec.name}, got {rho}")
         metric = MetricField(self.spec, Chart.ISOMETRIC)
         a2 = self.A * self.A

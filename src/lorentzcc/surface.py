@@ -58,7 +58,6 @@ __all__ = [
     "SurfaceSpec",
     "MetricField",
     "gauss_curvature_of_profile",
-    "rho_from_u",
     "line_element_isometric",
     "line_element_cartesian",
     "exp_map_to_cartesian",
@@ -151,27 +150,26 @@ class SurfaceSpec:
     def gauss_curvature(self) -> float:
         return self.kappa / (self.radius * self.radius)
 
-    def normalized(self) -> "SurfaceSpec":
-        """Same surface rescaled to R = 1 (model coordinates)."""
-        return SurfaceSpec(self.signature, self.curvature_sign, 1.0)
-
 
 def _isometric_factor(spec: SurfaceSpec, rho: float) -> float:
-    r2 = spec.radius * spec.radius
-    if spec.curvature_sign is CurvatureSign.POSITIVE:
-        c = math.cosh(rho)
-        return r2 / (c * c)
-    if abs(rho) < 1e-12:
+    """``R^2 / cosh(rho)^2`` (kappa > 0) or ``R^2 / sinh(rho)^2``; past the
+    overflow of cosh/sinh, ``(2R e^-|rho|)^2``, which the formula rounds to."""
+    if not math.isfinite(rho):
+        raise DomainError(f"isometric factor of {spec.name} needs a finite rho, got {rho}")
+    if spec.kappa < 0.0 and abs(rho) < 1e-12:
         raise SingularPoint(
             f"isometric chart of {spec.name} is singular at rho = 0 (got {rho})"
         )
-    s = math.sinh(rho)
-    return r2 / (s * s)
+    try:
+        c = math.cosh(rho) if spec.kappa > 0.0 else math.sinh(rho)
+    except OverflowError:
+        return (2.0 * spec.radius * math.exp(-abs(rho))) ** 2
+    return spec.radius * spec.radius / (c * c)
 
 
 def _cartesian_base(spec: SurfaceSpec, x: float, y: float) -> float:
     r2 = spec.radius * spec.radius
-    if spec.signature is Signature.DEFINITE:
+    if spec.metric_sign > 0.0:
         quad = x * x + y * y
     else:
         # factored: x*x - y*y loses digits far out near the null lines
@@ -221,11 +219,9 @@ class MetricField:
     def boundary_distance(self, a: float, b: float) -> float:
         spec = self.spec
         if self.chart is Chart.ISOMETRIC:
-            if spec.curvature_sign is CurvatureSign.NEGATIVE:
-                return abs(a)
-            return math.inf
-        if spec.signature is Signature.DEFINITE:
-            if spec.curvature_sign is CurvatureSign.POSITIVE:
+            return abs(a) if spec.kappa < 0.0 else math.inf
+        if spec.metric_sign > 0.0:
+            if spec.kappa > 0.0:
                 return math.inf
             return abs(math.hypot(a, b) - spec.radius)
         base = _cartesian_base(spec, a, b)
@@ -254,31 +250,13 @@ def gauss_curvature_of_profile(
     return -second / r0
 
 
-def rho_from_u(spec: SurfaceSpec, u: float) -> float:
-    """Isometric coordinate rho as a function of geodesic distance u from the
-    profile origin.
-
-    Positive curvature: ``rho = ln cot(u / 2R)`` on ``0 < u < pi R``.
-    Negative curvature: ``rho = ln tanh(u / 2R)`` on ``u > 0``; note the
-    value is negative, i.e. this branch charts the side of the surface inside
-    the limiting curve (the other side is the isometric image ``rho > 0``).
-    """
-    r = spec.radius
-    if spec.curvature_sign is CurvatureSign.POSITIVE:
-        if not 0.0 < u < math.pi * r:
-            raise DomainError(f"need 0 < u < pi R = {math.pi * r}, got u = {u}")
-        return math.log(1.0 / math.tan(u / (2.0 * r)))
-    if not u > 0.0:
-        raise DomainError(f"need u > 0, got u = {u}")
-    return math.log(math.tanh(u / (2.0 * r)))
-
-
 def line_element_isometric(
     spec: SurfaceSpec, rho: float, drho: float, dphi: float
 ) -> float:
     """Signed ``ds^2`` of a tangent vector in the isometric chart.
 
     Raises:
+        DomainError: rho is not finite.
         SingularPoint: negative curvature at rho = 0 (the chart's pole).
     """
     lam = _isometric_factor(spec, rho)

@@ -57,7 +57,6 @@ from .motion import (
     BilinearMotion,
     apply as motion_apply,
     geodesic_distance,
-    geodesic_through,
     inverse_motion,
     number_for,
     solve_two_point,
@@ -373,10 +372,10 @@ def _check_two_point_solver(rng, scale, perturb) -> tuple[float, str]:
                 abs(b2.x - z2.x),
                 abs(b2.y - z2.y),
             )
-            conic = geodesic_through(spec, z1, z2)
+            conic = sol.conic
             for z in (z1, z2):
                 worst_conic = max(worst_conic, _conic_error(conic, z.x, z.y))
-            dist = geodesic_distance(spec, z1, z2)
+            dist = sol.distance
             path = [
                 motion_apply(inv, number_for(spec, t, 0.0))
                 for t in np.linspace(0.0, sol.l, n_quad + 1)

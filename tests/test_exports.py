@@ -1,4 +1,8 @@
-"""The package exports exactly the union of its modules' ``__all__`` lists."""
+"""The package exports exactly the union of its modules' ``__all__`` lists,
+and every exported name has a user."""
+
+import ast
+from pathlib import Path
 
 import lorentzcc
 from lorentzcc import errors, geodesic, hypernum, motion, oracle, surface, verify
@@ -16,3 +20,65 @@ def test_every_exported_name_resolves():
     for module in MODULES:
         for name in module.__all__:
             assert getattr(lorentzcc, name) is getattr(module, name)
+
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC, PERFBENCH = ROOT / "src" / "lorentzcc", ROOT / "perfbench"
+
+# Exported names that no other module, the CLI, the battery or the benchmark
+# uses, each kept for the documented paper result or return type it stands for.
+ALLOWLIST = {
+    "PolarForm": "return type of polar: the polar form of a non-null number",
+    "Signature": "type of SurfaceSpec.signature: definite or Lorentzian metric",
+    "PlaneLine": "return type of plane_geodesic: the flat plane's two line kinds",
+    "Worldline": "return type of worldline_hyperbolic: the accelerated observer",
+    "origin_line": "the eps = 0 member of the family: a line through the origin",
+    "epsilon_from_constant": "eps from the conserved momentum A (inverse of constant_A)",
+    "circle_parameters": "center and radius of the definite-surface geodesic circles",
+    "LimitingIntersection": "return type of limiting_intersections",
+    "PlaneMotion": "the rigid motions of the flat Lorentz plane",
+    "plane_apply": "the rigid motions of the flat Lorentz plane",
+    "TwoPointSolution": "return type of solve_two_point: the normal-form motion",
+    "cross_ratio": "the motion-invariant cross ratio of four points",
+    "FlatPlaneField": "metric field of the flat Lorentz plane, the oracle's flat case",
+    "isothermal_curvature": "Gauss curvature from the conformal factor alone",
+    "CheckResult": "return type of run_all",
+    "DEFAULT_TOLERANCES": "the battery's documented bound per check",
+}
+
+
+def _identifiers(path):
+    """Names a file uses: identifiers, attributes and the dotted parts of
+    string literals (perfbench traces names such as ``"oracle.christoffel"``);
+    comments and docstrings do not count."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    docstrings = {
+        id(node.value) for node in ast.walk(tree)
+        if isinstance(node, ast.Expr) and isinstance(node.value, ast.Constant)
+    }
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            if id(node) not in docstrings:
+                names.update(node.value.split("."))
+    return names
+
+
+def test_every_exported_name_has_a_user():
+    library = {path.stem: _identifiers(path) for path in SRC.glob("*.py")}
+    bench = set().union(*(_identifiers(path) for path in PERFBENCH.glob("*.py")))
+    orphans = []
+    for module in MODULES:
+        home = module.__name__.rpartition(".")[2]
+        for name in module.__all__:
+            used = name in bench or any(
+                name in names for stem, names in library.items() if stem != home
+            )
+            if not used and name not in ALLOWLIST:
+                orphans.append(f"{home}.{name}")
+    assert not orphans
+    assert set(ALLOWLIST) <= set(lorentzcc.__all__)

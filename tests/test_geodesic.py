@@ -69,6 +69,12 @@ class TestFamilyConstants:
             a = constant_A(spec, eps)
             assert epsilon_from_constant(spec, a) == pytest.approx(eps, rel=1e-12)
 
+    @pytest.mark.parametrize("A", [math.nan, math.inf])
+    def test_non_finite_constant_rejected(self, A):
+        # the asinh row once returned nan / inf
+        with pytest.raises(DomainError, match="not finite"):
+            epsilon_from_constant(SurfaceSpec.lorentzian_positive(), A)
+
     def test_constant_out_of_range(self):
         with pytest.raises(DomainError, match=r"\|A\| < R"):
             epsilon_from_constant(SurfaceSpec.definite_positive(), 1.0)
@@ -339,6 +345,19 @@ class TestHyperbolaGeodesics:
     def test_negative_lorentz_needs_small_constant(self):
         with pytest.raises(DomainError, match=r"\|A\| < R"):
             hyperbola_parameters(SurfaceSpec.lorentzian_negative(), 1.0, 0.1)
+
+    @pytest.mark.parametrize(
+        "A, B, match",
+        [
+            (0.5, 1000.0, "cosh, sinh"),  # was a bare OverflowError
+            (0.5, math.nan, "cosh, sinh"),  # was (nan, nan, 2.0)
+            (math.inf, 0.1, "A must be finite"),  # was (nan, nan, 0.0)
+            (1e-6, 700.0, "not finite"),  # was (inf, inf, 1e6)
+        ],
+    )
+    def test_non_finite_or_overflowing_input_is_a_domain_error(self, A, B, match):
+        with pytest.raises(DomainError, match=match):
+            hyperbola_parameters(SurfaceSpec.lorentzian_positive(), A, B)
 
 
 class TestLimitingCurve:

@@ -21,14 +21,11 @@ from lorentzcc import (
     conj,
     hyper_exp,
     inverse,
-    is_null,
-    modulus,
     mul,
     polar,
     square_modulus,
-    zero_divisor_tolerance,
 )
-from lorentzcc.hypernum import cos_sin
+from lorentzcc.hypernum import cos_sin, is_null, zero_divisor_tolerance
 
 
 def _as_matrix(z):
@@ -92,10 +89,6 @@ class TestModulusAndConjugate:
         assert square_modulus(HyperbolicNumber(2.0, 3.0)) == pytest.approx(-5.0)
         assert square_modulus(HyperbolicNumber(3.0, 2.0)) == pytest.approx(5.0)
         assert square_modulus(ComplexNumber(3.0, 4.0)) == pytest.approx(25.0)
-
-    def test_modulus(self):
-        assert modulus(HyperbolicNumber(3.0, 2.0)) == pytest.approx(math.sqrt(5.0))
-        assert modulus(ComplexNumber(3.0, 4.0)) == pytest.approx(5.0)
 
     def test_z_times_conj_is_square_modulus(self):
         rng = np.random.default_rng(12)

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from lorentzcc import cli, motion
 from lorentzcc import (
     BilinearMotion,
     Chart,
@@ -287,6 +288,35 @@ class TestTwoPointSolver:
         spec = SurfaceSpec.definite_negative()
         with pytest.raises(OutOfDisk, match=">= 1"):
             geodesic_distance(spec, (0.0, 0.0), (1.5, 0.0))
+
+
+class TestSolveOnce:
+    def test_geodesic_points_solves_the_pair_once(self, monkeypatch, capsys):
+        calls = []
+        solve = motion.solve_two_point
+
+        def counting(*args):
+            calls.append(args)
+            return solve(*args)
+
+        monkeypatch.setattr(motion, "solve_two_point", counting)
+        monkeypatch.setattr(cli, "solve_two_point", counting)
+        argv = ["geodesic", "--surface", "def-neg", "--points", "0.1,0.05", "0.4,-0.1"]
+        assert cli.main(argv) == 0
+        assert '"distance"' in capsys.readouterr().out
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("name", ALL_NAMES)
+    def test_solution_carries_conic_and_distance(self, name):
+        spec = SurfaceSpec.from_name(name, 2.5)
+        z1, z2 = number_for(spec, 0.1, 0.05), number_for(spec, 0.4, -0.1)
+        sol = solve_two_point(spec, z1, z2)
+        conic = geodesic_through(spec, z1, z2)
+        fields = ("quad", "lin_x", "lin_y", "const_term")
+        assert [getattr(sol.conic, f).hex() for f in fields] == [
+            getattr(conic, f).hex() for f in fields
+        ]
+        assert sol.distance.hex() == geodesic_distance(spec, z1, z2).hex()
 
 
 class TestGeodesicThrough:

@@ -10,6 +10,8 @@ which this file uses as the independent truth for the FD stencil.
 """
 
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -222,6 +224,24 @@ class TestTauField:
         tau = TauField(0.4, 0.0, SurfaceSpec.lorentzian_negative())
         with pytest.raises(DomainError, match="rho > 0"):
             tau(-0.1, 0.0)
+
+    @pytest.mark.parametrize("A, rho", [(0.7, "nan"), (0.7, "inf"), ("nan", 0.8)])
+    def test_non_finite_quadrature_is_a_domain_error(self, A, rho):
+        # adaptive Simpson once recursed to depth 48 on a NaN bound or
+        # integrand; the subprocess turns a regression into a failure
+        code = (
+            "from lorentzcc import DomainError, SurfaceSpec, TauField\n"
+            f"tau = TauField(float('{A}'), 0.3, SurfaceSpec.lorentzian_positive())\n"
+            "try:\n"
+            f"    tau(float('{rho}'), 0.1)\n"
+            "except DomainError:\n"
+            "    raise SystemExit(0)\n"
+            "raise SystemExit('no DomainError')\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=30
+        )
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestBeltrami:

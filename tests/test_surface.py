@@ -21,7 +21,6 @@ from lorentzcc import (
     gauss_curvature_of_profile,
     line_element_cartesian,
     line_element_isometric,
-    rho_from_u,
 )
 
 ALL_NAMES = ("def-pos", "def-neg", "lorentz-pos", "lorentz-neg")
@@ -51,8 +50,6 @@ class TestSurfaceSpec:
         spec = SurfaceSpec.from_name(name, radius=1.5)
         assert spec.name == name
         assert spec.radius == 1.5
-        assert spec.normalized().radius == 1.0
-        assert spec.normalized().name == name
 
     def test_bad_inputs(self):
         with pytest.raises(ValueError, match="radius must be positive"):
@@ -88,35 +85,6 @@ class TestProfileCurvature:
     def test_zero_profile_rejected(self):
         with pytest.raises(ProfileZero, match="vanishes"):
             gauss_curvature_of_profile(math.sin, math.pi)
-
-
-class TestRhoFromU:
-    def test_positive_curvature_values(self):
-        spec = SurfaceSpec.definite_positive()
-        assert rho_from_u(spec, 1.0) == pytest.approx(math.log(1.0 / math.tan(0.5)))
-        assert rho_from_u(spec, 1.0) == pytest.approx(0.6045824459415916)
-        assert rho_from_u(spec, math.pi / 2.0) == pytest.approx(0.0, abs=1e-15)
-
-    def test_negative_curvature_values(self):
-        spec = SurfaceSpec.definite_negative()
-        assert rho_from_u(spec, 1.0) == pytest.approx(math.log(math.tanh(0.5)))
-        assert rho_from_u(spec, 1.0) == pytest.approx(-0.7719368329053047)
-        # monotone decreasing toward the axis, to 0 at infinity
-        assert rho_from_u(spec, 5.0) > rho_from_u(spec, 1.0)
-        assert rho_from_u(spec, 5.0) < 0.0
-
-    def test_radius_scaling(self):
-        spec = SurfaceSpec.lorentzian_negative(radius=2.0)
-        assert rho_from_u(spec, 2.0) == pytest.approx(math.log(math.tanh(0.5)))
-
-    @pytest.mark.parametrize("u", [0.0, -0.5, math.pi, 4.0])
-    def test_positive_domain(self, u):
-        with pytest.raises(DomainError, match="pi R"):
-            rho_from_u(SurfaceSpec.definite_positive(), u)
-
-    def test_negative_domain(self):
-        with pytest.raises(DomainError, match="u > 0"):
-            rho_from_u(SurfaceSpec.definite_negative(), 0.0)
 
 
 class TestLineElements:
@@ -158,6 +126,20 @@ class TestLineElements:
         exact = 4 / (base * base)
         got = MetricField(spec, Chart.CARTESIAN).factor(x, y)
         assert abs(Fraction(got) - exact) / exact < 1e-14
+
+    @pytest.mark.parametrize("name", ["def-pos", "lorentz-neg"])
+    @pytest.mark.parametrize("rho", [711.0, -711.0, 1e4])
+    def test_isometric_factor_where_cosh_sinh_overflow(self, name, rho):
+        # the factor (2R e^-|rho|)^2 underflows; it was an OverflowError
+        spec = SurfaceSpec.from_name(name, 2.5)
+        assert MetricField(spec, Chart.ISOMETRIC).factor(rho, 0.0) == 0.0
+        assert line_element_isometric(spec, rho, 1.0, 0.5) == 0.0
+
+    @pytest.mark.parametrize("name", ["def-pos", "lorentz-neg"])
+    @pytest.mark.parametrize("rho", [math.nan, math.inf])
+    def test_isometric_factor_needs_finite_rho(self, name, rho):
+        with pytest.raises(DomainError, match="finite rho"):
+            line_element_isometric(SurfaceSpec.from_name(name), rho, 1.0, 0.5)
 
     def test_singular_points_flagged(self):
         with pytest.raises(SingularPoint):
