@@ -245,12 +245,15 @@ def constant_A(spec: SurfaceSpec, eps: float) -> float:
     """Conserved momentum A of the (eps, sigma) family.
 
     Raises:
-        DomainError: |eps| >= pi/2 where A = R sin(eps); sinh(eps) overflows.
+        DomainError: |eps| >= pi/2 where A = R sin(eps); eps is not finite or
+            sinh(eps) overflows where A = R sinh(eps).
     """
     if _uses_tan(spec):
         if not abs(eps) < math.pi / 2.0:
             raise DomainError(f"{spec.name} needs |eps| < pi/2, got {eps}")
         return spec.radius * math.sin(eps)
+    if not math.isfinite(eps):
+        raise DomainError(f"eps must be finite, got {eps}")
     try:
         return spec.radius * math.sinh(eps)
     except OverflowError:

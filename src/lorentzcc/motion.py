@@ -192,14 +192,25 @@ class TwoPointSolution:
     ``l`` is the model abscissa of the image of ``z2`` (so the invariant
     separation in normalized units); ``theta_alpha`` / ``theta_beta`` are the
     arguments of the motion constants and ``rho_beta`` the signed modulus of
-    ``beta`` (zero by convention when ``z1`` is the origin).
+    ``beta`` (both zero by convention when ``z1`` is the origin).
     """
 
     motion: BilinearMotion
     l: float
     theta_alpha: float
-    theta_beta: float
-    rho_beta: float
+
+    @property
+    def theta_beta(self) -> float:
+        beta = self.motion.beta
+        return 0.0 if beta.x == 0.0 and beta.y == 0.0 else polar(beta).theta
+
+    @property
+    def rho_beta(self) -> float:
+        beta = self.motion.beta
+        if beta.x == 0.0 and beta.y == 0.0:
+            return 0.0
+        pb = polar(beta)
+        return pb.sign * pb.rho  # sign is +1 for complex numbers
 
     @property
     def conic(self) -> GeodesicConic:
@@ -286,15 +297,7 @@ def solve_two_point(spec: SurfaceSpec, z1, z2) -> TwoPointSolution:
         alpha = ComplexNumber(math.cos(half), -math.sin(half))
 
     beta = -mul(alpha, z1)
-    motion = BilinearMotion(alpha, beta, spec)
-
-    if beta.x == 0.0 and beta.y == 0.0:
-        theta_beta, rho_beta = 0.0, 0.0
-    else:
-        pb = polar(beta)
-        theta_beta = pb.theta
-        rho_beta = pb.sign * pb.rho if hyperbolic else pb.rho
-    return TwoPointSolution(motion, pol.rho, -half, theta_beta, rho_beta)
+    return TwoPointSolution(BilinearMotion(alpha, beta, spec), pol.rho, -half)
 
 
 def geodesic_through(spec: SurfaceSpec, z1, z2) -> GeodesicConic:

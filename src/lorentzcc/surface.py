@@ -278,15 +278,34 @@ def line_element_cartesian(
 def exp_map_to_cartesian(
     spec: SurfaceSpec, rho: float, phi: float
 ) -> tuple[float, float]:
-    """Isometric -> Cartesian chart change."""
-    r = spec.radius * math.exp(rho)
+    """Isometric -> Cartesian chart change.
+
+    Raises:
+        DomainError: ``rho`` or ``phi`` is not finite, or the point overflows.
+    """
+    if not math.isfinite(rho):
+        raise DomainError(f"rho must be finite, got {rho}")
+    try:
+        r = spec.radius * math.exp(rho)
+    except OverflowError:
+        r = math.inf
     c, s = cos_sin(-spec.metric_sign, phi)
-    return r * c, r * s
+    x, y = r * c, r * s
+    if not (math.isfinite(x) and math.isfinite(y)):
+        raise DomainError(f"the Cartesian point of (rho, phi) = ({rho}, {phi}) overflows")
+    return x, y
 
 
 def exp_map_pushforward(
     spec: SurfaceSpec, rho: float, phi: float, drho: float, dphi: float
 ) -> tuple[float, float]:
-    """Tangent map of :func:`exp_map_to_cartesian` at ``(rho, phi)``."""
+    """Tangent map of :func:`exp_map_to_cartesian` at ``(rho, phi)``.
+
+    Raises:
+        DomainError: as :func:`exp_map_to_cartesian`, or ``drho`` or ``dphi``
+            is not finite.
+    """
+    if not (math.isfinite(drho) and math.isfinite(dphi)):
+        raise DomainError(f"drho and dphi must be finite, got {drho} and {dphi}")
     x, y = exp_map_to_cartesian(spec, rho, phi)
     return x * drho - spec.metric_sign * y * dphi, y * drho + x * dphi

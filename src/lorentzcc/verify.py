@@ -5,22 +5,23 @@ numerical route (finite differences, RK4 integration, quadrature) or with an
 exactly known value.  The same battery backs ``lorentzcc verify`` and the
 acceptance test suite; seeds make every run reproducible.
 
-Each check is a function ``(rng, scale, perturb) -> (measured, detail)``
-that only measures: ``rng`` is its own seeded generator, ``scale`` sizes
-its randomized workload and ``perturb`` is the metric-tampering knob of
-:func:`run_all`.  A check that cannot measure at all (too few valid draws,
-an expected intersection missing, a null input accepted) raises
-``_Unmeasured(detail)``.  The table ``_CHECKS`` maps each name, in battery
-order, to its function and default tolerance, and :func:`run_all` alone
-turns a measurement into a :class:`CheckResult`: passed when ``measured <=
-tolerance``, and failed with ``measured = inf`` under any tolerance when
-the check could not measure.
+Each check is a function ``(rng, scale, perturb) -> (errors, note)`` that
+only measures: ``rng`` is its own seeded generator, ``scale`` sizes its
+randomized workload and ``perturb`` is the metric-tampering knob of
+:func:`run_all`.  ``errors`` holds named sub-errors ``(name, value, bound)``,
+each value the worst over the workload, and ``note`` describes the
+workload.  A check bundling quantities of different natural scales gives
+each its own bound and a tolerance of 1.0; a single-quantity check gives
+``bound = 1.0`` and an absolute tolerance.  A check that cannot measure at
+all (too few valid draws, an expected intersection missing, a null input
+accepted) raises ``_Unmeasured(detail)``.
 
-Checks that bundle several sub-measurements with different natural scales
-report ``measured`` as the worst sub-error divided by its own default bound,
-against a tolerance of 1.0; single-quantity checks report the raw worst
-error against an absolute tolerance.  The per-check meaning is spelled out
-in each ``detail`` string.
+The table ``_CHECKS`` maps each name, in battery order, to its function and
+default tolerance.  :func:`run_all` alone turns errors into a
+:class:`CheckResult`: ``measured`` is the largest ``value / bound``, the
+check passes when ``measured <= tolerance``, and ``detail`` renders every
+sub-error and the note.  A check that could not measure has no errors and
+fails with ``measured = inf`` under any tolerance.
 """
 
 from __future__ import annotations
@@ -88,6 +89,7 @@ class CheckResult:
     measured: float
     tolerance: float
     detail: str
+    errors: tuple[tuple[str, float, float], ...]
 
     def summary_line(self) -> str:
         status = "PASS" if self.passed else "FAIL"
@@ -121,6 +123,22 @@ def _conic_error(conic, x: float, y: float) -> float:
     return abs(conic.residual(x, y)) / term
 
 
+def _valid_draws(rng, n: int, spec: SurfaceSpec, draw) -> list:
+    """``n`` results of ``draw(rng, spec)``, skipping None and GeometryError;
+    ``_Unmeasured`` if ``400 n`` attempts give fewer."""
+    samples = []
+    for _ in range(400 * n):
+        try:
+            sample = draw(rng, spec)
+        except GeometryError:
+            continue
+        if sample is not None:
+            samples.append(sample)
+            if len(samples) == n:
+                return samples
+    raise _Unmeasured(f"could not draw {n} valid samples on {spec.name}")
+
+
 def _sign_draw(rng) -> float:
     return 1.0 if rng.integers(0, 2) == 0 else -1.0
 
@@ -146,7 +164,7 @@ def _u_window(spec: SurfaceSpec, eps: float) -> tuple[float, float]:
 # 1. profile curvature
 
 
-def _check_profile_curvature(rng, scale, perturb) -> tuple[float, str]:
+def _check_profile_curvature(rng, scale, perturb):
     worst = 0.0
     count = 0
     for r in (0.5, 1.0, 3.0):
@@ -163,9 +181,8 @@ def _check_profile_curvature(rng, scale, perturb) -> tuple[float, str]:
                 worst = max(worst, abs(k - expected) / abs(expected))
                 count += 1
     return (
-        worst,
-        f"max relative curvature error over {count} probes "
-        "(sin/sinh profiles, R in {0.5, 1, 3}, FD step 1e-4*max(1,R))",
+        (("relative curvature error", worst, 1.0),),
+        f"{count} probes, sin/sinh profiles, R in {{0.5, 1, 3}}, FD step 1e-4*max(1,R)",
     )
 
 
@@ -173,7 +190,7 @@ def _check_profile_curvature(rng, scale, perturb) -> tuple[float, str]:
 # 2. parametric geodesics vs conics and arc length
 
 
-def _check_closed_form_consistency(rng, scale, perturb) -> tuple[float, str]:
+def _check_closed_form_consistency(rng, scale, perturb):
     n_draws = max(3, int(round(20 * scale)))
     n_poly = max(2000, int(round(3000 * scale)))
     worst_conic = 0.0
@@ -198,13 +215,10 @@ def _check_closed_form_consistency(rng, scale, perturb) -> tuple[float, str]:
             length = arc_length(field, poly)
             expect = u_hi - u_lo
             worst_arc = max(worst_arc, abs(length - expect) / max(1.0, expect))
-    measured = max(worst_conic / 1e-9, worst_arc / 1e-6)
     return (
-        measured,
-        f"worst of conic residual / 1e-9 (= {worst_conic:.2e}) and polyline "
-        f"arc-length error / 1e-6 (= {worst_arc:.2e}), "
-        f"{n_draws} draws per surface",
-    )
+        ("conic residual", worst_conic, 1e-9),
+        ("polyline arc-length error", worst_arc, 1e-6),
+    ), f"{n_draws} draws per surface"
 
 
 # --------------------------------------------------------------------------
@@ -227,7 +241,7 @@ class _ScaledField:
         return self._base.boundary_distance(a, b)
 
 
-def _check_oracle_equivalence(rng, scale, perturb) -> tuple[float, str]:
+def _check_oracle_equivalence(rng, scale, perturb):
     n_geo = max(1, int(round(5 * scale)))
     length = 1.0 if scale >= 1.0 else max(0.2, float(scale))
     step = 1e-3
@@ -259,9 +273,9 @@ def _check_oracle_equivalence(rng, scale, perturb) -> tuple[float, str]:
                 px, py = states[k].position
                 worst = max(worst, math.hypot(px - expected[0], py - expected[1]))
     return (
-        worst,
-        f"max Cartesian-chart distance between RK4 (FD Christoffels, step {step}) "
-        f"and the closed-form track, {n_geo} geodesics per surface, length {length}",
+        (("RK4 distance from the closed-form track", worst, 1.0),),
+        f"Cartesian chart, step {step} on FD of ln(factor), "
+        f"{n_geo} geodesics per surface, length {length}",
     )
 
 
@@ -283,61 +297,56 @@ def _draw_offnull(rng, spec: SurfaceSpec, bound: float, floor: float = 1e-3):
         return number_for(spec, x, y)
 
 
-def _check_motion_invariance(rng, scale, perturb) -> tuple[float, str]:
+def _motion_sample(rng, spec: SurfaceSpec):
+    """Line-element and two-point-abscissa defects of one random motion, or
+    None for a near-null direction (never met on definite surfaces)."""
+    alpha = number_for(spec, 1.0, rng.uniform(-0.3, 0.3))
+    beta = number_for(spec, rng.uniform(-0.3, 0.3), rng.uniform(-0.3, 0.3))
+    z1 = _draw_offnull(rng, spec, 0.4)
+    z2 = _draw_offnull(rng, spec, 0.4)
+    ang = rng.uniform(0.0, 2.0 * math.pi)
+    dx, dy = math.cos(ang), math.sin(ang)
+    if abs(dx * dx + spec.metric_sign * dy * dy) < 1e-3 * (dx * dx + dy * dy):
+        return None
+    motion = BilinearMotion(alpha, beta, spec)
+    w1 = motion_apply(motion, z1)
+    w2 = motion_apply(motion, z2)
+    ds2_src = line_element_cartesian(spec, z1.x, z1.y, dx, dy)
+    delta = 1e-6
+    zp = motion_apply(motion, type(z1)(z1.x + delta * dx, z1.y + delta * dy))
+    zm = motion_apply(motion, type(z1)(z1.x - delta * dx, z1.y - delta * dy))
+    dwx = (zp.x - zm.x) / (2.0 * delta)
+    dwy = (zp.y - zm.y) / (2.0 * delta)
+    ds2_img = line_element_cartesian(spec, w1.x, w1.y, dwx, dwy)
+    l_src = solve_two_point(spec, z1, z2).l
+    l_img = solve_two_point(spec, w1, w2).l
+    return abs(ds2_img - ds2_src) / abs(ds2_src), abs(l_img - l_src)
+
+
+def _check_motion_invariance(rng, scale, perturb):
     n = max(5, int(round(50 * scale)))
     worst_push = 0.0
     worst_dist = 0.0
-    short = None
     for spec in _SURFACES:
-        made = 0
-        attempts = 0
-        while made < n and attempts < 400 * n:
-            attempts += 1
-            alpha = number_for(spec, 1.0, rng.uniform(-0.3, 0.3))
-            beta = number_for(spec, rng.uniform(-0.3, 0.3), rng.uniform(-0.3, 0.3))
-            z1 = _draw_offnull(rng, spec, 0.4)
-            z2 = _draw_offnull(rng, spec, 0.4)
-            ang = rng.uniform(0.0, 2.0 * math.pi)
-            dx, dy = math.cos(ang), math.sin(ang)
-            # skip near-null directions (never met on definite surfaces)
-            if abs(dx * dx + spec.metric_sign * dy * dy) < 1e-3 * (dx * dx + dy * dy):
-                continue
-            try:
-                motion = BilinearMotion(alpha, beta, spec)
-                w1 = motion_apply(motion, z1)
-                w2 = motion_apply(motion, z2)
-                ds2_src = line_element_cartesian(spec, z1.x, z1.y, dx, dy)
-                delta = 1e-6
-                zp = motion_apply(motion, type(z1)(z1.x + delta * dx, z1.y + delta * dy))
-                zm = motion_apply(motion, type(z1)(z1.x - delta * dx, z1.y - delta * dy))
-                dwx = (zp.x - zm.x) / (2.0 * delta)
-                dwy = (zp.y - zm.y) / (2.0 * delta)
-                ds2_img = line_element_cartesian(spec, w1.x, w1.y, dwx, dwy)
-                l_src = solve_two_point(spec, z1, z2).l
-                l_img = solve_two_point(spec, w1, w2).l
-            except GeometryError:
-                continue
-            worst_push = max(worst_push, abs(ds2_img - ds2_src) / abs(ds2_src))
-            worst_dist = max(worst_dist, abs(l_img - l_src))
-            made += 1
-        if made < n:
-            short = spec.name
-    if short is not None:
-        raise _Unmeasured(f"could not draw enough valid samples on {short}")
-    measured = max(worst_push / 1e-6, worst_dist / 1e-9)
+        for push, dist in _valid_draws(rng, n, spec, _motion_sample):
+            worst_push = max(worst_push, push)
+            worst_dist = max(worst_dist, dist)
     return (
-        measured,
-        f"worst of line-element FD invariance / 1e-6 (= {worst_push:.2e}) and "
-        f"two-point abscissa invariance / 1e-9 (= {worst_dist:.2e}), "
-        f"{n} motions per surface",
-    )
+        ("line-element FD invariance", worst_push, 1e-6),
+        ("two-point abscissa invariance", worst_dist, 1e-9),
+    ), f"{n} motions per surface"
 
 
 # --------------------------------------------------------------------------
 # 5. two-point normal form round trips
 
 
-def _check_two_point_solver(rng, scale, perturb) -> tuple[float, str]:
+def _joinable_pair(rng, spec: SurfaceSpec):
+    z1, z2 = _draw_offnull(rng, spec, 0.4), _draw_offnull(rng, spec, 0.4)
+    return z1, z2, solve_two_point(spec, z1, z2)
+
+
+def _check_two_point_solver(rng, scale, perturb):
     n = max(3, int(round(20 * scale)))
     n_quad = max(400, int(round(2000 * scale)))
     worst_round = 0.0
@@ -345,16 +354,7 @@ def _check_two_point_solver(rng, scale, perturb) -> tuple[float, str]:
     worst_dist = 0.0
     for spec in _SURFACES:
         field = MetricField(spec, Chart.CARTESIAN)
-        made = 0
-        attempts = 0
-        while made < n and attempts < 400 * n:
-            attempts += 1
-            z1 = _draw_offnull(rng, spec, 0.4)
-            z2 = _draw_offnull(rng, spec, 0.4)
-            try:
-                sol = solve_two_point(spec, z1, z2)
-            except GeometryError:
-                continue
+        for z1, z2, sol in _valid_draws(rng, n, spec, _joinable_pair):
             motion = sol.motion
             w1 = motion_apply(motion, z1)
             w2 = motion_apply(motion, z2)
@@ -382,24 +382,18 @@ def _check_two_point_solver(rng, scale, perturb) -> tuple[float, str]:
             ]
             qlen = arc_length(field, [(p.x, p.y) for p in path])
             worst_dist = max(worst_dist, abs(qlen - dist))
-            made += 1
-        if made < n:
-            raise _Unmeasured(f"could not draw enough joinable pairs on {spec.name}")
-    measured = max(worst_round / 1e-12, worst_conic / 1e-9, worst_dist / 1e-6)
     return (
-        measured,
-        f"worst of normal-form round trip / 1e-12 (= {worst_round:.2e}), "
-        f"conic-through-points residual / 1e-9 (= {worst_conic:.2e}), "
-        f"distance vs quadrature / 1e-6 (= {worst_dist:.2e}), "
-        f"{n} pairs per surface",
-    )
+        ("normal-form round trip", worst_round, 1e-12),
+        ("conic-through-points residual", worst_conic, 1e-9),
+        ("distance vs quadrature", worst_dist, 1e-6),
+    ), f"{n} pairs per surface"
 
 
 # --------------------------------------------------------------------------
 # 6. a pinned distance value, two surfaces, two routes
 
 
-def _check_distance_benchmark(rng, scale, perturb) -> tuple[float, str]:
+def _check_distance_benchmark(rng, scale, perturb):
     target = math.log(3.0)
     n_quad = max(20000, int(round(20000 * scale)))
     worst = 0.0
@@ -412,9 +406,9 @@ def _check_distance_benchmark(rng, scale, perturb) -> tuple[float, str]:
         )
         worst = max(worst, abs(qlen - target))
     return (
-        worst,
-        "distance from the center to (0.5, 0) on both R=1 negative-curvature "
-        f"surfaces vs ln 3, closed form and {n_quad}-segment quadrature",
+        (("|distance - ln 3|", worst, 1.0),),
+        "center to (0.5, 0) on both R=1 negative-curvature surfaces, "
+        f"closed form and {n_quad}-segment quadrature",
     )
 
 
@@ -422,7 +416,7 @@ def _check_distance_benchmark(rng, scale, perturb) -> tuple[float, str]:
 # 7. geodesics vs the limiting curve
 
 
-def _check_limiting_orthogonality(rng, scale, perturb) -> tuple[float, str]:
+def _check_limiting_orthogonality(rng, scale, perturb):
     n = max(3, int(round(20 * scale)))
     worst = 0.0
     spec_p, spec_n = _SURFACES[2:]
@@ -458,9 +452,9 @@ def _check_limiting_orthogonality(rng, scale, perturb) -> tuple[float, str]:
             f"limiting curve at {len(hits)} points"
         )
     return (
-        worst,
-        "max normalized gradient pairing at lorentz-neg limiting-curve "
-        f"crossings ({n} geodesics; lorentz-pos checked to never cross)",
+        (("normalized gradient pairing", worst, 1.0),),
+        f"limiting-curve crossings of {n} lorentz-neg geodesics; "
+        "lorentz-pos checked to never cross",
     )
 
 
@@ -468,7 +462,7 @@ def _check_limiting_orthogonality(rng, scale, perturb) -> tuple[float, str]:
 # 8. arc-length fields solve the eikonal property
 
 
-def _check_beltrami_fields(rng, scale, perturb) -> tuple[float, str]:
+def _check_beltrami_fields(rng, scale, perturb):
     worst = 0.0
     # flat plane: the two line families give -1 / +1 exactly
     for kind, expected in ((LineKind.FIRST, -1.0), (LineKind.SECOND, 1.0)):
@@ -494,9 +488,8 @@ def _check_beltrami_fields(rng, scale, perturb) -> tuple[float, str]:
             val = beltrami_delta1(spec, tau, (rho, phi), step=1e-4)
             worst = max(worst, abs(val - metric.factor(rho, 0.0)))
     return (
-        worst,
-        "max |(d_rho tau)^2 - (d_phi tau)^2 - factor| on curved tau fields "
-        "(A = 0.7 / 0.3) and |... -/+ 1| for the two flat line families, "
+        (("|(d_rho tau)^2 - (d_phi tau)^2 - factor|", worst, 1.0),),
+        "curved tau fields (A = 0.7 / 0.3), flat line families (factor -/+ 1), "
         "FD step 1e-4",
     )
 
@@ -505,7 +498,7 @@ def _check_beltrami_fields(rng, scale, perturb) -> tuple[float, str]:
 # 9. worldline hyperbola invariant + completed-square conic forms
 
 
-def _check_worldline_invariant(rng, scale, perturb) -> tuple[float, str]:
+def _check_worldline_invariant(rng, scale, perturb):
     worst_wl = 0.0
     for g in (0.5, 1.0, 2.0):
         wl = worldline_hyperbolic(g, t0=rng.uniform(-1.0, 1.0), x0=rng.uniform(-1.0, 1.0))
@@ -527,13 +520,10 @@ def _check_worldline_invariant(rng, scale, perturb) -> tuple[float, str]:
                 # the completed square equals -R^2 * residual (R = 1 here)
                 err = abs(completed + conic.residual(x, y))
                 worst_cs = max(worst_cs, err / max(1.0, abs(completed)))
-    measured = max(worst_wl / 1e-12, worst_cs / 1e-9)
     return (
-        measured,
-        f"worst of worldline invariant residual / 1e-12 (= {worst_wl:.2e}, "
-        "scale-relative) and completed-square conic identity / 1e-9 "
-        f"(= {worst_cs:.2e})",
-    )
+        ("scale-relative worldline residual", worst_wl, 1e-12),
+        ("completed-square conic identity", worst_cs, 1e-9),
+    ), f"{n} conics per Lorentzian surface"
 
 
 # --------------------------------------------------------------------------
@@ -549,7 +539,7 @@ def _rejects(fn, z) -> bool:
     return False
 
 
-def _check_algebra_properties(rng, scale, perturb) -> tuple[float, str]:
+def _check_algebra_properties(rng, scale, perturb):
     n = max(50, int(round(1000 * scale)))
     plane = SurfaceSpec.lorentzian_positive()  # draws hyperbolic numbers
     worst = 0.0
@@ -580,9 +570,9 @@ def _check_algebra_properties(rng, scale, perturb) -> tuple[float, str]:
         if not _rejects(inverse, null):
             raise _Unmeasured(f"inverse failed to reject the divisor of zero {null}")
     return (
-        worst,
-        f"max relative defect over {n} draws: D multiplicativity, inverses, "
-        "exponential law, D(exp), polar round trip (null inputs rejected)",
+        (("relative defect", worst, 1.0),),
+        f"{n} draws: D multiplicativity, inverses, exponential law, D(exp), "
+        "polar round trip (null inputs rejected)",
     )
 
 
@@ -635,9 +625,15 @@ def run_all(
         rng = np.random.default_rng([seed, idx])
         tol = float(overrides.get(name, default_tol))
         try:
-            measured, detail = check(rng, scale, perturb)
-            passed = measured <= tol
+            errors, note = check(rng, scale, perturb)
         except _Unmeasured as exc:
-            measured, detail, passed = math.inf, str(exc), False
-        results.append(CheckResult(name, bool(passed), float(measured), tol, detail))
+            results.append(CheckResult(name, False, math.inf, tol, str(exc), ()))
+            continue
+        measured = float(max(value / bound for _, value, bound in errors))
+        shown = ", ".join(
+            f"{label} {value:.2e}" + ("" if bound == 1.0 else f" (bound {bound:g})")
+            for label, value, bound in errors
+        )
+        detail = f"{shown}; {note}"
+        results.append(CheckResult(name, measured <= tol, measured, tol, detail, errors))
     return results

@@ -41,8 +41,8 @@ def test_02_parametric_geodesics_match_conics(battery):
 
 
 def test_03_closed_forms_match_numeric_integration(battery):
-    """RK4 on finite-difference Christoffel symbols stays within 1e-5 of the
-    closed-form tracks in the Cartesian chart."""
+    """RK4 driven by central differences of ln(lambda) stays within 1e-5 of
+    the closed-form tracks in the Cartesian chart."""
     _assert_passed(battery, "oracle_equivalence")
 
 

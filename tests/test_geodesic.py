@@ -79,6 +79,13 @@ class TestFamilyConstants:
         with pytest.raises(DomainError, match=r"\|A\| < R"):
             epsilon_from_constant(SurfaceSpec.definite_positive(), 1.0)
 
+    @pytest.mark.parametrize("name", ["def-neg", "lorentz-pos"])
+    @pytest.mark.parametrize("eps", [math.nan, math.inf, -math.inf])
+    def test_sinh_row_needs_finite_eps(self, name, eps):
+        # the sinh rows once returned nan / inf
+        with pytest.raises(DomainError, match="finite"):
+            constant_A(SurfaceSpec.from_name(name), eps)
+
     def test_sinh_overflow_is_a_domain_error(self):
         for name in ("def-neg", "lorentz-pos"):
             spec = SurfaceSpec.from_name(name)

@@ -210,6 +210,27 @@ class TestExponentialMap:
             assert exp_map_to_cartesian(spec, rho, phi) == (x, y)
             assert exp_map_pushforward(spec, rho, phi, drho, dphi) == push
 
+    @pytest.mark.parametrize("rho", [math.nan, math.inf, -math.inf])
+    def test_exp_map_needs_finite_rho(self, rho):
+        # a NaN rho once came back as (nan, nan)
+        with pytest.raises(DomainError, match="rho must be finite"):
+            exp_map_to_cartesian(SurfaceSpec.definite_positive(), rho, 0.1)
+
+    @pytest.mark.parametrize(
+        "name, rho, phi",
+        [(name, 1000.0, 0.1) for name in ALL_NAMES] + [("lorentz-pos", 5.0, 706.0)],
+    )
+    def test_exp_map_overflow_is_a_domain_error(self, name, rho, phi):
+        # exp(1000) once raised a bare OverflowError; e^5 cosh(706) is inf
+        with pytest.raises(DomainError, match="overflows"):
+            exp_map_to_cartesian(SurfaceSpec.from_name(name), rho, phi)
+
+    @pytest.mark.parametrize("drho, dphi", [(math.nan, 0.5), (0.5, math.nan), (math.inf, 0.5)])
+    def test_pushforward_needs_finite_tangent(self, drho, dphi):
+        # a NaN drho once came back as (nan, nan)
+        with pytest.raises(DomainError, match="must be finite"):
+            exp_map_pushforward(SurfaceSpec.definite_positive(), 0.3, 0.1, drho, dphi)
+
     def test_lorentz_map_is_exponential_polar(self):
         spec = SurfaceSpec.lorentzian_positive(radius=2.0)
         x, y = exp_map_to_cartesian(spec, 0.3, 0.7)

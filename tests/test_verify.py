@@ -8,6 +8,7 @@ from lorentzcc import (
     CHECK_NAMES,
     DEFAULT_TOLERANCES,
     CheckResult,
+    InvalidMotion,
     MetricField,
     NoGeodesic,
     run_all,
@@ -78,6 +79,35 @@ def test_check_that_cannot_measure_fails_under_any_tolerance(monkeypatch):
     assert res.tolerance == math.inf
     assert "def-pos" in res.detail
     assert res.summary_line().startswith("[FAIL] two_point_solver: measured inf")
+
+
+def test_motion_invariance_shortfall_fails_under_any_tolerance(monkeypatch):
+    def invalid(alpha, beta, spec):
+        raise InvalidMotion("no motion is valid")
+
+    monkeypatch.setattr(verify, "BilinearMotion", invalid)
+    (res,) = run_all(
+        seed=3,
+        scale=0.02,
+        names=("motion_invariance",),
+        tolerances={"motion_invariance": math.inf},
+    )
+    assert not res.passed
+    assert res.measured == math.inf
+    assert res.errors == ()
+    assert "def-pos" in res.detail
+    assert res.summary_line().startswith("[FAIL] motion_invariance: measured inf")
+
+
+def test_measured_is_the_worst_named_sub_error():
+    results = run_all(seed=3, scale=0.02)
+    assert [r.name for r in results] == list(CHECK_NAMES)
+    for res in results:
+        assert res.errors, res.name
+        assert res.measured == max(v / b for _, v, b in res.errors)
+        assert res.passed == (res.measured <= res.tolerance)
+        for name, _, _ in res.errors:
+            assert name in res.detail
 
 
 def test_results_are_reproducible():
