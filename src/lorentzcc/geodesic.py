@@ -5,16 +5,15 @@ and the whole geodesic family is parametrized by two constants
 ``(eps, sigma)``:
 
     quad = 1/R^2,   const_term = -kappa
-    (lin_x, lin_y) = (2 s S, -2 s C)/(R t),   (C, S) = cos_sin(-s, sigma)
+    (lin_x, lin_y) = (2 s sn, -2 s cs)/(R t),   (cs, sn) = cos_sin(-s, sigma)
 
 with the surface signs ``s`` and ``kappa`` of :mod:`lorentzcc.surface`, so
-``(C, S) = (cos, sin)(sigma)`` on definite and ``(cosh, sinh)(sigma)`` on
-Lorentzian surfaces, and
+``(cs, sn) = (cos, sin)(sigma)`` on definite and ``(cosh, sinh)(sigma)`` on
+Lorentzian surfaces.  ``eps`` enters through one pair ``(C, S)``, with
+``t = S/C`` and ``A = R S``:
 
-    t = tan(eps),  A = R sin(eps)   where s = kappa: def-pos, lorentz-neg
-    t = tanh(eps), A = R sinh(eps)  where s = -kappa: def-neg, lorentz-pos
-
-(``|eps| < pi/2`` in the tan family).
+    (C, S) = (cos, sin)(eps)    where s = kappa: def-pos, lorentz-neg (|eps| < pi/2)
+    (C, S) = (cosh, sinh)(eps)  where s = -kappa: def-neg, lorentz-pos
 
 ``A`` is the conserved momentum conjugate to ``phi`` and ``sigma`` the
 conserved phase; ``eps -> 0`` degenerates the conic into a straight line
@@ -22,10 +21,21 @@ through the origin (see :func:`origin_line`).  On definite surfaces the
 conics are circles, on Lorentzian ones rectangular hyperbolas whose
 completed-square form is returned by :func:`hyperbola_parameters`.
 
-Arc-length parametrizations use ``u = (tau - tau0)/R`` with ``tau0 = A *
-sigma``; the isometric-chart formulas per surface are implemented in
-:func:`geodesic_parametric_with_velocity` and their validity intervals in
-:func:`parametric_window`.
+The arc-length parametrization (:func:`geodesic_parametric_with_velocity`;
+in-chart windows in :func:`parametric_window`) has ``u = (tau - A sigma)/R``
+and one branch per curvature sign, primes d/du, definite surface first:
+
+    kappa > 0:  tanh(rho) = w = C sin(u),   1 - w^2 = cos(u)^2 + s S^2 sin(u)^2
+                rho' = C cos(u)/(1 - w^2),  phi' = (S or -S sign(cos u))/(1 - w^2)
+    kappa < 0:  coth(rho) = c = C cosh(u),  c - 1 = 2 C sinh(u/2)^2 + s S^2/(1 + C)
+                rho' = -C sinh(u)/(c^2 - 1),  phi' = (S or S sign(u))/(c^2 - 1)
+
+Neither form cancels (``S^2/(1 + C)`` is ``2 S(eps/2)^2``), and ``rho`` is
+read from it, as ``asinh(g)`` with ``g = sinh(rho) = w/sqrt(1 - w^2)`` and as
+``log1p(2/(c - 1))/2``, so point and velocity agree to rounding.  ``phi`` is
+the unwrapped ``atan`` on def-pos, ``±pi/2 + atan`` on def-neg, and
+``sigma - asinh(t g)`` on the Lorentzian surfaces, where ``g = cosh(rho) =
+c/sqrt(c^2 - 1)`` when kappa < 0.
 
 The flat Lorentz plane is covered separately by :class:`PlaneLine` (two
 families of straight lines, by the causal character of the tangent) and
@@ -241,23 +251,29 @@ def _check_eps(spec: SurfaceSpec, eps: float, sigma: float, tau: float = 0.0) ->
         raise DomainError(f"{spec.name} needs |eps| < pi/2, got {eps}")
 
 
+def _family_trig(spec: SurfaceSpec, eps: float) -> tuple[float, float]:
+    """``(C, S)``: ``(cos, sin)(eps)`` where s = kappa, ``(cosh, sinh)(eps)``
+    elsewhere; raises as :func:`constant_A`."""
+    if _uses_tan(spec):
+        if not abs(eps) < math.pi / 2.0:
+            raise DomainError(f"{spec.name} needs |eps| < pi/2, got {eps}")
+        return math.cos(eps), math.sin(eps)
+    if not math.isfinite(eps):
+        raise DomainError(f"eps must be finite, got {eps}")
+    try:
+        return math.cosh(eps), math.sinh(eps)
+    except OverflowError:
+        raise DomainError(f"sinh(eps) overflows at eps = {eps}") from None
+
+
 def constant_A(spec: SurfaceSpec, eps: float) -> float:
-    """Conserved momentum A of the (eps, sigma) family.
+    """Conserved momentum ``A = R S`` of the (eps, sigma) family.
 
     Raises:
         DomainError: |eps| >= pi/2 where A = R sin(eps); eps is not finite or
             sinh(eps) overflows where A = R sinh(eps).
     """
-    if _uses_tan(spec):
-        if not abs(eps) < math.pi / 2.0:
-            raise DomainError(f"{spec.name} needs |eps| < pi/2, got {eps}")
-        return spec.radius * math.sin(eps)
-    if not math.isfinite(eps):
-        raise DomainError(f"eps must be finite, got {eps}")
-    try:
-        return spec.radius * math.sinh(eps)
-    except OverflowError:
-        raise DomainError(f"sinh(eps) overflows at eps = {eps}") from None
+    return spec.radius * _family_trig(spec, eps)[1]
 
 
 def epsilon_from_constant(spec: SurfaceSpec, A: float) -> float:
@@ -331,70 +347,48 @@ def geodesic_parametric_with_velocity(
 
     Raises:
         OutOfChart: tau outside the window where the geodesic stays in the
-            chart (see :func:`parametric_window`).
-        DomainError: eps, sigma or tau not finite, or sinh(eps) overflows.
+            chart (see :func:`parametric_window`), or where c^2 - 1 overflows.
+        DomainError: eps, sigma, tau or u not finite, or sinh(eps) overflows.
     """
     _check_eps(spec, eps, sigma, tau)
-    r = spec.radius
-    u = (tau - constant_A(spec, eps) * sigma) / r
-    definite, positive = spec.metric_sign > 0.0, spec.kappa > 0.0
+    r, s = spec.radius, spec.metric_sign
+    C, S = _family_trig(spec, eps)
+    u = (tau - r * S * sigma) / r
+    if not math.isfinite(u):
+        raise DomainError(f"u = (tau - A sigma)/R is not finite at tau = {tau}")
 
-    if definite and positive:  # def-pos
-        w = math.cos(eps) * math.sin(u)
-        if abs(w) >= 1.0:
-            raise OutOfChart(f"tau = {tau} hits the chart's removed point")
-        rho = math.atanh(w)
-        m = round(u / math.pi)
-        delta = u - m * math.pi
-        phi = sigma + _sign(eps) * m * math.pi + math.atan(math.sin(eps) * math.tan(delta))
-        one_w2 = 1.0 - w * w
-        drho = math.cos(eps) * math.cos(u) / one_w2
+    if spec.kappa > 0.0:  # def-pos, lorentz-pos: tanh(rho) = w
         cu, su = math.cos(u), math.sin(u)
-        dphi = math.sin(eps) / (cu * cu + math.sin(eps) ** 2 * su * su)
-        return (rho, phi), (drho / r, dphi / r)
-
-    if definite:  # def-neg
-        ch = math.cosh(eps) * math.cosh(u)
-        w = 1.0 / ch
-        if w >= 1.0:
-            raise OutOfChart(f"tau = {tau} hits the chart's removed point")
-        rho = math.atanh(w)
-        phi = sigma + _sign(eps) * math.pi / 2.0 + math.atan(math.tanh(u) / math.sinh(eps))
-        one_w2 = 1.0 - w * w
-        drho = -w * math.tanh(u) / one_w2
-        sh, se = math.sinh(u), math.sinh(eps)
-        dphi = se / (se * se * math.cosh(u) ** 2 + sh * sh)
-        return (rho, phi), (drho / r, dphi / r)
-
-    if positive:  # lorentz-pos
-        w = math.cosh(eps) * math.sin(u)
-        if abs(w) >= 1.0:
-            raise OutOfChart(
-                f"tau = {tau} leaves the chart (|cosh(eps) sin(u)| >= 1, u = {u})"
-            )
-        rho = math.atanh(w)
-        one_w2 = 1.0 - w * w
+        w, v = C * su, S * su
+        one_w2 = cu * cu + s * v * v
+        if not (abs(w) < 1.0 and one_w2 > 0.0):
+            raise OutOfChart(f"tau = {tau} leaves the chart (|C sin(u)| >= 1, u = {u})")
         sinh_rho = w / math.sqrt(one_w2)
-        phi = sigma - math.asinh(math.tanh(eps) * sinh_rho)
-        drho = math.cosh(eps) * math.cos(u) / one_w2
-        dphi = -math.sinh(eps) * _sign(math.cos(u)) / one_w2
+        rho = math.asinh(sinh_rho)
+        drho = C * cu / one_w2
+        if s > 0.0:  # the angle unwrapped across the turns u = m pi
+            m = round(u / math.pi)
+            phi = sigma + _sign(eps) * m * math.pi + math.atan(S * math.tan(u - m * math.pi))
+            dphi = S / one_w2
+        else:
+            phi = sigma - math.asinh(S / C * sinh_rho)
+            dphi = -S * _sign(cu) / one_w2
         return (rho, phi), (drho / r, dphi / r)
 
-    # lorentz-neg
-    # c - 1 for c = cos(eps) cosh(u), written without cancellation so that
-    # c^2 - 1, rho and the velocity stay accurate next to the branch boundary
-    cm1 = 2.0 * (math.cos(eps) * math.sinh(0.5 * u) ** 2 - math.sin(0.5 * eps) ** 2)
-    if cm1 <= 0.0:
-        raise OutOfChart(
-            f"tau = {tau} is outside the branch (cos(eps) cosh(u) <= 1, u = {u})"
-        )
-    c = 1.0 + cm1
+    # def-neg, lorentz-neg: coth(rho) = c = 1 + cm1
+    sh = math.sinh(0.5 * u) if abs(u) < 1400.0 else math.inf  # sinh overflows past 1420
+    cm1 = 2.0 * C * sh * sh + s * S * (S / (1.0 + C))
+    c2m1 = cm1 * (cm1 + 2.0)
+    if not (cm1 > 0.0 and c2m1 < math.inf):
+        raise OutOfChart(f"tau = {tau} is off the branch or overflows (c - 1 = {cm1}, u = {u})")
     rho = 0.5 * math.log1p(2.0 / cm1)
-    c2m1 = cm1 * (c + 1.0)
-    cosh_rho = c / math.sqrt(c2m1)
-    phi = sigma - math.asinh(math.tan(eps) * cosh_rho)
-    drho = -math.cos(eps) * math.sinh(u) / c2m1
-    dphi = math.sin(eps) * _sign(u) / c2m1
+    drho = -C * math.sinh(u) / c2m1
+    if s > 0.0:
+        phi = sigma + _sign(eps) * math.pi / 2.0 + math.atan(math.tanh(u) / S)
+        dphi = S / c2m1
+    else:
+        phi = sigma - math.asinh(S / C * ((1.0 + cm1) / math.sqrt(c2m1)))
+        dphi = S * _sign(u) / c2m1
     return (rho, phi), (drho / r, dphi / r)
 
 
@@ -416,14 +410,14 @@ def parametric_window(
     """
     _check_eps(spec, eps, sigma)
     r = spec.radius
-    tau0 = constant_A(spec, eps) * sigma
+    C, S = _family_trig(spec, eps)
+    tau0 = r * S * sigma
     if spec.metric_sign > 0.0:
         return (-math.inf, math.inf)
     if spec.kappa > 0.0:
-        u_star = math.asin(1.0 / math.cosh(eps))
+        u_star = math.asin(1.0 / C)
         return (tau0 - r * u_star, tau0 + r * u_star)
-    u_min = math.acosh(1.0 / math.cos(eps))
-    return (tau0 + r * u_min, math.inf)
+    return (tau0 + r * math.acosh(1.0 / C), math.inf)
 
 
 # --------------------------------------------------------------------------

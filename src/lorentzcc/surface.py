@@ -303,9 +303,10 @@ def exp_map_pushforward(
 
     Raises:
         DomainError: as :func:`exp_map_to_cartesian`, or ``drho`` or ``dphi``
-            is not finite.
+            is not finite, or the pushed-forward vector overflows.
     """
-    if not (math.isfinite(drho) and math.isfinite(dphi)):
-        raise DomainError(f"drho and dphi must be finite, got {drho} and {dphi}")
     x, y = exp_map_to_cartesian(spec, rho, phi)
-    return x * drho - spec.metric_sign * y * dphi, y * drho + x * dphi
+    vx, vy = x * drho - spec.metric_sign * y * dphi, y * drho + x * dphi
+    if not (math.isfinite(vx) and math.isfinite(vy)):
+        raise DomainError(f"drho, dphi = {drho}, {dphi} must be finite and map to finite values")
+    return vx, vy

@@ -241,6 +241,34 @@ class TestParametrization:
         ds2 = line_element_isometric(spec, rho, drho, dphi)
         assert abs(abs(ds2) - 1.0) <= 1e-10
 
+    @pytest.mark.parametrize("radius", [0.5, 1.0, 3.0])
+    @pytest.mark.parametrize("eps", [0.02, -0.05, 0.1])
+    def test_unit_speed_next_to_the_definite_negative_turning_point(self, radius, eps):
+        """coth(rho) - 1 is formed without cancellation on def-neg too; from
+        1 - tanh(rho)^2 the speed was off by up to 5e-13 here."""
+        spec = SurfaceSpec.definite_negative(radius=radius)
+        sigma = 0.3
+        for u in np.linspace(-0.02, 0.02, 21):
+            tau = constant_A(spec, eps) * sigma + radius * float(u)
+            (rho, _), (drho, dphi) = geodesic_parametric_with_velocity(spec, eps, sigma, tau)
+            ds2 = line_element_isometric(spec, rho, drho, dphi)
+            assert abs(abs(ds2) - 1.0) <= 1e-13
+
+    @pytest.mark.parametrize("name", ["def-neg", "lorentz-neg"])
+    @pytest.mark.parametrize("tau", [400.0, 800.0, 2000.0, 1e6])
+    def test_far_along_a_negative_curvature_branch_is_out_of_chart(self, name, tau):
+        # coth(rho)^2 - 1 overflows: once a silent (-0.0, 0.0) velocity on
+        # lorentz-neg at tau = 400 and a bare OverflowError elsewhere
+        with pytest.raises(OutOfChart, match="u = "):
+            geodesic_parametric_with_velocity(SurfaceSpec.from_name(name), 0.5, 0.1, tau)
+
+    @pytest.mark.parametrize("name", ALL_NAMES)
+    def test_overflowing_arc_parameter_is_a_domain_error(self, name):
+        # tau - A sigma overflows; sin(u) once raised a bare ValueError
+        spec = SurfaceSpec.from_name(name, radius=4.0)
+        with pytest.raises(DomainError, match="u = "):
+            geodesic_parametric_with_velocity(spec, 0.5, 1e308, 0.0)
+
     def test_definite_positive_crosses_many_turns(self):
         """The angle branch must stay continuous across u = pi multiples."""
         spec = SurfaceSpec.definite_positive()

@@ -225,9 +225,12 @@ class TestExponentialMap:
         with pytest.raises(DomainError, match="overflows"):
             exp_map_to_cartesian(SurfaceSpec.from_name(name), rho, phi)
 
-    @pytest.mark.parametrize("drho, dphi", [(math.nan, 0.5), (0.5, math.nan), (math.inf, 0.5)])
+    @pytest.mark.parametrize(
+        "drho, dphi", [(math.nan, 0.5), (0.5, math.nan), (math.inf, 0.5), (1.5e308, 0.0)]
+    )
     def test_pushforward_needs_finite_tangent(self, drho, dphi):
-        # a NaN drho once came back as (nan, nan)
+        # a NaN drho once came back as (nan, nan), and a finite tangent whose
+        # image overflows as (inf, ...)
         with pytest.raises(DomainError, match="must be finite"):
             exp_map_pushforward(SurfaceSpec.definite_positive(), 0.3, 0.1, drho, dphi)
 

@@ -110,6 +110,31 @@ def test_measured_is_the_worst_named_sub_error():
             assert name in res.detail
 
 
+def test_nan_probe_fails_the_check(monkeypatch):
+    # max(0.0, nan) is 0.0, so a check whose every probe read NaN once passed
+    monkeypatch.setattr(verify, "gauss_curvature_of_profile", lambda *a, **k: math.nan)
+    (res,) = run_all(seed=3, scale=0.02, names=("profile_curvature",))
+    assert not res.passed
+    assert math.isnan(res.measured)
+
+
+def test_nan_second_sub_error_fails_the_check(monkeypatch):
+    # the arc-length sub-error comes second, where max() dropped a NaN
+    monkeypatch.setattr(verify, "arc_length", lambda field, points: math.nan)
+    (res,) = run_all(seed=3, scale=0.02, names=("closed_form_consistency",))
+    assert res.errors[1][0] == "polyline arc-length error"
+    assert math.isnan(res.errors[1][1])
+    assert not res.passed
+    assert math.isnan(res.measured)
+
+
+@pytest.mark.parametrize("seed", [2, 4, 7])
+def test_two_point_solver_passes_at_small_scale(seed):
+    # the 400-segment midpoint quadrature alone read up to 2.3e-6 here
+    (res,) = run_all(seed=seed, scale=0.05, names=("two_point_solver",))
+    assert res.passed, res.detail
+
+
 def test_results_are_reproducible():
     a = run_all(seed=11, scale=0.02, names=("worldline_invariant",))
     b = run_all(seed=11, scale=0.02, names=("worldline_invariant",))
