@@ -24,13 +24,7 @@ import sys
 import numpy as np
 
 from .errors import GeometryError
-from .geodesic import (
-    constant_A,
-    geodesic_from_constants,
-    geodesic_parametric,
-    parametric_window,
-    worldline_hyperbolic,
-)
+from .geodesic import geodesic_family, geodesic_from_constants, worldline_hyperbolic
 from .motion import (
     BilinearMotion,
     apply as motion_apply,
@@ -200,21 +194,6 @@ def _conic_payload(conic) -> dict:
     }
 
 
-def _family_sample_taus(spec: SurfaceSpec, eps: float, sigma: float, n: int):
-    lo, hi = parametric_window(spec, eps, sigma)
-    r = spec.radius
-    tau0 = constant_A(spec, eps) * sigma
-    if math.isinf(lo) and math.isinf(hi):
-        lo, hi = tau0 - 2.0 * r, tau0 + 2.0 * r
-    elif math.isinf(hi):
-        span = 2.0 * r
-        lo, hi = lo + 0.01 * span, lo + span
-    else:
-        span = hi - lo
-        lo, hi = lo + 0.01 * span, hi - 0.01 * span
-    return np.linspace(lo, hi, n)
-
-
 def cmd_geodesic(args) -> int:
     spec = SurfaceSpec.from_name(args.surface, args.R)
     if args.points is not None and (args.eps is not None or args.sigma is not None):
@@ -259,20 +238,29 @@ def cmd_geodesic(args) -> int:
         raise ValueError("family mode needs both --eps and --sigma")
     logger.debug("family geodesic on %s, eps=%s sigma=%s", spec.name, args.eps, args.sigma)
     conic = geodesic_from_constants(spec, args.eps, args.sigma)
-    taus = _family_sample_taus(spec, args.eps, args.sigma, args.samples)
+    fam = geodesic_family(spec, args.eps, args.sigma)
+    lo, hi = fam.window
+    if math.isinf(lo):  # definite surfaces
+        lo, hi = -2.0, 2.0
+    elif math.isinf(hi):  # lorentz-neg: the branch beyond lo
+        lo, hi = lo + 0.02, lo + 2.0
+    else:  # lorentz-pos: 1% in from each edge
+        pad = 0.01 * (hi - lo)
+        lo, hi = lo + pad, hi - pad
+    r = spec.radius
     samples = []
-    for tau in taus:
-        rho, phi = geodesic_parametric(spec, args.eps, args.sigma, float(tau))
+    for u in np.linspace(lo, hi, args.samples):
+        (rho, phi), _ = fam.state(float(u))
         x, y = exp_map_to_cartesian(spec, rho, phi)
-        samples.append((float(tau), rho, phi, x, y))
+        samples.append((fam.tau0 + r * float(u), rho, phi, x, y))
     payload = {
         "surface": spec.name,
         "radius": spec.radius,
         "mode": "family",
         "eps": args.eps,
         "sigma": args.sigma,
-        "A": constant_A(spec, args.eps),
-        "tau0": constant_A(spec, args.eps) * args.sigma,
+        "A": r * fam.S,
+        "tau0": fam.tau0,
         "conic": _conic_payload(conic),
         "samples": [
             {"tau": t, "rho": rho, "phi": phi, "x": x, "y": y}

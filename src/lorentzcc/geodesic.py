@@ -21,9 +21,12 @@ through the origin (see :func:`origin_line`).  On definite surfaces the
 conics are circles, on Lorentzian ones rectangular hyperbolas whose
 completed-square form is returned by :func:`hyperbola_parameters`.
 
-The arc-length parametrization (:func:`geodesic_parametric_with_velocity`;
-in-chart windows in :func:`parametric_window`) has ``u = (tau - A sigma)/R``
-and one branch per curvature sign, primes d/du, definite surface first:
+The arc-length parametrization lives in ``u = (tau - A sigma)/R``: a
+:class:`GeodesicFamily`, built once per ``(eps, sigma)`` by
+:func:`geodesic_family`, holds ``(C, S)``, the in-chart u-window and the
+point and velocity at ``u`` (:func:`geodesic_parametric_with_velocity` is
+its tau form).  It has one branch per curvature sign, primes d/du, definite
+surface first:
 
     kappa > 0:  tanh(rho) = w = C sin(u),   1 - w^2 = cos(u)^2 + s S^2 sin(u)^2
                 rho' = C cos(u)/(1 - w^2),  phi' = (S or -S sign(cos u))/(1 - w^2)
@@ -47,6 +50,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .errors import (
     DegenerateEpsilon,
@@ -71,7 +75,8 @@ __all__ = [
     "epsilon_from_constant",
     "geodesic_parametric",
     "geodesic_parametric_with_velocity",
-    "parametric_window",
+    "GeodesicFamily",
+    "geodesic_family",
     "hyperbola_parameters",
     "circle_parameters",
     "limiting_curve",
@@ -336,60 +341,120 @@ def _sign(x: float) -> float:
     return math.copysign(1.0, x)
 
 
+class GeodesicFamily(NamedTuple):
+    """The (eps, sigma) geodesic family of one surface, in ``u = (tau - tau0)/R``.
+
+    Built once by :func:`geodesic_family`, which checks ``(eps, sigma)``;
+    ``(C, S)`` is the family's trig pair (see the module docstring).
+    """
+
+    spec: SurfaceSpec
+    sigma: float
+    C: float
+    S: float
+
+    @property
+    def tau0(self) -> float:
+        """Arc length ``A sigma = R S sigma`` of the turning point ``u = 0``."""
+        return self.spec.radius * self.S * self.sigma
+
+    @property
+    def window(self) -> tuple[float, float]:
+        """Principal open u-interval on which the family is in-chart.
+
+        Definite surfaces: the whole line.  lorentz-pos: ``|u| < asin(1/C)``
+        around the turning point.  lorentz-neg: the branch ``u > acosh(1/C)``
+        (the mirror branch ``u < -acosh(1/C)`` is the reflection u -> -u).
+        """
+        if self.spec.metric_sign > 0.0:
+            return (-math.inf, math.inf)
+        if self.spec.kappa > 0.0:
+            u_star = math.asin(1.0 / self.C)
+            return (-u_star, u_star)
+        return (math.acosh(1.0 / self.C), math.inf)
+
+    def state(self, u: float) -> tuple[tuple[float, float], tuple[float, float]]:
+        """Point and velocity at ``u``: ``((rho, phi), (drho/dtau, dphi/dtau))``
+        in the isometric chart, unit speed in ``tau = tau0 + R u``.
+
+        Conditioning: near the lorentz-pos edge ``|u| -> asin(1/C)`` the
+        velocity's relative error is about
+        ``2^-53 2 C |cos u| |u| / (1 - w^2)``, inherited from rounding ``u``
+        alone, so no formula in ``u`` does better there.
+
+        Raises:
+            OutOfChart: u outside the chart (see :attr:`window`), or where
+                c^2 - 1 overflows.
+            DomainError: u not finite.
+        """
+        spec, sigma, C, S = self
+        if not math.isfinite(u):
+            raise DomainError(f"u = {u} is not finite")
+        r, s = spec.radius, spec.metric_sign
+
+        if spec.kappa > 0.0:  # def-pos, lorentz-pos: tanh(rho) = w
+            cu, su = math.cos(u), math.sin(u)
+            w, v = C * su, S * su
+            one_w2 = cu * cu + s * v * v
+            if not (abs(w) < 1.0 and one_w2 > 0.0):
+                raise OutOfChart(f"u = {u} leaves the chart (|C sin(u)| >= 1)")
+            sinh_rho = w / math.sqrt(one_w2)
+            rho = math.asinh(sinh_rho)
+            drho = C * cu / one_w2
+            if s > 0.0:  # the angle unwrapped across the turns u = m pi
+                m = round(u / math.pi)
+                phi = sigma + _sign(S) * m * math.pi + math.atan(S * math.tan(u - m * math.pi))
+                dphi = S / one_w2
+            else:
+                phi = sigma - math.asinh(S / C * sinh_rho)
+                dphi = -S * _sign(cu) / one_w2
+            return (rho, phi), (drho / r, dphi / r)
+
+        # def-neg, lorentz-neg: coth(rho) = c = 1 + cm1
+        sh = math.sinh(0.5 * u) if abs(u) < 1400.0 else math.inf  # sinh overflows past 1420
+        cm1 = 2.0 * C * sh * sh + s * S * (S / (1.0 + C))
+        c2m1 = cm1 * (cm1 + 2.0)
+        if not (cm1 > 0.0 and c2m1 < math.inf):
+            raise OutOfChart(f"u = {u} is off the branch or overflows (c - 1 = {cm1})")
+        rho = 0.5 * math.log1p(2.0 / cm1)
+        drho = -C * math.sinh(u) / c2m1
+        if s > 0.0:
+            phi = sigma + _sign(S) * math.pi / 2.0 + math.atan(math.tanh(u) / S)
+            dphi = S / c2m1
+        else:
+            phi = sigma - math.asinh(S / C * ((1.0 + cm1) / math.sqrt(c2m1)))
+            dphi = S * _sign(u) / c2m1
+        return (rho, phi), (drho / r, dphi / r)
+
+
+def geodesic_family(spec: SurfaceSpec, eps: float, sigma: float) -> GeodesicFamily:
+    """The (eps, sigma) family, its constants checked once.
+
+    Raises:
+        DegenerateEpsilon: |eps| < 1e-12 (straight line; see origin_line).
+        DomainError: eps or sigma not finite, |eps| >= pi/2 where
+            (C, S) = (cos, sin)(eps), or sinh(eps) overflows.
+    """
+    _check_eps(spec, eps, sigma)
+    return GeodesicFamily(spec, sigma, *_family_trig(spec, eps))
+
+
 def geodesic_parametric_with_velocity(
     spec: SurfaceSpec, eps: float, sigma: float, tau: float
 ) -> tuple[tuple[float, float], tuple[float, float]]:
     """Point and velocity of the (eps, sigma) geodesic at arc length tau.
 
-    Returns ``((rho, phi), (drho/dtau, dphi/dtau))`` in the isometric chart;
-    the parametrization is unit speed, ``tau`` is measured so that the
-    turning point sits at ``tau0 = A * sigma``.
+    The tau form of :meth:`GeodesicFamily.state`, at ``u = (tau - tau0)/R``
+    with the turning point at ``tau0 = A sigma``.
 
     Raises:
-        OutOfChart: tau outside the window where the geodesic stays in the
-            chart (see :func:`parametric_window`), or where c^2 - 1 overflows.
+        OutOfChart: u outside the chart window, or where c^2 - 1 overflows.
         DomainError: eps, sigma, tau or u not finite, or sinh(eps) overflows.
     """
     _check_eps(spec, eps, sigma, tau)
-    r, s = spec.radius, spec.metric_sign
     C, S = _family_trig(spec, eps)
-    u = (tau - r * S * sigma) / r
-    if not math.isfinite(u):
-        raise DomainError(f"u = (tau - A sigma)/R is not finite at tau = {tau}")
-
-    if spec.kappa > 0.0:  # def-pos, lorentz-pos: tanh(rho) = w
-        cu, su = math.cos(u), math.sin(u)
-        w, v = C * su, S * su
-        one_w2 = cu * cu + s * v * v
-        if not (abs(w) < 1.0 and one_w2 > 0.0):
-            raise OutOfChart(f"tau = {tau} leaves the chart (|C sin(u)| >= 1, u = {u})")
-        sinh_rho = w / math.sqrt(one_w2)
-        rho = math.asinh(sinh_rho)
-        drho = C * cu / one_w2
-        if s > 0.0:  # the angle unwrapped across the turns u = m pi
-            m = round(u / math.pi)
-            phi = sigma + _sign(eps) * m * math.pi + math.atan(S * math.tan(u - m * math.pi))
-            dphi = S / one_w2
-        else:
-            phi = sigma - math.asinh(S / C * sinh_rho)
-            dphi = -S * _sign(cu) / one_w2
-        return (rho, phi), (drho / r, dphi / r)
-
-    # def-neg, lorentz-neg: coth(rho) = c = 1 + cm1
-    sh = math.sinh(0.5 * u) if abs(u) < 1400.0 else math.inf  # sinh overflows past 1420
-    cm1 = 2.0 * C * sh * sh + s * S * (S / (1.0 + C))
-    c2m1 = cm1 * (cm1 + 2.0)
-    if not (cm1 > 0.0 and c2m1 < math.inf):
-        raise OutOfChart(f"tau = {tau} is off the branch or overflows (c - 1 = {cm1}, u = {u})")
-    rho = 0.5 * math.log1p(2.0 / cm1)
-    drho = -C * math.sinh(u) / c2m1
-    if s > 0.0:
-        phi = sigma + _sign(eps) * math.pi / 2.0 + math.atan(math.tanh(u) / S)
-        dphi = S / c2m1
-    else:
-        phi = sigma - math.asinh(S / C * ((1.0 + cm1) / math.sqrt(c2m1)))
-        dphi = S * _sign(u) / c2m1
-    return (rho, phi), (drho / r, dphi / r)
+    r = spec.radius
+    return GeodesicFamily(spec, sigma, C, S).state((tau - r * S * sigma) / r)
 
 
 def geodesic_parametric(
@@ -397,27 +462,6 @@ def geodesic_parametric(
 ) -> tuple[float, float]:
     """Isometric-chart point of the (eps, sigma) geodesic at arc length tau."""
     return geodesic_parametric_with_velocity(spec, eps, sigma, tau)[0]
-
-
-def parametric_window(
-    spec: SurfaceSpec, eps: float, sigma: float
-) -> tuple[float, float]:
-    """Principal open tau-interval on which the parametrization is in-chart.
-
-    Definite surfaces: the whole line.  lorentz-pos: the window around the
-    turning point tau0.  lorentz-neg: the branch beyond tau0 (the mirror
-    branch ``tau < tau0 - ...`` is the reflection u -> -u).
-    """
-    _check_eps(spec, eps, sigma)
-    r = spec.radius
-    C, S = _family_trig(spec, eps)
-    tau0 = r * S * sigma
-    if spec.metric_sign > 0.0:
-        return (-math.inf, math.inf)
-    if spec.kappa > 0.0:
-        u_star = math.asin(1.0 / C)
-        return (tau0 - r * u_star, tau0 + r * u_star)
-    return (tau0 + r * math.acosh(1.0 / C), math.inf)
 
 
 # --------------------------------------------------------------------------

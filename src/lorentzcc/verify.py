@@ -33,12 +33,11 @@ import numpy as np
 
 from .errors import GeometryError, NoRealIntersection
 from .geodesic import (
+    GeodesicFamily,
     LineKind,
-    constant_A,
+    geodesic_family,
     geodesic_from_AB,
     geodesic_from_constants,
-    geodesic_parametric,
-    geodesic_parametric_with_velocity,
     hyperbola_parameters,
     limiting_curve,
     limiting_intersections,
@@ -152,15 +151,15 @@ def _eps_range(spec: SurfaceSpec) -> tuple[float, float]:
     return (0.05, 1.2) if spec.metric_sign == spec.kappa else (0.05, 1.5)
 
 
-def _u_window(spec: SurfaceSpec, eps: float) -> tuple[float, float]:
-    """Arc-parameter window (in u = (tau - tau0)/R) safely inside the chart."""
-    if spec.metric_sign > 0.0:
+def _u_window(fam: GeodesicFamily) -> tuple[float, float]:
+    """A u-interval safely inside ``fam.window``."""
+    if fam.spec.metric_sign > 0.0:
         return (-0.4, 0.4)
-    if spec.kappa > 0.0:
-        h = min(0.4, 0.8 * math.asin(1.0 / math.cosh(eps)))
+    if fam.spec.kappa > 0.0:
+        h = min(0.4, 0.8 * fam.window[1])
         return (-h, h)
     # lorentz-neg: start where rho = 2 and walk down the branch
-    u_s = math.acosh(1.0 / (math.tanh(2.0) * math.cos(eps)))
+    u_s = math.acosh(1.0 / (math.tanh(2.0) * fam.C))
     return (u_s, u_s + 0.8)
 
 
@@ -206,16 +205,12 @@ def _check_closed_form_consistency(rng, scale, perturb):
             eps = _sign_draw(rng) * rng.uniform(lo_e, hi_e)
             sigma = rng.uniform(-1.5, 1.5)
             conic = geodesic_from_constants(spec, eps, sigma)
-            tau0 = constant_A(spec, eps) * sigma
-            u_lo, u_hi = _u_window(spec, eps)
+            fam = geodesic_family(spec, eps, sigma)
+            u_lo, u_hi = _u_window(fam)
             for u in np.linspace(u_lo, u_hi, 40):
-                rho, phi = geodesic_parametric(spec, eps, sigma, tau0 + float(u))
-                x, y = exp_map_to_cartesian(spec, rho, phi)
+                x, y = exp_map_to_cartesian(spec, *fam.state(float(u))[0])
                 worst_conic = _worst(worst_conic, _conic_error(conic, x, y))
-            poly = [
-                geodesic_parametric(spec, eps, sigma, tau0 + float(u))
-                for u in np.linspace(u_lo, u_hi, n_poly + 1)
-            ]
+            poly = [fam.state(float(u))[0] for u in np.linspace(u_lo, u_hi, n_poly + 1)]
             length = arc_length(field, poly)
             expect = u_hi - u_lo
             worst_arc = _worst(worst_arc, abs(length - expect) / max(1.0, expect))
@@ -256,14 +251,12 @@ def _check_oracle_equivalence(rng, scale, perturb):
         for _ in range(n_geo):
             eps = _sign_draw(rng) * rng.uniform(0.1, 1.0)
             sigma = rng.uniform(-1.5, 1.5)
-            tau0 = constant_A(spec, eps) * sigma
+            fam = geodesic_family(spec, eps, sigma)
             if spec.metric_sign < 0.0 and spec.kappa < 0.0:
-                tau_launch = tau0 + _u_window(spec, eps)[0]
+                u_launch = _u_window(fam)[0]
             else:
-                tau_launch = tau0 - 0.5
-            (rho, phi), (drho, dphi) = geodesic_parametric_with_velocity(
-                spec, eps, sigma, tau_launch
-            )
+                u_launch = -0.5
+            (rho, phi), (drho, dphi) = fam.state(u_launch)
             x, y = exp_map_to_cartesian(spec, rho, phi)
             vx, vy = exp_map_pushforward(spec, rho, phi, drho, dphi)
             lam = field.factor(x, y)
@@ -271,9 +264,7 @@ def _check_oracle_equivalence(rng, scale, perturb):
             state = GeodesicState((x, y), (vx / speed, vy / speed), Chart.CARTESIAN)
             states = integrate_geodesic(field, state, length, step)
             for k in range(0, len(states), 50):
-                expected = exp_map_to_cartesian(
-                    spec, *geodesic_parametric(spec, eps, sigma, tau_launch + k * step)
-                )
+                expected = exp_map_to_cartesian(spec, *fam.state(u_launch + k * step)[0])
                 px, py = states[k].position
                 worst = _worst(worst, math.hypot(px - expected[0], py - expected[1]))
     return (
@@ -614,6 +605,8 @@ def run_all(
     numerical route of ``oracle_equivalence`` by ``1 + perturb`` (a tampering
     knob: any nonzero value must make that check fail).
     """
+    if not 0.0 < scale < math.inf:
+        raise ValueError(f"scale must be positive and finite, got {scale}")
     overrides = tolerances or {}
     unknown = set(overrides) - set(CHECK_NAMES)
     if unknown:

@@ -1,4 +1,8 @@
-"""End-to-end command-line tests (subprocess level)."""
+"""End-to-end command-line tests.
+
+Most run ``cli.main`` in-process; one test starts ``python -m lorentzcc.cli``
+to cover the module entry point and its exit codes.
+"""
 
 import json
 import math
@@ -6,17 +10,37 @@ import subprocess
 import sys
 
 import pytest
-
-CLI = [sys.executable, "-m", "lorentzcc.cli"]
+from test_golden_cli import run
 
 
 def run_cli(*args, check=False):
-    proc = subprocess.run(
-        CLI + list(args), capture_output=True, text=True, timeout=120
-    )
+    """``returncode``, ``stdout`` and ``stderr`` of one in-process CLI call."""
+    proc = subprocess.CompletedProcess(args, *run(list(args)))
     if check and proc.returncode != 0:
         raise AssertionError(f"exit {proc.returncode}: {proc.stderr}")
     return proc
+
+
+def test_module_entry_point_exit_codes():
+    fast = ["verify", "--seed", "9", "--scale", "0.02", "--check", "algebra_properties"]
+    cases = [
+        (fast, 0, "1/1 checks passed"),
+        ([*fast, "--tol", "algebra_properties=1e-30"], 1, "0/1 checks passed"),
+        (["geodesic", "--surface", "def-pos", "--eps", "0", "--sigma", "0.5"], 2, None),
+    ]
+    for args, code, last_line in cases:
+        proc = subprocess.run(
+            [sys.executable, "-m", "lorentzcc.cli", *args],
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == code, proc.stderr
+        if code == 2:
+            assert proc.stdout == ""
+            assert len(proc.stderr.splitlines()) == 1
+            assert json.loads(proc.stderr)["error"] == "DegenerateEpsilon"
+        else:
+            assert proc.stderr == ""
+            assert proc.stdout.splitlines()[-1] == last_line
 
 
 class TestGeodesicCommand:
@@ -96,6 +120,21 @@ class TestGeodesicCommand:
         assert proc.returncode == 2
         err = json.loads(proc.stderr)
         assert err == {"error": "ValueError", "message": f"need at least 2 samples, got {samples}"}
+
+    def test_family_samples_stay_distinct_in_a_window_below_an_ulp_of_tau0(self):
+        # the window 2 asin(1/cosh 20) ~ 8e-9 is narrower than an ulp of
+        # tau0 = sinh(20) * 10 ~ 2.4e9, so samples spaced in tau once
+        # collapsed onto tau0; sampled in u they stay apart, while the printed
+        # tau = tau0 + R u may still round to one double
+        proc = run_cli(
+            "geodesic", "--surface", "lorentz-pos", "--eps", "20", "--sigma", "10",
+            "--samples", "3", "--format", "csv", check=True,
+        )
+        rows = [line.split(",") for line in proc.stdout.splitlines()[1:]]
+        assert len(rows) == 3
+        rhos = [float(row[1]) for row in rows]
+        assert len(set(rhos)) == 3
+        assert rhos[0] < rhos[1] < rhos[2] and rhos[1] == 0.0
 
     def test_points_and_constants_conflict(self):
         proc = run_cli(
@@ -196,6 +235,10 @@ class TestDistanceCommand:
         ("worldline", "--g", "1e200", "--s-range", "0,1,3"),
         ("worldline", "--g", "1e-200", "--s-range", "0,1,3"),
         ("worldline", "--g", "1", "--t0", "nan", "--s-range", "0,1,2"),
+        ("verify", "--scale", "inf"),  # was an OverflowError traceback, exit 1
+        ("verify", "--scale", "nan"),
+        ("verify", "--scale", "0"),  # 0 and -1 ran the floor workloads
+        ("verify", "--scale", "-1"),
     ],
 )
 def test_overflow_and_non_finite_scalars_exit_2(args):

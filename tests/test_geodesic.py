@@ -22,6 +22,7 @@ from lorentzcc import (
     epsilon_from_constant,
     exp_map_to_cartesian,
     geodesic_from_AB,
+    geodesic_family,
     geodesic_from_constants,
     geodesic_parametric,
     geodesic_parametric_with_velocity,
@@ -30,7 +31,6 @@ from lorentzcc import (
     limiting_intersections,
     line_element_isometric,
     origin_line,
-    parametric_window,
     plane_geodesic,
     worldline_hyperbolic,
 )
@@ -41,8 +41,9 @@ ALL_NAMES = ("def-pos", "def-neg", "lorentz-pos", "lorentz-neg")
 
 def _safe_taus(spec, eps, sigma, n=15):
     """A batch of parameter values comfortably inside the chart window."""
-    lo, hi = parametric_window(spec, eps, sigma)
-    tau0 = constant_A(spec, eps) * sigma
+    fam = geodesic_family(spec, eps, sigma)
+    tau0 = fam.tau0
+    lo, hi = (tau0 + spec.radius * u for u in fam.window)
     if math.isinf(lo) and math.isinf(hi):
         lo, hi = tau0 - 1.0, tau0 + 1.0
     elif math.isinf(hi):
@@ -111,7 +112,7 @@ class TestFamilyConstants:
                 with pytest.raises(DomainError, match="must be finite"):
                     geodesic_from_constants(spec, eps, sigma)
                 with pytest.raises(DomainError, match="must be finite"):
-                    parametric_window(spec, eps, sigma)
+                    geodesic_family(spec, eps, sigma)
 
     @pytest.mark.parametrize("name", ["lorentz-pos", "lorentz-neg"])
     def test_cosh_overflow_of_sigma_is_a_domain_error(self, name):
@@ -281,34 +282,50 @@ class TestParametrization:
 class TestWindows:
     def test_definite_windows_are_unbounded(self):
         for name in ("def-pos", "def-neg"):
-            lo, hi = parametric_window(SurfaceSpec.from_name(name), 0.5, 0.1)
+            lo, hi = geodesic_family(SurfaceSpec.from_name(name), 0.5, 0.1).window
             assert lo == -math.inf and hi == math.inf
 
     def test_positive_lorentz_window(self):
         spec = SurfaceSpec.lorentzian_positive(radius=2.0)
         eps, sigma = 0.7, 0.3
+        fam = geodesic_family(spec, eps, sigma)
         tau0 = constant_A(spec, eps) * sigma
-        half = 2.0 * math.asin(1.0 / math.cosh(eps))
-        lo, hi = parametric_window(spec, eps, sigma)
-        assert lo == pytest.approx(tau0 - half)
-        assert hi == pytest.approx(tau0 + half)
-        geodesic_parametric(spec, eps, sigma, hi - 1e-6)  # inside: fine
+        assert fam.tau0 == tau0
+        u_star = math.asin(1.0 / math.cosh(eps))
+        lo, hi = fam.window
+        assert lo == pytest.approx(-u_star)
+        assert hi == pytest.approx(u_star)
+        tau_hi = tau0 + 2.0 * hi  # R = 2
+        geodesic_parametric(spec, eps, sigma, tau_hi - 1e-6)  # inside: fine
         with pytest.raises(OutOfChart):
-            geodesic_parametric(spec, eps, sigma, hi + 1e-6)
+            geodesic_parametric(spec, eps, sigma, tau_hi + 1e-6)
+        fam.state(hi - 1e-9)
+        with pytest.raises(OutOfChart, match="u = "):
+            fam.state(hi + 1e-9)
 
     def test_negative_lorentz_window(self):
         spec = SurfaceSpec.lorentzian_negative()
         eps, sigma = 0.4, -0.2
+        fam = geodesic_family(spec, eps, sigma)
         tau0 = constant_A(spec, eps) * sigma
-        lo, hi = parametric_window(spec, eps, sigma)
-        assert lo == pytest.approx(tau0 + math.acosh(1.0 / math.cos(eps)))
+        lo, hi = fam.window
+        assert lo == pytest.approx(math.acosh(1.0 / math.cos(eps)))
         assert hi == math.inf
-        geodesic_parametric(spec, eps, sigma, lo + 1e-6)
+        geodesic_parametric(spec, eps, sigma, tau0 + lo + 1e-6)
         with pytest.raises(OutOfChart):
-            geodesic_parametric(spec, eps, sigma, lo - 1e-6)
+            geodesic_parametric(spec, eps, sigma, tau0 + lo - 1e-6)
         with pytest.raises(OutOfChart):
             # the branch point itself is outside the chart
             geodesic_parametric(spec, eps, sigma, tau0)
+        with pytest.raises(OutOfChart):
+            fam.state(0.0)
+
+    @pytest.mark.parametrize("name", ALL_NAMES)
+    def test_non_finite_arc_parameter(self, name):
+        fam = geodesic_family(SurfaceSpec.from_name(name), 0.5, 0.1)
+        for u in (math.nan, math.inf, -math.inf):
+            with pytest.raises(DomainError, match="u = "):
+                fam.state(u)
 
 
 class TestOriginLines:

@@ -35,11 +35,11 @@ from lorentzcc import (
     constant_A,
     exp_map_pushforward,
     exp_map_to_cartesian,
+    geodesic_family,
     geodesic_parametric,
     geodesic_parametric_with_velocity,
     integrate_geodesic,
     isothermal_curvature,
-    parametric_window,
     plane_geodesic,
 )
 
@@ -281,7 +281,8 @@ class TestConstantsCheck:
     @staticmethod
     def _tau_residuals(spec, eps, sigma, count=5, span=3.0):
         field = TauField(constant_A(spec, eps), 0.0, spec)
-        lo, hi = parametric_window(spec, eps, sigma)
+        fam = geodesic_family(spec, eps, sigma)
+        lo, hi = (fam.tau0 + spec.radius * u for u in fam.window)
         taus = np.linspace(lo, min(hi, lo + span), count + 2)[1:-1]
         t_ref = float(taus[0])
         f_ref = field(*geodesic_parametric(spec, eps, sigma, t_ref))

@@ -11,6 +11,8 @@ from lorentzcc import (
     InvalidMotion,
     MetricField,
     NoGeodesic,
+    SurfaceSpec,
+    geodesic_family,
     run_all,
     verify,
 )
@@ -49,6 +51,22 @@ def test_unknown_name_rejected():
 def test_unknown_tolerance_rejected():
     with pytest.raises(ValueError, match="unknown"):
         run_all(tolerances={"nope": 1.0})
+
+
+@pytest.mark.parametrize("scale", [math.inf, math.nan, 0.0, -1.0])
+def test_scale_must_be_positive_and_finite(scale):
+    # inf once overflowed in int(round(...)); 0 and -1 ran the floor workloads
+    with pytest.raises(ValueError, match="scale must be positive and finite"):
+        run_all(scale=scale, names=("algebra_properties",))
+
+
+@pytest.mark.parametrize("name", ["def-pos", "def-neg", "lorentz-pos", "lorentz-neg"])
+@pytest.mark.parametrize("eps", [0.05, 0.5, 1.2, -0.05, -0.5, -1.2])
+def test_battery_u_window_lies_inside_the_family_window(name, eps):
+    fam = geodesic_family(SurfaceSpec.from_name(name), eps, 0.3)
+    lo, hi = verify._u_window(fam)
+    w_lo, w_hi = fam.window
+    assert w_lo < lo < hi < w_hi
 
 
 def test_tolerance_override_can_fail_a_check():
