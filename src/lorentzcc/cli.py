@@ -21,8 +21,6 @@ import os
 import re
 import sys
 
-import numpy as np
-
 from .errors import GeometryError
 from .geodesic import geodesic_family, geodesic_from_constants, worldline_hyperbolic
 from .motion import (
@@ -34,7 +32,7 @@ from .motion import (
     solve_two_point,
 )
 from .surface import SurfaceSpec, exp_map_to_cartesian
-from .verify import CHECK_NAMES, run_all
+from .verify import CHECK_NAMES, _linspace, run_all
 
 logger = logging.getLogger("lorentzcc")
 
@@ -53,10 +51,10 @@ def _json_dumps(obj) -> str:
         return "[" + ", ".join(_json_dumps(v) for v in obj) + "]"
     if isinstance(obj, bool) or obj is None:
         return _jsonlib.dumps(obj)
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        return format(float(obj), ".17g")
+    if isinstance(obj, int):
+        return str(obj)
+    if isinstance(obj, float):
+        return format(obj, ".17g")
     if isinstance(obj, str):
         return _jsonlib.dumps(obj)
     raise TypeError(f"cannot serialize {type(obj).__name__}")
@@ -65,8 +63,8 @@ def _json_dumps(obj) -> str:
 def _csv_row(values) -> str:
     cells = []
     for v in values:
-        if isinstance(v, (float, np.floating)):
-            cells.append(format(float(v), ".17g"))
+        if isinstance(v, float):
+            cells.append(format(v, ".17g"))
         else:
             cells.append(str(v))
     return ",".join(cells)
@@ -144,17 +142,17 @@ def _limiting_curve_polylines(spec: SurfaceSpec):
     if spec.metric_sign > 0.0:
         if spec.kappa > 0.0:
             return []
-        ang = np.linspace(0.0, 2.0 * math.pi, 129)
+        ang = _linspace(0.0, 2.0 * math.pi, 129)
         return [[(r * math.cos(a), r * math.sin(a)) for a in ang]]
     out = []
     if spec.kappa > 0.0:
-        xs = np.linspace(-big, big, 65)
+        xs = _linspace(-big, big, 65)
         for sgn in (1.0, -1.0):
-            out.append([(float(x), sgn * math.hypot(x, r)) for x in xs])
+            out.append([(x, sgn * math.hypot(x, r)) for x in xs])
     else:
-        ys = np.linspace(-big, big, 65)
+        ys = _linspace(-big, big, 65)
         for sgn in (1.0, -1.0):
-            out.append([(sgn * math.hypot(y, r), float(y)) for y in ys])
+            out.append([(sgn * math.hypot(y, r), y) for y in ys])
     return out
 
 
@@ -212,9 +210,9 @@ def cmd_geodesic(args) -> int:
         sol = solve_two_point(spec, z1, z2)
         inv = inverse_motion(sol.motion)
         path = []
-        for t in np.linspace(0.0, sol.l, args.samples):
-            w = motion_apply(inv, number_for(spec, float(t), 0.0))
-            path.append((float(t), w.x * r, w.y * r))
+        for t in _linspace(0.0, sol.l, args.samples):
+            w = motion_apply(inv, number_for(spec, t, 0.0))
+            path.append((t, w.x * r, w.y * r))
         payload = {
             "surface": spec.name,
             "radius": spec.radius,
@@ -249,10 +247,10 @@ def cmd_geodesic(args) -> int:
         lo, hi = lo + pad, hi - pad
     r = spec.radius
     samples = []
-    for u in np.linspace(lo, hi, args.samples):
-        (rho, phi), _ = fam.state(float(u))
+    for u in _linspace(lo, hi, args.samples):
+        (rho, phi), _ = fam.state(u)
         x, y = exp_map_to_cartesian(spec, rho, phi)
-        samples.append((fam.tau0 + r * float(u), rho, phi, x, y))
+        samples.append((fam.tau0 + r * u, rho, phi, x, y))
     payload = {
         "surface": spec.name,
         "radius": spec.radius,
@@ -300,9 +298,9 @@ def cmd_worldline(args) -> int:
     if n < 2:
         raise ValueError(f"need at least 2 samples, got {n}")
     rows = []
-    for s in np.linspace(lo, hi, n):
-        t, x = wl.position(float(s))
-        rows.append((float(s), t, x, wl.invariant_residual(float(s))))
+    for s in _linspace(lo, hi, n):
+        t, x = wl.position(s)
+        rows.append((s, t, x, wl.invariant_residual(s)))
     payload = {
         "g": args.g,
         "t0": args.t0,
@@ -332,24 +330,30 @@ def cmd_verify(args) -> int:
 # --------------------------------------------------------------------------
 
 
-def _allow_negative_values(parser: argparse.ArgumentParser) -> None:
-    # let values like "-0.3,0.1" pass as arguments instead of option flags;
-    # none of our option names starts with a digit or a dot
-    if hasattr(parser, "_negative_number_matcher"):
-        parser._negative_number_matcher = re.compile(r"^-[\d.]")
+class _Parser(argparse.ArgumentParser):
+    """An argument parser (and, through ``add_subparsers``, its subparsers)
+    that reports bad arguments as a ``ValueError``, so they exit 2 with one
+    line of json like every other bad input."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # let values like "-0.3,0.1" pass as arguments instead of option
+        # flags; none of our option names starts with a digit or a dot
+        self._negative_number_matcher = re.compile(r"^-[\d.]")
+
+    def error(self, message):
+        raise ValueError(message)
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="lorentzcc",
         description="Closed-form geometry of constant-curvature Riemann and "
         "Lorentz surfaces, with numerical cross-checks.",
     )
-    _allow_negative_values(parser)
     sub = parser.add_subparsers(dest="command", required=True)
 
     geo = sub.add_parser("geodesic", help="conic form and samples of a geodesic")
-    _allow_negative_values(geo)
     geo.add_argument("--surface", choices=_SURFACES, required=True)
     geo.add_argument("--R", type=float, default=1.0, help="surface radius (default 1)")
     geo.add_argument("--eps", type=float, default=None, help="family constant eps")
@@ -367,7 +371,6 @@ def _build_parser() -> argparse.ArgumentParser:
     geo.set_defaults(func=cmd_geodesic)
 
     dist = sub.add_parser("distance", help="invariant distance between two points")
-    _allow_negative_values(dist)
     dist.add_argument("--surface", choices=_SURFACES, required=True)
     dist.add_argument("--R", type=float, default=1.0)
     dist.add_argument("--points", nargs=2, metavar=("X1,Y1", "X2,Y2"), required=True)
@@ -381,7 +384,6 @@ def _build_parser() -> argparse.ArgumentParser:
     dist.set_defaults(func=cmd_distance)
 
     wl = sub.add_parser("worldline", help="uniformly accelerated worldline samples")
-    _allow_negative_values(wl)
     wl.add_argument("--g", type=float, required=True, help="proper acceleration > 0")
     wl.add_argument("--t0", type=float, default=0.0)
     wl.add_argument("--x0", type=float, default=0.0)
@@ -412,8 +414,8 @@ def main(argv=None) -> int:
             level=getattr(logging, level.upper(), logging.INFO),
             format="%(name)s %(levelname)s %(message)s",
         )
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         return args.func(args)
     except (GeometryError, ValueError) as exc:
         payload = {"error": type(exc).__name__, "message": str(exc)}

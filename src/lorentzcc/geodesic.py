@@ -266,9 +266,12 @@ def _family_trig(spec: SurfaceSpec, eps: float) -> tuple[float, float]:
     if not math.isfinite(eps):
         raise DomainError(f"eps must be finite, got {eps}")
     try:
-        return math.cosh(eps), math.sinh(eps)
+        C, S = math.cosh(eps), math.sinh(eps)
     except OverflowError:
         raise DomainError(f"sinh(eps) overflows at eps = {eps}") from None
+    if not math.isfinite(spec.radius * S):
+        raise DomainError(f"A = R sinh(eps) overflows at R = {spec.radius}, eps = {eps}")
+    return C, S
 
 
 def constant_A(spec: SurfaceSpec, eps: float) -> float:
@@ -276,7 +279,7 @@ def constant_A(spec: SurfaceSpec, eps: float) -> float:
 
     Raises:
         DomainError: |eps| >= pi/2 where A = R sin(eps); eps is not finite or
-            sinh(eps) overflows where A = R sinh(eps).
+            sinh(eps) or A overflows where A = R sinh(eps).
     """
     return spec.radius * _family_trig(spec, eps)[1]
 
@@ -433,10 +436,14 @@ def geodesic_family(spec: SurfaceSpec, eps: float, sigma: float) -> GeodesicFami
     Raises:
         DegenerateEpsilon: |eps| < 1e-12 (straight line; see origin_line).
         DomainError: eps or sigma not finite, |eps| >= pi/2 where
-            (C, S) = (cos, sin)(eps), or sinh(eps) overflows.
+            (C, S) = (cos, sin)(eps), or sinh(eps), A = R S or
+            tau0 = A sigma overflows.
     """
     _check_eps(spec, eps, sigma)
-    return GeodesicFamily(spec, sigma, *_family_trig(spec, eps))
+    fam = GeodesicFamily(spec, sigma, *_family_trig(spec, eps))
+    if not math.isfinite(fam.tau0):
+        raise DomainError(f"tau0 = A sigma overflows at eps = {eps}, sigma = {sigma}")
+    return fam
 
 
 def geodesic_parametric_with_velocity(

@@ -160,7 +160,8 @@ def apply(motion: BilinearMotion, z) -> Number:
     """Image of a normalized point under the motion.
 
     Raises:
-        MapsToInfinity: the denominator is not invertible at ``z``.
+        MapsToInfinity: the denominator is not invertible at ``z``, or the
+            image is not finite.
     """
     spec = motion.spec
     z = _as_number(spec, z)
@@ -171,9 +172,12 @@ def apply(motion: BilinearMotion, z) -> Number:
     else:
         den = mul(cb, z) + conj(motion.alpha)
     try:
-        return mul(num, inverse(den))
+        w = mul(num, inverse(den))
     except DivisorOfZero as exc:
         raise MapsToInfinity(f"denominator {den} is not invertible at {z}") from exc
+    if not (math.isfinite(w.x) and math.isfinite(w.y)):
+        raise MapsToInfinity(f"image ({w.x}, {w.y}) of {z} is not finite")
+    return w
 
 
 def inverse_motion(motion: BilinearMotion) -> BilinearMotion:

@@ -46,8 +46,6 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable
 
-import numpy as np
-
 from .errors import DomainError, OnLimitingCurve, ProfileZero, SingularPoint
 from .hypernum import cos_sin
 
@@ -194,7 +192,8 @@ class MetricField:
     ``factor(a, b)`` is the scalar lambda in ``ds^2 = lambda (da^2 + s db^2)``
     with ``s = signature_sign``; it is all the numerical oracle reads (its
     Christoffel symbols come from central differences of ``ln lambda``).
-    ``tensor`` is the same data as a 2x2 matrix, for callers that want one.
+    ``tensor`` is the same data as a 2x2 matrix of nested tuples,
+    ``((lambda, 0), (0, s lambda))``, for callers that want one.
     ``boundary_distance`` estimates how far a point is from the nearest
     metric singularity of the chart (first-order estimate where no exact
     expression is available); it returns ``inf`` for charts without one.
@@ -212,9 +211,10 @@ class MetricField:
             return _isometric_factor(self.spec, a)
         return _cartesian_factor(self.spec, a, b)
 
-    def tensor(self, a: float, b: float) -> np.ndarray:
+    def tensor(self, a: float, b: float) -> tuple:
+        """``((lambda, 0), (0, s lambda))``, indexed ``[i][k]``."""
         lam = self.factor(a, b)
-        return np.array([[lam, 0.0], [0.0, self.signature_sign * lam]])
+        return ((lam, 0.0), (0.0, self.signature_sign * lam))
 
     def boundary_distance(self, a: float, b: float) -> float:
         spec = self.spec

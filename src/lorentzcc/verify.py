@@ -27,9 +27,9 @@ fails with ``measured = inf`` under any tolerance.
 from __future__ import annotations
 
 import math
+import operator
+import random
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import GeometryError, NoRealIntersection
 from .geodesic import (
@@ -126,6 +126,13 @@ def _worst(*values: float) -> float:
     return math.nan if any(v != v for v in values) else max(values)
 
 
+def _linspace(start: float, stop: float, n: int) -> list[float]:
+    """``n >= 2`` evenly spaced floats from ``start`` to ``stop``:
+    ``start + k step``, then ``stop`` exactly (``numpy.linspace``'s values)."""
+    step = (stop - start) / (n - 1)
+    return [start + k * step for k in range(n - 1)] + [stop]
+
+
 def _valid_draws(rng, n: int, spec: SurfaceSpec, draw) -> list:
     """``n`` results of ``draw(rng, spec)``, skipping None and GeometryError;
     ``_Unmeasured`` if ``400 n`` attempts give fewer."""
@@ -143,7 +150,7 @@ def _valid_draws(rng, n: int, spec: SurfaceSpec, draw) -> list:
 
 
 def _sign_draw(rng) -> float:
-    return 1.0 if rng.integers(0, 2) == 0 else -1.0
+    return 1.0 if rng.random() < 0.5 else -1.0
 
 
 def _eps_range(spec: SurfaceSpec) -> tuple[float, float]:
@@ -179,8 +186,8 @@ def _check_profile_curvature(rng, scale, perturb):
             # keep the FD step near the optimum for a second difference:
             # rounding noise grows with the profile value, so scale with R
             step = 1e-4 * max(1.0, r)
-            for u in np.linspace(lo, hi, 10):
-                k = gauss_curvature_of_profile(profile, float(u), step=step)
+            for u in _linspace(lo, hi, 10):
+                k = gauss_curvature_of_profile(profile, u, step=step)
                 worst = _worst(worst, abs(k - expected) / abs(expected))
                 count += 1
     return (
@@ -207,10 +214,10 @@ def _check_closed_form_consistency(rng, scale, perturb):
             conic = geodesic_from_constants(spec, eps, sigma)
             fam = geodesic_family(spec, eps, sigma)
             u_lo, u_hi = _u_window(fam)
-            for u in np.linspace(u_lo, u_hi, 40):
-                x, y = exp_map_to_cartesian(spec, *fam.state(float(u))[0])
+            for u in _linspace(u_lo, u_hi, 40):
+                x, y = exp_map_to_cartesian(spec, *fam.state(u)[0])
                 worst_conic = _worst(worst_conic, _conic_error(conic, x, y))
-            poly = [fam.state(float(u))[0] for u in np.linspace(u_lo, u_hi, n_poly + 1)]
+            poly = [fam.state(u)[0] for u in _linspace(u_lo, u_hi, n_poly + 1)]
             length = arc_length(field, poly)
             expect = u_hi - u_lo
             worst_arc = _worst(worst_arc, abs(length - expect) / max(1.0, expect))
@@ -371,7 +378,7 @@ def _check_two_point_solver(rng, scale, perturb):
             for z in (z1, z2):
                 worst_conic = _worst(worst_conic, _conic_error(conic, z.x, z.y))
             dist = sol.distance
-            ts = np.linspace(0.0, sol.l, n_quad + 1)
+            ts = _linspace(0.0, sol.l, n_quad + 1)
             path = [motion_apply(inv, number_for(spec, t, 0.0)) for t in ts]
             pts = [(p.x, p.y) for p in path]
             # Richardson: the half path cancels the midpoint rule's h^2 term
@@ -395,10 +402,8 @@ def _check_distance_benchmark(rng, scale, perturb):
     for spec in [sp for sp in _SURFACES if sp.kappa < 0.0]:
         d = geodesic_distance(spec, (0.0, 0.0), (0.5, 0.0))
         worst = _worst(worst, abs(d - target))
-        xs = np.linspace(0.0, 0.5, n_quad + 1)
-        qlen = arc_length(
-            MetricField(spec, Chart.CARTESIAN), [(float(x), 0.0) for x in xs]
-        )
+        xs = _linspace(0.0, 0.5, n_quad + 1)
+        qlen = arc_length(MetricField(spec, Chart.CARTESIAN), [(x, 0.0) for x in xs])
         worst = _worst(worst, abs(qlen - target))
     return (
         (("|distance - ln 3|", worst, 1.0),),
@@ -497,8 +502,8 @@ def _check_worldline_invariant(rng, scale, perturb):
     worst_wl = 0.0
     for g in (0.5, 1.0, 2.0):
         wl = worldline_hyperbolic(g, t0=rng.uniform(-1.0, 1.0), x0=rng.uniform(-1.0, 1.0))
-        for s in np.linspace(-5.0, 5.0, 101):
-            worst_wl = _worst(worst_wl, wl.invariant_residual(float(s)))
+        for s in _linspace(-5.0, 5.0, 101):
+            worst_wl = _worst(worst_wl, wl.invariant_residual(s))
     worst_cs = 0.0
     n = max(2, int(round(5 * scale)))
     for spec in [sp for sp in _SURFACES if sp.metric_sign < 0.0]:
@@ -603,8 +608,12 @@ def run_all(
     ``tolerances`` overrides per-check thresholds; ``scale`` shrinks or grows
     the randomized workloads; ``perturb`` multiplies the metric used by the
     numerical route of ``oracle_equivalence`` by ``1 + perturb`` (a tampering
-    knob: any nonzero value must make that check fail).
+    knob: any nonzero value must make that check fail).  Each check draws
+    from its own ``random.Random`` stream, seeded by the string
+    ``"lorentzcc/{seed}/{index}"``, so a run is the same on every platform.
     """
+    if operator.index(seed) < 0:  # a float seed would name another stream
+        raise ValueError(f"seed must be non-negative, got {seed}")
     if not 0.0 < scale < math.inf:
         raise ValueError(f"scale must be positive and finite, got {scale}")
     overrides = tolerances or {}
@@ -619,14 +628,14 @@ def run_all(
     for idx, (name, (check, default_tol)) in enumerate(_CHECKS.items()):
         if names is not None and name not in names:
             continue
-        rng = np.random.default_rng([seed, idx])
+        rng = random.Random(f"lorentzcc/{seed}/{idx}")
         tol = float(overrides.get(name, default_tol))
         try:
             errors, note = check(rng, scale, perturb)
         except _Unmeasured as exc:
             results.append(CheckResult(name, False, math.inf, tol, str(exc), ()))
             continue
-        measured = float(_worst(*(value / bound for _, value, bound in errors)))
+        measured = _worst(*(value / bound for _, value, bound in errors))
         shown = ", ".join(
             f"{label} {value:.2e}" + ("" if bound == 1.0 else f" (bound {bound:g})")
             for label, value, bound in errors

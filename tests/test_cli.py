@@ -12,6 +12,8 @@ import sys
 import pytest
 from test_golden_cli import run
 
+from lorentzcc.cli import main
+
 
 def run_cli(*args, check=False):
     """``returncode``, ``stdout`` and ``stderr`` of one in-process CLI call."""
@@ -221,6 +223,13 @@ class TestDistanceCommand:
         assert json.loads(proc.stderr)["error"] == "DomainError"
 
 
+# a two-point path sample that the motion sends to infinity
+_PATH_TO_INFINITY = (
+    "geodesic", "--surface", "def-pos", "--R", "0.5", "--points",
+    "5e-324,-1e-300", "1e-8,1e300", "--samples", "5", "--format", "csv",
+)
+
+
 @pytest.mark.parametrize(
     "args",
     [
@@ -239,6 +248,17 @@ class TestDistanceCommand:
         ("verify", "--scale", "nan"),
         ("verify", "--scale", "0"),  # 0 and -1 ran the floor workloads
         ("verify", "--scale", "-1"),
+        # A = R sinh(eps) overflows while sinh(eps) does not
+        ("geodesic", "--surface", "lorentz-pos", "--R", "2", "--eps", "710",
+         "--sigma", "0.1", "--samples", "2", "--format", "csv"),
+        _PATH_TO_INFINITY,
+        # argparse's own errors: once several lines of usage text
+        ("geodesic", "--surface", "foo", "--eps", "1", "--sigma", "0"),
+        ("geodesic", "--surface", "def-pos", "--eps", "1", "--sigma", "0",
+         "--samples", "x"),
+        ("verify", "--seed", "-1"),
+        ("verify", "--bogus"),
+        (),
     ],
 )
 def test_overflow_and_non_finite_scalars_exit_2(args):
@@ -247,7 +267,20 @@ def test_overflow_and_non_finite_scalars_exit_2(args):
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert len(proc.stderr.splitlines()) == 1
-    assert json.loads(proc.stderr)["error"] in ("DomainError", "ValueError")
+    if args == _PATH_TO_INFINITY:
+        want = ("MapsToInfinity",)
+    else:
+        want = ("DomainError", "ValueError")
+    assert json.loads(proc.stderr)["error"] in want
+
+
+def test_help_prints_usage_and_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert out.startswith("usage: lorentzcc")
+    assert "geodesic" in out
 
 
 class TestWorldlineCommand:

@@ -95,6 +95,17 @@ class TestFamilyConstants:
             with pytest.raises(DomainError, match="overflows"):
                 geodesic_parametric(spec, 800.0, 0.1, 0.0)
 
+    def test_overflowing_momentum_or_turning_point_is_a_domain_error(self):
+        # sinh(710) is finite but A = R sinh(eps) at R = 2 is not; both read inf
+        spec = SurfaceSpec.from_name("lorentz-pos", radius=2.0)
+        with pytest.raises(DomainError, match="A = R sinh"):
+            constant_A(spec, 710.0)
+        with pytest.raises(DomainError, match="A = R sinh"):
+            geodesic_family(spec, 710.0, 0.1)
+        # A is finite, tau0 = A sigma is not
+        with pytest.raises(DomainError, match="tau0"):
+            geodesic_family(SurfaceSpec.lorentzian_positive(), 700.0, 1e10)
+
     @pytest.mark.parametrize("name", ALL_NAMES)
     def test_non_finite_family_input_rejected(self, name):
         spec = SurfaceSpec.from_name(name)

@@ -138,6 +138,15 @@ class TestBilinearMotion:
         with pytest.raises(DomainError, match="not finite"):
             apply(motion, (1e160, 0.0))
 
+    @pytest.mark.parametrize("name", ALL_NAMES)
+    def test_image_beyond_the_float_range_maps_to_infinity(self, name):
+        # alpha z overflows at a finite z; the image was returned as inf
+        spec = SurfaceSpec.from_name(name)
+        zero = number_for(spec, 0.0, 0.0)
+        motion = BilinearMotion(number_for(spec, 2.0, 0.0), zero, spec)
+        with pytest.raises(MapsToInfinity, match="not finite"):
+            apply(motion, (1e308, 0.0))
+
     def test_projective_scaling_is_invisible(self):
         spec = SurfaceSpec.definite_negative()
         alpha = ComplexNumber(1.0, 0.2)

@@ -156,9 +156,9 @@ class TestMetricField:
         field = MetricField(spec, Chart.CARTESIAN)
         g = field.tensor(1.5, 0.2)
         lam = field.factor(1.5, 0.2)
-        assert g[0, 0] == pytest.approx(lam)
-        assert g[1, 1] == pytest.approx(-lam)
-        assert g[0, 1] == g[1, 0] == 0.0
+        assert g[0][0] == pytest.approx(lam)
+        assert g[1][1] == pytest.approx(-lam)
+        assert g[0][1] == g[1][0] == 0.0
 
     def test_boundary_distances(self):
         inf = math.inf

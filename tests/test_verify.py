@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from lorentzcc import (
@@ -60,6 +61,13 @@ def test_scale_must_be_positive_and_finite(scale):
         run_all(scale=scale, names=("algebra_properties",))
 
 
+@pytest.mark.parametrize("seed, error", [(-1, ValueError), (1.5, TypeError)])
+def test_seed_must_be_a_non_negative_integer(seed, error):
+    # the string-seeded streams would take either silently
+    with pytest.raises(error):
+        run_all(seed=seed, names=("algebra_properties",))
+
+
 @pytest.mark.parametrize("name", ["def-pos", "def-neg", "lorentz-pos", "lorentz-neg"])
 @pytest.mark.parametrize("eps", [0.05, 0.5, 1.2, -0.05, -0.5, -1.2])
 def test_battery_u_window_lies_inside_the_family_window(name, eps):
@@ -67,6 +75,15 @@ def test_battery_u_window_lies_inside_the_family_window(name, eps):
     lo, hi = verify._u_window(fam)
     w_lo, w_hi = fam.window
     assert w_lo < lo < hi < w_hi
+
+
+def test_linspace_is_numpy_linspace_bit_for_bit():
+    rng = np.random.default_rng(61)
+    for _ in range(2000):
+        lo, hi = rng.uniform(-1.0, 1.0, size=2) * 10.0 ** rng.integers(-3, 4)
+        start, stop, n = float(lo), float(hi), int(rng.integers(2, 500))
+        assert verify._linspace(start, stop, n) == np.linspace(start, stop, n).tolist()
+    assert verify._linspace(0.3, 0.3, 5) == np.linspace(0.3, 0.3, 5).tolist()
 
 
 def test_tolerance_override_can_fail_a_check():
