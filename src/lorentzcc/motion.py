@@ -25,7 +25,7 @@ with ``D(a) = 1`` are kept separately in :class:`PlaneMotion` and applied by
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import (
     CoincidentPoints,
@@ -137,6 +137,9 @@ class BilinearMotion:
     alpha: Number
     beta: Number
     spec: SurfaceSpec
+    # (conj(beta), conj(alpha)): left unset here, so that building a motion
+    # costs nothing extra, and filled in by its first apply
+    _conj: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         spec = self.spec
@@ -155,6 +158,10 @@ class BilinearMotion:
             sign = "+" if kappa > 0.0 else "-"
             raise InvalidMotion(f"degenerate motion: D(alpha) {sign} D(beta) = {nd}")
 
+    def __getstate__(self) -> tuple:
+        # copy and pickle read the constants only: the cache may be unset
+        return (self.alpha, self.beta, self.spec)
+
 
 def apply(motion: BilinearMotion, z) -> Number:
     """Image of a normalized point under the motion.
@@ -165,12 +172,15 @@ def apply(motion: BilinearMotion, z) -> Number:
     """
     spec = motion.spec
     z = _as_number(spec, z)
+    cached = getattr(motion, "_conj", None)
+    if cached is None:
+        cached = conj(motion.beta), conj(motion.alpha)
+        object.__setattr__(motion, "_conj", cached)
+    cb, ca = cached
     num = mul(motion.alpha, z) + motion.beta
-    cb = conj(motion.beta)
-    if spec.kappa > 0.0:
-        den = -mul(cb, z) + conj(motion.alpha)
-    else:
-        den = mul(cb, z) + conj(motion.alpha)
+    # -kappa cb z + ca; ca - m rounds as (-m) + ca does, signed zeros included,
+    # where m times a cached -cb would flip the sign of a zero product
+    den = ca - mul(cb, z) if spec.kappa > 0.0 else mul(cb, z) + ca
     try:
         w = mul(num, inverse(den))
     except DivisorOfZero as exc:

@@ -22,6 +22,10 @@ Numerical notes
   cuts the error about 16x.  It refuses non-unit-speed starts and raises
   :class:`~lorentzcc.errors.DomainExit` carrying the partial trajectory when
   the path drifts within ``10 * step`` of a chart boundary.
+* ``arc_length`` binds ``field.factor`` once per polyline and tracks the
+  causal type with two flags; a segment costs one factor call and no
+  container operation.  ``TauField`` holds its isometric ``MetricField``
+  from construction on, so an evaluation builds no field.
 * ``_adaptive_simpson`` accepts an interval when ``|S2 - S1| <= 15 tol``,
   which bounds the extrapolated error by roughly ``tol``, or when
   ``|S2 - S1|`` is at rounding level, ``1e-15 |S2|``: next to an integrable
@@ -39,7 +43,7 @@ Numerical notes
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 from .errors import (
@@ -192,20 +196,20 @@ def arc_length(field, points: Sequence[tuple[float, float]]) -> float:
     Raises:
         MixedCausality: some segments measure spacelike and others timelike.
     """
-    total = 0.0
-    votes: set[int] = set()
+    factor = field.factor
     s = field.signature_sign
+    total = 0.0
+    spacelike = timelike = False
     for (ax, ay), (bx, by) in zip(points[:-1], points[1:]):
         dx, dy = bx - ax, by - ay
         if dx == 0.0 and dy == 0.0:
             continue
-        lam = field.factor(0.5 * (ax + bx), 0.5 * (ay + by))
-        ds2 = lam * (dx * dx + s * dy * dy)
+        ds2 = factor(0.5 * (ax + bx), 0.5 * (ay + by)) * (dx * dx + s * dy * dy)
         if ds2 > 0.0:
-            votes.add(1)
+            spacelike = True
         elif ds2 < 0.0:
-            votes.add(-1)
-        if len(votes) > 1:
+            timelike = True
+        if spacelike and timelike:
             raise MixedCausality("polyline mixes spacelike and timelike segments")
         total += math.sqrt(abs(ds2))
     return total
@@ -269,10 +273,12 @@ class TauField:
     A: float
     C: float
     spec: SurfaceSpec
+    _metric: MetricField = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.spec.metric_sign > 0.0:
             raise DomainError("tau fields are defined for Lorentzian surfaces")
+        object.__setattr__(self, "_metric", MetricField(self.spec, Chart.ISOMETRIC))
 
     @property
     def rho_ref(self) -> float:
@@ -281,11 +287,11 @@ class TauField:
     def __call__(self, rho: float, phi: float) -> float:
         if self.spec.kappa < 0.0 and rho <= 0.0:
             raise DomainError(f"need rho > 0 on {self.spec.name}, got {rho}")
-        metric = MetricField(self.spec, Chart.ISOMETRIC)
+        factor = self._metric.factor
         a2 = self.A * self.A
 
         def integrand(r: float) -> float:
-            return math.sqrt(metric.factor(r, 0.0) + a2)
+            return math.sqrt(factor(r, 0.0) + a2)
 
         arc = _adaptive_simpson(integrand, self.rho_ref, rho, tol=1e-13)
         return self.A * phi + arc + self.C

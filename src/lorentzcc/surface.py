@@ -92,14 +92,25 @@ class SurfaceSpec:
     radius: float = 1.0
     metric_sign: float = field(init=False, repr=False, compare=False)
     kappa: float = field(init=False, repr=False, compare=False)
+    # conformal-factor constants: R^2, kappa R^2, 4 R^4 and the
+    # limiting-curve guard 1e-12 R^2
+    _r2: float = field(init=False, repr=False, compare=False)
+    _kappa_r2: float = field(init=False, repr=False, compare=False)
+    _four_r4: float = field(init=False, repr=False, compare=False)
+    _guard: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not 0.0 < self.radius < math.inf:
             raise ValueError(f"radius must be positive and finite, got {self.radius}")
         s = 1.0 if self.signature is Signature.DEFINITE else -1.0
         kappa = 1.0 if self.curvature_sign is CurvatureSign.POSITIVE else -1.0
+        r2 = self.radius * self.radius
         object.__setattr__(self, "metric_sign", s)
         object.__setattr__(self, "kappa", kappa)
+        object.__setattr__(self, "_r2", r2)
+        object.__setattr__(self, "_kappa_r2", kappa * r2)
+        object.__setattr__(self, "_four_r4", 4.0 * r2 * r2)
+        object.__setattr__(self, "_guard", 1e-12 * r2)
 
     # -- constructors ------------------------------------------------------
 
@@ -162,27 +173,21 @@ def _isometric_factor(spec: SurfaceSpec, rho: float) -> float:
         c = math.cosh(rho) if spec.kappa > 0.0 else math.sinh(rho)
     except OverflowError:
         return (2.0 * spec.radius * math.exp(-abs(rho))) ** 2
-    return spec.radius * spec.radius / (c * c)
-
-
-def _cartesian_base(spec: SurfaceSpec, x: float, y: float) -> float:
-    r2 = spec.radius * spec.radius
-    if spec.metric_sign > 0.0:
-        quad = x * x + y * y
-    else:
-        # factored: x*x - y*y loses digits far out near the null lines
-        quad = (x - y) * (x + y)
-    return quad + spec.kappa * r2
+    return spec._r2 / (c * c)
 
 
 def _cartesian_factor(spec: SurfaceSpec, x: float, y: float) -> float:
-    base = _cartesian_base(spec, x, y)
-    r2 = spec.radius * spec.radius
-    if abs(base) < 1e-12 * r2:
+    """``4 R^4 / base^2``, ``base = x^2 + s y^2 + kappa R^2``."""
+    if spec.metric_sign > 0.0:
+        base = x * x + y * y + spec._kappa_r2
+    else:
+        # factored: x*x - y*y loses digits far out near the null lines
+        base = (x - y) * (x + y) + spec._kappa_r2
+    if abs(base) < spec._guard:
         raise OnLimitingCurve(
             f"({x}, {y}) lies on the limiting curve of the {spec.name} chart"
         )
-    return 4.0 * r2 * r2 / (base * base)
+    return spec._four_r4 / (base * base)
 
 
 @dataclass(frozen=True, slots=True)
@@ -197,17 +202,28 @@ class MetricField:
     ``boundary_distance`` estimates how far a point is from the nearest
     metric singularity of the chart (first-order estimate where no exact
     expression is available); it returns ``inf`` for charts without one.
+
+    Nothing is recomputed per evaluation: the chart test is made once, at
+    construction, and the radius constants (``R^2``, ``kappa R^2``,
+    ``4 R^4`` and the limiting-curve guard ``1e-12 R^2``) once per
+    :class:`SurfaceSpec`.  ``factor`` makes one call into the chart's
+    formula, the same one ``line_element_*`` reads, with the operations in
+    their written order, so each value is bit for bit the formula's.
     """
 
     spec: SurfaceSpec
     chart: Chart
+    _isometric: bool = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_isometric", self.chart is Chart.ISOMETRIC)
 
     @property
     def signature_sign(self) -> float:
         return self.spec.metric_sign
 
     def factor(self, a: float, b: float) -> float:
-        if self.chart is Chart.ISOMETRIC:
+        if self._isometric:
             return _isometric_factor(self.spec, a)
         return _cartesian_factor(self.spec, a, b)
 
@@ -218,17 +234,17 @@ class MetricField:
 
     def boundary_distance(self, a: float, b: float) -> float:
         spec = self.spec
-        if self.chart is Chart.ISOMETRIC:
+        if self._isometric:
             return abs(a) if spec.kappa < 0.0 else math.inf
         if spec.metric_sign > 0.0:
             if spec.kappa > 0.0:
                 return math.inf
             return abs(math.hypot(a, b) - spec.radius)
-        base = _cartesian_base(spec, a, b)
         grad = 2.0 * math.hypot(a, b)
         if grad == 0.0:
             return math.inf
-        return abs(base) / grad
+        # |base| / |grad base|, base as in the Lorentzian conformal factor
+        return abs((a - b) * (a + b) + spec._kappa_r2) / grad
 
 
 def gauss_curvature_of_profile(

@@ -418,9 +418,12 @@ def _check_distance_benchmark(rng, scale, perturb):
 
 def _check_limiting_orthogonality(rng, scale, perturb):
     n = max(3, int(round(20 * scale)))
-    worst = 0.0
+    worst_pair = 0.0
+    worst_product = 0.0
+    worst_hit = 0.0
     spec_p, spec_n = _SURFACES[2:]
     lim_n = limiting_curve(spec_n)
+    s = spec_n.metric_sign
     for _ in range(n):
         eps = _sign_draw(rng) * rng.uniform(0.05, 1.2)
         sigma = rng.uniform(-1.5, 1.5)
@@ -435,10 +438,14 @@ def _check_limiting_orthogonality(rng, scale, perturb):
         if len(hits) != 2:
             raise _Unmeasured(f"expected 2 limiting-curve crossings, got {len(hits)}")
         for hit in hits:
-            g1 = conic.gradient(hit.x, hit.y)
-            g2 = lim_n.gradient(hit.x, hit.y)
+            x, y = hit.x, hit.y
+            g1 = conic.gradient(x, y)
+            g2 = lim_n.gradient(x, y)
+            pairing = g1[0] * g2[0] + s * g1[1] * g2[1]
             norm = math.hypot(*g1) * math.hypot(*g2)
-            worst = _worst(worst, abs(hit.product) / norm)
+            worst_pair = _worst(worst_pair, abs(pairing) / norm)
+            worst_product = _worst(worst_product, abs(hit.product - pairing) / norm)
+            worst_hit = _worst(worst_hit, _conic_error(conic, x, y), _conic_error(lim_n, x, y))
     for _ in range(n):
         eps = _sign_draw(rng) * rng.uniform(0.05, 1.5)
         sigma = rng.uniform(-1.5, 1.5)
@@ -452,9 +459,12 @@ def _check_limiting_orthogonality(rng, scale, perturb):
             f"limiting curve at {len(hits)} points"
         )
     return (
-        (("normalized gradient pairing", worst, 1.0),),
+        ("normalized gradient pairing", worst_pair, 1e-9),
+        ("reported product vs pairing", worst_product, 1e-9),
+        ("hit residual on both curves", worst_hit, 1e-12),
+    ), (
         f"limiting-curve crossings of {n} lorentz-neg geodesics; "
-        "lorentz-pos checked to never cross",
+        "lorentz-pos checked to never cross"
     )
 
 
@@ -586,7 +596,7 @@ _CHECKS = {
     "motion_invariance": (_check_motion_invariance, 1.0),
     "two_point_solver": (_check_two_point_solver, 1.0),
     "distance_benchmark": (_check_distance_benchmark, 1e-9),
-    "limiting_orthogonality": (_check_limiting_orthogonality, 1e-9),
+    "limiting_orthogonality": (_check_limiting_orthogonality, 1.0),
     "beltrami_fields": (_check_beltrami_fields, 1e-6),
     "worldline_invariant": (_check_worldline_invariant, 1.0),
     "algebra_properties": (_check_algebra_properties, 1e-12),

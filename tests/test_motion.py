@@ -1,6 +1,8 @@
 """Rigid motions: the flat plane group and the four bilinear model groups."""
 
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -157,6 +159,45 @@ class TestBilinearMotion:
         w1, w2 = apply(m1, z), apply(m2, z)
         assert w1.x == pytest.approx(w2.x, rel=1e-12)
         assert w1.y == pytest.approx(w2.y, rel=1e-12)
+
+    @pytest.mark.parametrize("name", ALL_NAMES)
+    def test_first_and_later_applies_agree(self, name):
+        spec = SurfaceSpec.from_name(name)
+        rng = np.random.default_rng(7)
+        alpha = number_for(spec, 1.0, 0.2)
+        beta = number_for(spec, 0.1, -0.25)
+        points = [_draw_model_point(rng, spec) for _ in range(5)]
+        points.append(number_for(spec, 0.0, 0.0))
+        for z in points:
+            # a fresh motion's first apply against a warm one's later applies
+            first = apply(BilinearMotion(alpha, beta, spec), z)
+            warm = BilinearMotion(alpha, beta, spec)
+            apply(warm, points[0])
+            assert apply(warm, z) == first
+            assert apply(warm, z) == first
+
+    @pytest.mark.parametrize("name", ALL_NAMES)
+    def test_equality_hash_and_repr_ignore_the_apply_cache(self, name):
+        spec = SurfaceSpec.from_name(name)
+        alpha, beta = number_for(spec, 1.0, 0.2), number_for(spec, 0.1, -0.25)
+        motion = BilinearMotion(alpha, beta, spec)
+        fresh = BilinearMotion(alpha, beta, spec)
+        text = f"BilinearMotion(alpha={alpha!r}, beta={beta!r}, spec={spec!r})"
+        for _ in range(2):
+            assert motion == fresh
+            assert hash(motion) == hash(fresh) == hash((alpha, beta, spec))
+            assert repr(motion) == text
+            apply(motion, (0.1, 0.05))
+        assert motion != BilinearMotion(alpha, number_for(spec, 0.1, 0.25), spec)
+
+    def test_copy_and_pickle_before_and_after_apply(self):
+        spec = SurfaceSpec.lorentzian_negative()
+        motion = BilinearMotion(number_for(spec, 1.0, 0.2), number_for(spec, 0.1, 0.1), spec)
+        for _ in range(2):
+            for dup in (copy.copy(motion), copy.deepcopy(motion),
+                        pickle.loads(pickle.dumps(motion))):
+                assert dup == motion
+                assert apply(dup, (0.2, 0.1)) == apply(motion, (0.2, 0.1))
 
     def test_maps_to_infinity(self):
         spec = SurfaceSpec.definite_negative()

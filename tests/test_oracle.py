@@ -16,6 +16,7 @@ import sys
 import numpy as np
 import pytest
 
+from lorentzcc import oracle
 from lorentzcc import (
     Chart,
     DomainError,
@@ -196,6 +197,29 @@ class TestArcLength:
         with pytest.raises(MixedCausality):
             arc_length(field, pts)
 
+    @pytest.mark.parametrize("pts", [[], [(0.3, 0.2)]])
+    def test_fewer_than_two_points_measure_zero(self, pts):
+        field = MetricField(SurfaceSpec.lorentzian_negative(), Chart.CARTESIAN)
+        assert arc_length(field, pts) == 0.0
+
+    def test_repeated_points_add_nothing(self):
+        field = MetricField(SurfaceSpec.definite_negative(), Chart.CARTESIAN)
+        pts = [(0.0, 0.0), (0.1, 0.2), (0.3, -0.1)]
+        doubled = [p for p in pts for _ in range(2)]
+        assert arc_length(field, doubled) == arc_length(field, pts)
+        assert arc_length(field, [(0.1, 0.2)] * 3) == 0.0
+
+    def test_timelike_then_spacelike_rejected(self):
+        field = FlatPlaneField()
+        with pytest.raises(MixedCausality):
+            arc_length(field, [(0.0, 0.0), (0.1, 0.5), (0.1, 0.5), (0.9, 0.6)])
+
+    def test_null_segments_do_not_vote(self):
+        # a null leg measures zero and lets either causal type follow
+        field = FlatPlaneField()
+        assert arc_length(field, [(0.0, 0.0), (0.5, 0.5), (1.5, 0.5)]) == 1.0
+        assert arc_length(field, [(0.0, 0.0), (0.5, 0.5), (0.5, 1.5)]) == 1.0
+
     def test_timelike_path_measures_proper_time(self):
         field = FlatPlaneField()
         pts = [(0.0, float(t)) for t in np.linspace(0.0, 2.0, 11)]
@@ -219,6 +243,19 @@ class TestTauField:
     def test_definite_rejected(self):
         with pytest.raises(DomainError, match="Lorentzian"):
             TauField(0.4, 0.0, SurfaceSpec.definite_negative())
+
+    def test_metric_field_is_built_once(self, monkeypatch):
+        tau = TauField(0.7, 0.3, SurfaceSpec.lorentzian_positive())
+        first = tau(0.8, 0.5)
+        monkeypatch.setattr(oracle, "MetricField", None)
+        assert tau(0.8, 0.5) == first
+
+    def test_equality_hash_and_repr_read_the_constants_only(self):
+        spec = SurfaceSpec.lorentzian_negative()
+        tau = TauField(0.4, 1.5, spec)
+        assert tau == TauField(0.4, 1.5, spec)
+        assert hash(tau) == hash((0.4, 1.5, spec))
+        assert repr(tau).startswith("TauField(A=0.4, C=1.5, spec=SurfaceSpec(")
 
     def test_negative_surface_domain(self):
         tau = TauField(0.4, 0.0, SurfaceSpec.lorentzian_negative())

@@ -172,6 +172,41 @@ class TestMetricField:
         # |x^2 - y^2 - 1| / (2 hypot): a safe but pessimistic estimate
         assert f.boundary_distance(2.0, 0.0) == pytest.approx(3.0 / 4.0)
 
+    @pytest.mark.parametrize("radius", [0.5, 1.0, 2.5])
+    def test_factor_raises_where_the_chart_ends(self, radius):
+        r = radius
+        iso = MetricField(SurfaceSpec.lorentzian_negative(r), Chart.ISOMETRIC)
+        for rho in (0.0, -0.0, 5e-13):
+            with pytest.raises(SingularPoint):
+                iso.factor(rho, 0.3)
+        for rho in (math.nan, math.inf, -math.inf):
+            with pytest.raises(DomainError, match="finite rho"):
+                iso.factor(rho, 0.3)
+        cart = MetricField(SurfaceSpec.definite_negative(r), Chart.CARTESIAN)
+        with pytest.raises(OnLimitingCurve):
+            cart.factor(0.6 * r, 0.8 * r)
+        cart = MetricField(SurfaceSpec.lorentzian_positive(r), Chart.CARTESIAN)
+        with pytest.raises(OnLimitingCurve):
+            cart.factor(0.75 * r, 1.25 * r)
+        # the guard is 1e-12 R^2 on |x^2 + s y^2 + kappa R^2|
+        assert cart.factor(0.0, r * (1.0 + 1e-11)) > 0.0
+        # def-pos has no limiting curve, and its isometric chart no pole
+        assert MetricField(SurfaceSpec.definite_positive(r), Chart.ISOMETRIC).factor(0.0, 0.0) == r * r
+
+    @pytest.mark.parametrize("name", ALL_NAMES)
+    def test_equality_hash_and_repr_read_spec_and_chart_only(self, name):
+        spec = SurfaceSpec.from_name(name, 2.5)
+        field = MetricField(spec, Chart.CARTESIAN)
+        assert field == MetricField(SurfaceSpec.from_name(name, 2.5), Chart.CARTESIAN)
+        assert field != MetricField(spec, Chart.ISOMETRIC)
+        assert hash(field) == hash((spec, Chart.CARTESIAN))
+        assert repr(field) == f"MetricField(spec={spec!r}, chart={Chart.CARTESIAN!r})"
+        assert hash(spec) == hash((spec.signature, spec.curvature_sign, 2.5))
+        assert repr(spec) == (
+            f"SurfaceSpec(signature={spec.signature!r}, "
+            f"curvature_sign={spec.curvature_sign!r}, radius=2.5)"
+        )
+
     def test_factor_radius_scaling(self):
         spec = SurfaceSpec.definite_positive(radius=2.0)
         field = MetricField(spec, Chart.CARTESIAN)

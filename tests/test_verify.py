@@ -201,6 +201,30 @@ def test_position_dependent_metric_tampering_is_detected(monkeypatch):
     assert tampered.measured > 100.0 * tampered.tolerance
 
 
+@pytest.mark.parametrize("shift_x, shift_product", [(1e-9, 0.0), (0.0, 1e-6)])
+def test_limiting_hits_are_checked_not_trusted(monkeypatch, shift_x, shift_product):
+    """A crossing moved off both curves, or a reported pairing that is not
+    the pairing of the gradients there, fails the check."""
+    intersections = verify.limiting_intersections
+
+    def tampered(spec, conic):
+        return [
+            type(hit)(hit.x * (1.0 + shift_x), hit.y, hit.product + shift_product)
+            for hit in intersections(spec, conic)
+        ]
+
+    (clean,) = run_all(seed=5, scale=0.05, names=("limiting_orthogonality",))
+    monkeypatch.setattr(verify, "limiting_intersections", tampered)
+    (res,) = run_all(seed=5, scale=0.05, names=("limiting_orthogonality",))
+    assert clean.passed
+    assert not res.passed, res.detail
+    assert [name for name, _, _ in res.errors] == [
+        "normalized gradient pairing",
+        "reported product vs pairing",
+        "hit residual on both curves",
+    ]
+
+
 def test_summary_line_format():
     (res,) = run_all(seed=3, scale=0.02, names=("distance_benchmark",))
     line = res.summary_line()
