@@ -22,7 +22,7 @@ import re
 import sys
 
 from .errors import GeometryError
-from .geodesic import geodesic_family, geodesic_from_constants, worldline_hyperbolic
+from .geodesic import Worldline, geodesic_family, geodesic_from_constants
 from .motion import (
     BilinearMotion,
     apply as motion_apply,
@@ -31,12 +31,10 @@ from .motion import (
     number_for,
     solve_two_point,
 )
-from .surface import SurfaceSpec, exp_map_to_cartesian
+from .surface import SURFACE_NAMES, SurfaceSpec, exp_map_to_cartesian
 from .verify import CHECK_NAMES, _linspace, run_all
 
 logger = logging.getLogger("lorentzcc")
-
-_SURFACES = ("def-pos", "def-neg", "lorentz-pos", "lorentz-neg")
 
 
 # --------------------------------------------------------------------------
@@ -287,7 +285,7 @@ def cmd_distance(args) -> int:
 
 
 def cmd_worldline(args) -> int:
-    wl = worldline_hyperbolic(args.g, args.t0, args.x0)
+    wl = Worldline(args.t0, args.x0, args.g)
     parts = args.s_range.split(",")
     if len(parts) == 2:
         lo, hi, n = float(parts[0]), float(parts[1]), 101
@@ -354,7 +352,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     geo = sub.add_parser("geodesic", help="conic form and samples of a geodesic")
-    geo.add_argument("--surface", choices=_SURFACES, required=True)
+    geo.add_argument("--surface", choices=SURFACE_NAMES, required=True)
     geo.add_argument("--R", type=float, default=1.0, help="surface radius (default 1)")
     geo.add_argument("--eps", type=float, default=None, help="family constant eps")
     geo.add_argument("--sigma", type=float, default=None, help="family constant sigma")
@@ -371,7 +369,7 @@ def _build_parser() -> argparse.ArgumentParser:
     geo.set_defaults(func=cmd_geodesic)
 
     dist = sub.add_parser("distance", help="invariant distance between two points")
-    dist.add_argument("--surface", choices=_SURFACES, required=True)
+    dist.add_argument("--surface", choices=SURFACE_NAMES, required=True)
     dist.add_argument("--R", type=float, default=1.0)
     dist.add_argument("--points", nargs=2, metavar=("X1,Y1", "X2,Y2"), required=True)
     dist.add_argument(

@@ -64,10 +64,8 @@ from .surface import SurfaceSpec
 __all__ = [
     "LineKind",
     "PlaneLine",
-    "plane_geodesic",
     "GeodesicConic",
     "Worldline",
-    "worldline_hyperbolic",
     "geodesic_from_constants",
     "geodesic_from_AB",
     "origin_line",
@@ -130,11 +128,6 @@ class PlaneLine:
         return x * math.cosh(self.theta) + y * math.sinh(self.theta) - self.c
 
 
-def plane_geodesic(kind: LineKind, theta: float, c: float) -> PlaneLine:
-    """Geodesic of the flat Lorentz plane in normal form."""
-    return PlaneLine(kind, theta, c)
-
-
 @dataclass(frozen=True, slots=True)
 class Worldline:
     """Uniformly accelerated observer in the flat Lorentz plane.
@@ -162,19 +155,16 @@ class Worldline:
         if not (math.isfinite(self.t0) and math.isfinite(self.x0)):
             raise DomainError(f"start event (t0, x0) = ({self.t0}, {self.x0}) is not finite")
 
-    def _boost(self, s: float) -> tuple[float, float]:
-        """``(cosh(accel s), sinh(accel s))``; a :class:`DomainError` where
-        they overflow or ``accel s`` is not finite."""
-        return cos_sin(1.0, self.accel * s)
-
     def position(self, s: float) -> tuple[float, float]:
         g = self.accel
-        ch, sh = self._boost(s)
+        ch, sh = cos_sin(1.0, g * s)
         return (self.t0 + sh / g, self.x0 + (ch - 1.0) / g)
 
     def velocity(self, s: float) -> tuple[float, float]:
-        """(dt/ds, dx/ds); a unit timelike vector, so dx/dt = tanh(accel s)."""
-        return self._boost(s)
+        """(dt/ds, dx/ds) = (cosh, sinh)(accel s), a unit timelike vector, so
+        dx/dt = tanh(accel s).  Both this and :meth:`position` raise
+        :class:`DomainError` where ``accel s`` is not finite or cosh overflows."""
+        return cos_sin(1.0, self.accel * s)
 
     def invariant_residual(self, s: float) -> float:
         """Scale-relative defect of the hyperbola invariant at proper time s.
@@ -194,11 +184,6 @@ class Worldline:
             return abs((dx2 - dt * dt) - target) / max(target, dx2)
         q, k = dt / dx, 1.0 / (self.accel * dx)
         return abs((1.0 - q) * (1.0 + q) - k * k)
-
-
-def worldline_hyperbolic(accel: float, t0: float = 0.0, x0: float = 0.0) -> Worldline:
-    """Worldline of constant proper acceleration through ``(t0, x0)``."""
-    return Worldline(t0, x0, accel)
 
 
 # --------------------------------------------------------------------------
@@ -584,7 +569,8 @@ def limiting_intersections(
         raise DomainError("def-pos has no real limiting curve")
     # both curves share the quadratic part x^2 + s y^2, so their common points
     # lie on the line a x + b y + k = 0 and on x^2 + s y^2 = rhs
-    rhs = -spec.kappa * (spec.radius * spec.radius)
+    lim = limiting_curve(spec)
+    rhs = -lim.const_term
     a, b, k = conic.lin_x, conic.lin_y, conic.const_term + conic.quad * rhs
     if a == 0.0 and b == 0.0:
         if k == 0.0:
@@ -607,7 +593,6 @@ def limiting_intersections(
         ys = _solve_quadratic(b * b + s * a * a, 2.0 * b * k, k * k - a * a * rhs)
         pts = [(-(b * y + k) / a, y) for y in ys]
 
-    lim = limiting_curve(spec)
     out = []
     for x, y in pts:
         g1 = conic.gradient(x, y)

@@ -223,9 +223,9 @@ def polar(z: Number) -> PolarForm:
             raise DivisorOfZero("complex zero has no polar form")
         return PolarForm(math.hypot(z.x, z.y), math.atan2(z.y, z.x), None, 1)
 
-    ax, ay = abs(z.x), abs(z.y)
-    if abs(z.x * z.x - z.y * z.y) <= zero_divisor_tolerance(z):
+    if is_null(z):
         raise OnNullLine(f"({z.x}, {z.y}) lies on a null line")
+    ax, ay = abs(z.x), abs(z.y)
     if ax > ay:
         sector = Sector.RIGHT if z.x > 0 else Sector.LEFT
         sign = 1 if z.x > 0 else -1

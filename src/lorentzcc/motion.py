@@ -44,7 +44,7 @@ from .hypernum import (
     Number,
     Sector,
     conj,
-    hyper_exp,
+    cos_sin,
     inverse,
     is_null,
     mul,
@@ -137,9 +137,8 @@ class BilinearMotion:
     alpha: Number
     beta: Number
     spec: SurfaceSpec
-    # (conj(beta), conj(alpha)): left unset here, so that building a motion
-    # costs nothing extra, and filled in by its first apply
-    _conj: tuple = field(init=False, repr=False, compare=False)
+    # (conj(beta), conj(alpha)), filled in by the first apply
+    _conj: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         spec = self.spec
@@ -158,10 +157,6 @@ class BilinearMotion:
             sign = "+" if kappa > 0.0 else "-"
             raise InvalidMotion(f"degenerate motion: D(alpha) {sign} D(beta) = {nd}")
 
-    def __getstate__(self) -> tuple:
-        # copy and pickle read the constants only: the cache may be unset
-        return (self.alpha, self.beta, self.spec)
-
 
 def apply(motion: BilinearMotion, z) -> Number:
     """Image of a normalized point under the motion.
@@ -172,7 +167,7 @@ def apply(motion: BilinearMotion, z) -> Number:
     """
     spec = motion.spec
     z = _as_number(spec, z)
-    cached = getattr(motion, "_conj", None)
+    cached = motion._conj
     if cached is None:
         cached = conj(motion.beta), conj(motion.alpha)
         object.__setattr__(motion, "_conj", cached)
@@ -291,24 +286,18 @@ def solve_two_point(spec: SurfaceSpec, z1, z2) -> TwoPointSolution:
     except DivisorOfZero as exc:
         raise NoGeodesic(f"normal-form denominator degenerates: {exc}") from exc
 
-    if hyperbolic:
-        if is_null(q):
-            raise NoGeodesic(f"{z1} and {z2} are null-separated")
-        pol = polar(q)
-        if pol.sector in (Sector.UP, Sector.DOWN):
-            raise NoGeodesic(
-                f"{z1} and {z2} are separated across the null cone "
-                "(no geodesic of the family joins them)"
-            )
-        half = pol.theta / 2.0
-        if pol.sector is Sector.RIGHT:
-            alpha = hyper_exp(HyperbolicNumber(0.0, -half))
-        else:
-            alpha = HyperbolicNumber(-math.sinh(half), math.cosh(half))
-    else:
-        pol = polar(q)
-        half = pol.theta / 2.0
-        alpha = ComplexNumber(math.cos(half), -math.sin(half))
+    if hyperbolic and is_null(q):
+        raise NoGeodesic(f"{z1} and {z2} are null-separated")
+    pol = polar(q)
+    if pol.sector in (Sector.UP, Sector.DOWN):
+        raise NoGeodesic(
+            f"{z1} and {z2} are separated across the null cone "
+            "(no geodesic of the family joins them)"
+        )
+    # alpha = exp(-j half), times h on the left sector
+    half = pol.theta / 2.0
+    c, s = cos_sin(z1.unit, half)
+    alpha = type(z1)(-s, c) if pol.sector is Sector.LEFT else type(z1)(c, -s)
 
     beta = -mul(alpha, z1)
     return TwoPointSolution(BilinearMotion(alpha, beta, spec), pol.rho, -half)

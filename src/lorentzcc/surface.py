@@ -12,7 +12,9 @@ a definite signature, ``-1`` for a Lorentzian one) and the curvature sign
     lorentz-pos  -1  +1     +1/R^2   R^2 / cosh(rho)^2   R^2 + x^2 - y^2
     lorentz-neg  -1  -1     -1/R^2   R^2 / sinh(rho)^2   x^2 - y^2 - R^2
 
-with line elements
+``SURFACE_NAMES`` is this catalogue, in this order; a surface is built with
+``SurfaceSpec.from_name(name, R)`` or, from the two signs, with
+``SurfaceSpec(signature, curvature_sign, R)``.  The line elements are
 
     ds^2 = factor(rho) * (drho^2 + s dphi^2)
     ds^2 = (4 R^4 / base^2) * (dx^2 + s dy^2),   base = x^2 + s y^2 + kappa R^2
@@ -50,6 +52,7 @@ from .errors import DomainError, OnLimitingCurve, ProfileZero, SingularPoint
 from .hypernum import cos_sin
 
 __all__ = [
+    "SURFACE_NAMES",
     "Signature",
     "CurvatureSign",
     "Chart",
@@ -71,6 +74,17 @@ class Signature(Enum):
 class CurvatureSign(Enum):
     POSITIVE = "positive"
     NEGATIVE = "negative"
+
+
+# the surface catalogue, in battery and CLI order: name -> (signature, sign of K)
+_SIGNS = {
+    "def-pos": (Signature.DEFINITE, CurvatureSign.POSITIVE),
+    "def-neg": (Signature.DEFINITE, CurvatureSign.NEGATIVE),
+    "lorentz-pos": (Signature.LORENTZIAN, CurvatureSign.POSITIVE),
+    "lorentz-neg": (Signature.LORENTZIAN, CurvatureSign.NEGATIVE),
+}
+_NAMES = {signs: name for name, signs in _SIGNS.items()}
+SURFACE_NAMES = tuple(_SIGNS)
 
 
 class Chart(Enum):
@@ -115,35 +129,13 @@ class SurfaceSpec:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def definite_positive(cls, radius: float = 1.0) -> "SurfaceSpec":
-        return cls(Signature.DEFINITE, CurvatureSign.POSITIVE, radius)
-
-    @classmethod
-    def definite_negative(cls, radius: float = 1.0) -> "SurfaceSpec":
-        return cls(Signature.DEFINITE, CurvatureSign.NEGATIVE, radius)
-
-    @classmethod
-    def lorentzian_positive(cls, radius: float = 1.0) -> "SurfaceSpec":
-        return cls(Signature.LORENTZIAN, CurvatureSign.POSITIVE, radius)
-
-    @classmethod
-    def lorentzian_negative(cls, radius: float = 1.0) -> "SurfaceSpec":
-        return cls(Signature.LORENTZIAN, CurvatureSign.NEGATIVE, radius)
-
-    @classmethod
     def from_name(cls, name: str, radius: float = 1.0) -> "SurfaceSpec":
-        """Parse one of def-pos / def-neg / lorentz-pos / lorentz-neg."""
-        table = {
-            "def-pos": (Signature.DEFINITE, CurvatureSign.POSITIVE),
-            "def-neg": (Signature.DEFINITE, CurvatureSign.NEGATIVE),
-            "lorentz-pos": (Signature.LORENTZIAN, CurvatureSign.POSITIVE),
-            "lorentz-neg": (Signature.LORENTZIAN, CurvatureSign.NEGATIVE),
-        }
+        """Parse one of :data:`SURFACE_NAMES`."""
         try:
-            sig, curv = table[name]
+            sig, curv = _SIGNS[name]
         except KeyError:
             raise ValueError(
-                f"unknown surface {name!r}; expected one of {sorted(table)}"
+                f"unknown surface {name!r}; expected one of {sorted(_SIGNS)}"
             ) from None
         return cls(sig, curv, radius)
 
@@ -151,9 +143,7 @@ class SurfaceSpec:
 
     @property
     def name(self) -> str:
-        sig = "def" if self.signature is Signature.DEFINITE else "lorentz"
-        curv = "pos" if self.curvature_sign is CurvatureSign.POSITIVE else "neg"
-        return f"{sig}-{curv}"
+        return _NAMES[self.signature, self.curvature_sign]
 
     @property
     def gauss_curvature(self) -> float:

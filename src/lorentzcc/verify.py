@@ -35,14 +35,14 @@ from .errors import GeometryError, NoRealIntersection
 from .geodesic import (
     GeodesicFamily,
     LineKind,
+    PlaneLine,
+    Worldline,
     geodesic_family,
     geodesic_from_AB,
     geodesic_from_constants,
     hyperbola_parameters,
     limiting_curve,
     limiting_intersections,
-    plane_geodesic,
-    worldline_hyperbolic,
 )
 from .hypernum import (
     HyperbolicNumber,
@@ -68,6 +68,7 @@ from .oracle import (
     integrate_geodesic,
 )
 from .surface import (
+    SURFACE_NAMES,
     Chart,
     MetricField,
     SurfaceSpec,
@@ -101,12 +102,7 @@ class _Unmeasured(Exception):
     """A check could not measure; its argument is the detail to report."""
 
 
-_SURFACES = (
-    SurfaceSpec.definite_positive(),
-    SurfaceSpec.definite_negative(),
-    SurfaceSpec.lorentzian_positive(),
-    SurfaceSpec.lorentzian_negative(),
-)
+_SURFACES = tuple(SurfaceSpec.from_name(name) for name in SURFACE_NAMES)
 
 
 def _conic_error(conic, x: float, y: float) -> float:
@@ -149,8 +145,11 @@ def _valid_draws(rng, n: int, spec: SurfaceSpec, draw) -> list:
     raise _Unmeasured(f"could not draw {n} valid samples on {spec.name}")
 
 
-def _sign_draw(rng) -> float:
-    return 1.0 if rng.random() < 0.5 else -1.0
+def _signed_draw(rng, lo: float, hi: float) -> tuple[float, float]:
+    """A family constant of random sign and magnitude in ``[lo, hi]``, and a
+    phase in ``[-1.5, 1.5]``; drawn in that order: sign, magnitude, phase."""
+    sign = 1.0 if rng.random() < 0.5 else -1.0
+    return sign * rng.uniform(lo, hi), rng.uniform(-1.5, 1.5)
 
 
 def _eps_range(spec: SurfaceSpec) -> tuple[float, float]:
@@ -209,8 +208,7 @@ def _check_closed_form_consistency(rng, scale, perturb):
         field = MetricField(spec, Chart.ISOMETRIC)
         lo_e, hi_e = _eps_range(spec)
         for _ in range(n_draws):
-            eps = _sign_draw(rng) * rng.uniform(lo_e, hi_e)
-            sigma = rng.uniform(-1.5, 1.5)
+            eps, sigma = _signed_draw(rng, lo_e, hi_e)
             conic = geodesic_from_constants(spec, eps, sigma)
             fam = geodesic_family(spec, eps, sigma)
             u_lo, u_hi = _u_window(fam)
@@ -256,8 +254,7 @@ def _check_oracle_equivalence(rng, scale, perturb):
         base_field = MetricField(spec, Chart.CARTESIAN)
         field = _ScaledField(base_field, 1.0 + perturb) if perturb else base_field
         for _ in range(n_geo):
-            eps = _sign_draw(rng) * rng.uniform(0.1, 1.0)
-            sigma = rng.uniform(-1.5, 1.5)
+            eps, sigma = _signed_draw(rng, 0.1, 1.0)
             fam = geodesic_family(spec, eps, sigma)
             if spec.metric_sign < 0.0 and spec.kappa < 0.0:
                 u_launch = _u_window(fam)[0]
@@ -425,8 +422,7 @@ def _check_limiting_orthogonality(rng, scale, perturb):
     lim_n = limiting_curve(spec_n)
     s = spec_n.metric_sign
     for _ in range(n):
-        eps = _sign_draw(rng) * rng.uniform(0.05, 1.2)
-        sigma = rng.uniform(-1.5, 1.5)
+        eps, sigma = _signed_draw(rng, 0.05, 1.2)
         conic = geodesic_from_constants(spec_n, eps, sigma)
         try:
             hits = limiting_intersections(spec_n, conic)
@@ -447,8 +443,7 @@ def _check_limiting_orthogonality(rng, scale, perturb):
             worst_product = _worst(worst_product, abs(hit.product - pairing) / norm)
             worst_hit = _worst(worst_hit, _conic_error(conic, x, y), _conic_error(lim_n, x, y))
     for _ in range(n):
-        eps = _sign_draw(rng) * rng.uniform(0.05, 1.5)
-        sigma = rng.uniform(-1.5, 1.5)
+        eps, sigma = _signed_draw(rng, 0.05, 1.5)
         conic = geodesic_from_constants(spec_p, eps, sigma)
         try:
             hits = limiting_intersections(spec_p, conic)
@@ -479,7 +474,7 @@ def _check_beltrami_fields(rng, scale, perturb):
         for _ in range(3):
             theta = rng.uniform(-1.2, 1.2)
             c = rng.uniform(-1.0, 1.0)
-            line = plane_geodesic(kind, theta, c)
+            line = PlaneLine(kind, theta, c)
 
             def tau_plane(a: float, b: float, line=line) -> float:
                 return line.residual(a, b)
@@ -511,7 +506,7 @@ def _check_beltrami_fields(rng, scale, perturb):
 def _check_worldline_invariant(rng, scale, perturb):
     worst_wl = 0.0
     for g in (0.5, 1.0, 2.0):
-        wl = worldline_hyperbolic(g, t0=rng.uniform(-1.0, 1.0), x0=rng.uniform(-1.0, 1.0))
+        wl = Worldline(t0=rng.uniform(-1.0, 1.0), x0=rng.uniform(-1.0, 1.0), accel=g)
         for s in _linspace(-5.0, 5.0, 101):
             worst_wl = _worst(worst_wl, wl.invariant_residual(s))
     worst_cs = 0.0
@@ -519,8 +514,7 @@ def _check_worldline_invariant(rng, scale, perturb):
     for spec in [sp for sp in _SURFACES if sp.metric_sign < 0.0]:
         hi = 0.9 if spec.kappa < 0.0 else 2.0
         for _ in range(n):
-            a_const = _sign_draw(rng) * rng.uniform(0.1, hi)
-            b_const = rng.uniform(-1.5, 1.5)
+            a_const, b_const = _signed_draw(rng, 0.1, hi)
             x0, y0, d = hyperbola_parameters(spec, a_const, b_const)
             conic = geodesic_from_AB(spec, a_const, b_const)
             for _ in range(4):
@@ -551,7 +545,7 @@ def _rejects(fn, z) -> bool:
 
 def _check_algebra_properties(rng, scale, perturb):
     n = max(50, int(round(1000 * scale)))
-    plane = SurfaceSpec.lorentzian_positive()  # draws hyperbolic numbers
+    plane = SurfaceSpec.from_name("lorentz-pos")  # draws hyperbolic numbers
     worst = 0.0
     for _ in range(n):
         a = _draw_offnull(rng, plane, 3.0, floor=0.1)
@@ -615,12 +609,14 @@ def run_all(
 ) -> list[CheckResult]:
     """Run the battery (or the subset ``names``), reproducibly.
 
-    ``tolerances`` overrides per-check thresholds; ``scale`` shrinks or grows
-    the randomized workloads; ``perturb`` multiplies the metric used by the
-    numerical route of ``oracle_equivalence`` by ``1 + perturb`` (a tampering
-    knob: any nonzero value must make that check fail).  Each check draws
-    from its own ``random.Random`` stream, seeded by the string
-    ``"lorentzcc/{seed}/{index}"``, so a run is the same on every platform.
+    ``tolerances`` overrides per-check thresholds, each non-negative (``inf``
+    included; NaN or a negative value is a ``ValueError``); ``scale``
+    shrinks or grows the randomized workloads; ``perturb`` multiplies the
+    metric used by the numerical route of ``oracle_equivalence`` by
+    ``1 + perturb`` (a tampering knob: any nonzero value must make that
+    check fail).  Each check draws from its own ``random.Random`` stream,
+    seeded by the string ``"lorentzcc/{seed}/{index}"``, so a run is the
+    same on every platform.
     """
     if operator.index(seed) < 0:  # a float seed would name another stream
         raise ValueError(f"seed must be non-negative, got {seed}")
@@ -630,6 +626,9 @@ def run_all(
     unknown = set(overrides) - set(CHECK_NAMES)
     if unknown:
         raise ValueError(f"unknown check names in tolerances: {sorted(unknown)}")
+    malformed = {name: tol for name, tol in overrides.items() if not float(tol) >= 0.0}
+    if malformed:  # malformed input, not a failed check
+        raise ValueError(f"tolerances must be non-negative numbers, got {malformed}")
     if names is not None:
         missing = set(names) - set(CHECK_NAMES)
         if missing:

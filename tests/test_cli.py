@@ -358,7 +358,11 @@ class TestVerifyCommand:
         )
         assert proc.returncode == 1
 
-    def test_unknown_tolerance_name_exits_2(self):
-        proc = run_cli("verify", "--tol", "nope=1")
+    @pytest.mark.parametrize("tol", ["nope=1", "algebra_properties=nan",
+                                     "algebra_properties=-1"])
+    def test_unknown_or_malformed_tolerance_exits_2(self, tol):
+        proc = run_cli("verify", *self.FAST, "--tol", tol)
         assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert len(proc.stderr.splitlines()) == 1
         assert json.loads(proc.stderr)["error"] == "ValueError"

@@ -16,7 +16,9 @@ from lorentzcc import (
     LineKind,
     NoRealIntersection,
     OutOfChart,
+    PlaneLine,
     SurfaceSpec,
+    Worldline,
     circle_parameters,
     constant_A,
     epsilon_from_constant,
@@ -31,8 +33,6 @@ from lorentzcc import (
     limiting_intersections,
     line_element_isometric,
     origin_line,
-    plane_geodesic,
-    worldline_hyperbolic,
 )
 from lorentzcc.geodesic import GeodesicConic
 
@@ -58,10 +58,10 @@ def _safe_taus(spec, eps, sigma, n=15):
 class TestFamilyConstants:
     def test_constant_A_by_family(self):
         # tan on the rows where signature and curvature sign agree
-        assert constant_A(SurfaceSpec.definite_positive(), 0.5) == pytest.approx(math.sin(0.5))
-        assert constant_A(SurfaceSpec.lorentzian_negative(), 0.5) == pytest.approx(math.sin(0.5))
-        assert constant_A(SurfaceSpec.definite_negative(), 0.5) == pytest.approx(math.sinh(0.5))
-        assert constant_A(SurfaceSpec.lorentzian_positive(), 0.5) == pytest.approx(math.sinh(0.5))
+        assert constant_A(SurfaceSpec.from_name("def-pos"), 0.5) == pytest.approx(math.sin(0.5))
+        assert constant_A(SurfaceSpec.from_name("lorentz-neg"), 0.5) == pytest.approx(math.sin(0.5))
+        assert constant_A(SurfaceSpec.from_name("def-neg"), 0.5) == pytest.approx(math.sinh(0.5))
+        assert constant_A(SurfaceSpec.from_name("lorentz-pos"), 0.5) == pytest.approx(math.sinh(0.5))
 
     @pytest.mark.parametrize("name", ALL_NAMES)
     def test_epsilon_round_trip(self, name):
@@ -74,11 +74,11 @@ class TestFamilyConstants:
     def test_non_finite_constant_rejected(self, A):
         # the asinh row once returned nan / inf
         with pytest.raises(DomainError, match="not finite"):
-            epsilon_from_constant(SurfaceSpec.lorentzian_positive(), A)
+            epsilon_from_constant(SurfaceSpec.from_name("lorentz-pos"), A)
 
     def test_constant_out_of_range(self):
         with pytest.raises(DomainError, match=r"\|A\| < R"):
-            epsilon_from_constant(SurfaceSpec.definite_positive(), 1.0)
+            epsilon_from_constant(SurfaceSpec.from_name("def-pos"), 1.0)
 
     @pytest.mark.parametrize("name", ["def-neg", "lorentz-pos"])
     @pytest.mark.parametrize("eps", [math.nan, math.inf, -math.inf])
@@ -104,7 +104,7 @@ class TestFamilyConstants:
             geodesic_family(spec, 710.0, 0.1)
         # A is finite, tau0 = A sigma is not
         with pytest.raises(DomainError, match="tau0"):
-            geodesic_family(SurfaceSpec.lorentzian_positive(), 700.0, 1e10)
+            geodesic_family(SurfaceSpec.from_name("lorentz-pos"), 700.0, 1e10)
 
     @pytest.mark.parametrize("name", ALL_NAMES)
     def test_non_finite_family_input_rejected(self, name):
@@ -133,14 +133,14 @@ class TestFamilyConstants:
 
     def test_eps_zero_is_degenerate(self):
         with pytest.raises(DegenerateEpsilon, match="origin_line"):
-            geodesic_from_constants(SurfaceSpec.definite_positive(), 0.0, 0.3)
+            geodesic_from_constants(SurfaceSpec.from_name("def-pos"), 0.0, 0.3)
 
     def test_eps_near_right_angle_rejected_on_tan_rows(self):
         with pytest.raises(DomainError, match="pi/2"):
-            geodesic_from_constants(SurfaceSpec.lorentzian_negative(), math.pi / 2, 0.0)
+            geodesic_from_constants(SurfaceSpec.from_name("lorentz-neg"), math.pi / 2, 0.0)
 
     def test_geodesic_from_AB_matches_constants_route(self):
-        spec = SurfaceSpec.lorentzian_positive(radius=1.2)
+        spec = SurfaceSpec.from_name("lorentz-pos", radius=1.2)
         eps, sigma = 0.6, -0.4
         c1 = geodesic_from_constants(spec, eps, sigma)
         c2 = geodesic_from_AB(spec, constant_A(spec, eps), sigma)
@@ -180,7 +180,7 @@ class TestSignedFormulas:
 
 class TestConicForm:
     def test_frozen_lorentz_negative_coefficients(self):
-        conic = geodesic_from_constants(SurfaceSpec.lorentzian_negative(), 0.3, 0.2)
+        conic = geodesic_from_constants(SurfaceSpec.from_name("lorentz-neg"), 0.3, 0.2)
         assert conic.quad == pytest.approx(1.0)
         assert conic.lin_x == pytest.approx(-1.3017291235358055)
         assert conic.lin_y == pytest.approx(6.5951970188193698)
@@ -188,10 +188,10 @@ class TestConicForm:
 
     def test_degenerate_conic_rejected(self):
         with pytest.raises(ValueError, match="quadratic or linear"):
-            GeodesicConic(0.0, 0.0, 0.0, 1.0, SurfaceSpec.definite_positive())
+            GeodesicConic(0.0, 0.0, 0.0, 1.0, SurfaceSpec.from_name("def-pos"))
 
     def test_gradient_matches_finite_difference(self):
-        conic = geodesic_from_constants(SurfaceSpec.definite_negative(), 0.8, 0.1)
+        conic = geodesic_from_constants(SurfaceSpec.from_name("def-neg"), 0.8, 0.1)
         h = 1e-7
         for x, y in ((0.3, -0.2), (-0.5, 0.4)):
             gx, gy = conic.gradient(x, y)
@@ -246,7 +246,7 @@ class TestParametrization:
     def test_unit_speed_next_to_lorentz_negative_branch_boundary(self):
         """cos(eps) cosh(u) - 1 = 8.6e-9 here, so c^2 - 1 formed by
         cancellation would put |ds^2| off one by 1.4e-8."""
-        spec = SurfaceSpec.lorentzian_negative(radius=2.0)
+        spec = SurfaceSpec.from_name("lorentz-neg", radius=2.0)
         eps, sigma, u = -0.024938759472635973, 1.1866265070776025, 0.024941690271326866
         tau = constant_A(spec, eps) * sigma + spec.radius * u
         (rho, phi), (drho, dphi) = geodesic_parametric_with_velocity(spec, eps, sigma, tau)
@@ -258,7 +258,7 @@ class TestParametrization:
     def test_unit_speed_next_to_the_definite_negative_turning_point(self, radius, eps):
         """coth(rho) - 1 is formed without cancellation on def-neg too; from
         1 - tanh(rho)^2 the speed was off by up to 5e-13 here."""
-        spec = SurfaceSpec.definite_negative(radius=radius)
+        spec = SurfaceSpec.from_name("def-neg", radius=radius)
         sigma = 0.3
         for u in np.linspace(-0.02, 0.02, 21):
             tau = constant_A(spec, eps) * sigma + radius * float(u)
@@ -283,7 +283,7 @@ class TestParametrization:
 
     def test_definite_positive_crosses_many_turns(self):
         """The angle branch must stay continuous across u = pi multiples."""
-        spec = SurfaceSpec.definite_positive()
+        spec = SurfaceSpec.from_name("def-pos")
         taus = np.linspace(-7.0, 7.0, 1201)
         phis = [geodesic_parametric(spec, 0.35, 0.0, float(t))[1] for t in taus]
         jumps = np.abs(np.diff(phis))
@@ -297,7 +297,7 @@ class TestWindows:
             assert lo == -math.inf and hi == math.inf
 
     def test_positive_lorentz_window(self):
-        spec = SurfaceSpec.lorentzian_positive(radius=2.0)
+        spec = SurfaceSpec.from_name("lorentz-pos", radius=2.0)
         eps, sigma = 0.7, 0.3
         fam = geodesic_family(spec, eps, sigma)
         tau0 = constant_A(spec, eps) * sigma
@@ -315,7 +315,7 @@ class TestWindows:
             fam.state(hi + 1e-9)
 
     def test_negative_lorentz_window(self):
-        spec = SurfaceSpec.lorentzian_negative()
+        spec = SurfaceSpec.from_name("lorentz-neg")
         eps, sigma = 0.4, -0.2
         fam = geodesic_family(spec, eps, sigma)
         tau0 = constant_A(spec, eps) * sigma
@@ -353,17 +353,17 @@ class TestOriginLines:
 
 class TestCircleGeodesics:
     def test_positive_circle_radius(self):
-        spec = SurfaceSpec.definite_positive(radius=1.5)
+        spec = SurfaceSpec.from_name("def-pos", radius=1.5)
         xc, yc, rad = circle_parameters(spec, 0.5, 0.2)
         assert rad == pytest.approx(1.5 / abs(math.sin(0.5)))
 
     def test_negative_circle_radius(self):
-        spec = SurfaceSpec.definite_negative(radius=1.5)
+        spec = SurfaceSpec.from_name("def-neg", radius=1.5)
         xc, yc, rad = circle_parameters(spec, 0.5, 0.2)
         assert rad == pytest.approx(1.5 / abs(math.sinh(0.5)))
 
     def test_circle_points_lie_on_conic(self):
-        spec = SurfaceSpec.definite_negative()
+        spec = SurfaceSpec.from_name("def-neg")
         conic = geodesic_from_constants(spec, 0.7, -0.4)
         xc, yc, rad = circle_parameters(spec, 0.7, -0.4)
         for ang in np.linspace(0.0, 2.0 * math.pi, 17):
@@ -372,12 +372,12 @@ class TestCircleGeodesics:
 
     def test_lorentz_rejected(self):
         with pytest.raises(DomainError, match="hyperbola"):
-            circle_parameters(SurfaceSpec.lorentzian_positive(), 0.5, 0.2)
+            circle_parameters(SurfaceSpec.from_name("lorentz-pos"), 0.5, 0.2)
 
 
 class TestHyperbolaGeodesics:
     def test_frozen_negative_lorentz_values(self):
-        spec = SurfaceSpec.lorentzian_negative()
+        spec = SurfaceSpec.from_name("lorentz-neg")
         x0, y0, d = hyperbola_parameters(spec, math.sin(0.3), 0.2)
         assert x0 == pytest.approx(0.6508645617679029)
         assert y0 == pytest.approx(3.2975985094096854)
@@ -399,15 +399,15 @@ class TestHyperbolaGeodesics:
 
     def test_definite_rejected(self):
         with pytest.raises(DomainError, match="circle"):
-            hyperbola_parameters(SurfaceSpec.definite_positive(), 0.3, 0.0)
+            hyperbola_parameters(SurfaceSpec.from_name("def-pos"), 0.3, 0.0)
 
     def test_radial_constant_rejected(self):
         with pytest.raises(DegenerateEpsilon):
-            hyperbola_parameters(SurfaceSpec.lorentzian_positive(), 0.0, 0.1)
+            hyperbola_parameters(SurfaceSpec.from_name("lorentz-pos"), 0.0, 0.1)
 
     def test_negative_lorentz_needs_small_constant(self):
         with pytest.raises(DomainError, match=r"\|A\| < R"):
-            hyperbola_parameters(SurfaceSpec.lorentzian_negative(), 1.0, 0.1)
+            hyperbola_parameters(SurfaceSpec.from_name("lorentz-neg"), 1.0, 0.1)
 
     @pytest.mark.parametrize(
         "A, B, match",
@@ -420,21 +420,21 @@ class TestHyperbolaGeodesics:
     )
     def test_non_finite_or_overflowing_input_is_a_domain_error(self, A, B, match):
         with pytest.raises(DomainError, match=match):
-            hyperbola_parameters(SurfaceSpec.lorentzian_positive(), A, B)
+            hyperbola_parameters(SurfaceSpec.from_name("lorentz-pos"), A, B)
 
 
 class TestLimitingCurve:
     def test_curve_equations(self):
-        lim = limiting_curve(SurfaceSpec.definite_negative(radius=2.0))
+        lim = limiting_curve(SurfaceSpec.from_name("def-neg", radius=2.0))
         assert lim.residual(2.0, 0.0) == pytest.approx(0.0)
         assert lim.residual(0.0, -2.0) == pytest.approx(0.0)
-        lim = limiting_curve(SurfaceSpec.lorentzian_negative(radius=2.0))
+        lim = limiting_curve(SurfaceSpec.from_name("lorentz-neg", radius=2.0))
         assert lim.residual(2.0 * math.cosh(0.4), 2.0 * math.sinh(0.4)) == pytest.approx(0.0, abs=1e-12)
-        lim = limiting_curve(SurfaceSpec.lorentzian_positive(radius=2.0))
+        lim = limiting_curve(SurfaceSpec.from_name("lorentz-pos", radius=2.0))
         assert lim.residual(2.0 * math.sinh(0.4), 2.0 * math.cosh(0.4)) == pytest.approx(0.0, abs=1e-12)
 
     def test_crossings_are_pseudo_orthogonal(self):
-        spec = SurfaceSpec.lorentzian_negative()
+        spec = SurfaceSpec.from_name("lorentz-neg")
         rng = np.random.default_rng(34)
         lim = limiting_curve(spec)
         for _ in range(10):
@@ -449,13 +449,13 @@ class TestLimitingCurve:
                 assert hit.product == pytest.approx(0.0, abs=1e-9)
 
     def test_positive_lorentz_geodesics_never_reach_the_curve(self):
-        spec = SurfaceSpec.lorentzian_positive()
+        spec = SurfaceSpec.from_name("lorentz-pos")
         conic = geodesic_from_constants(spec, 0.5, 0.3)
         with pytest.raises(NoRealIntersection):
             limiting_intersections(spec, conic)
 
     def test_origin_line_crossings(self):
-        spec = SurfaceSpec.lorentzian_negative(radius=1.2)
+        spec = SurfaceSpec.from_name("lorentz-neg", radius=1.2)
         sigma = 0.7
         hits = limiting_intersections(spec, origin_line(spec, sigma))
         xs = sorted(h.x for h in hits)
@@ -467,7 +467,7 @@ class TestLimitingCurve:
 
     def test_definite_negative_circles_cross_orthogonally(self):
         """Geodesic circles meet the limiting circle at Euclidean right angles."""
-        spec = SurfaceSpec.definite_negative()
+        spec = SurfaceSpec.from_name("def-neg")
         rng = np.random.default_rng(35)
         for _ in range(10):
             eps = float(rng.choice([-1.0, 1.0])) * rng.uniform(0.15, 1.4)
@@ -480,7 +480,7 @@ class TestLimitingCurve:
                 assert hit.product == pytest.approx(0.0, abs=1e-9)
 
     def test_positive_definite_has_no_curve(self):
-        spec = SurfaceSpec.definite_positive()
+        spec = SurfaceSpec.from_name("def-pos")
         conic = geodesic_from_constants(spec, 0.5, 0.3)
         with pytest.raises(DomainError, match="no real limiting curve"):
             limiting_intersections(spec, conic)
@@ -528,7 +528,7 @@ class TestLimitingCurve:
 
 class TestPlaneLines:
     def test_first_kind_is_spacelike(self):
-        line = plane_geodesic(LineKind.FIRST, 0.6, 1.2)
+        line = PlaneLine(LineKind.FIRST, 0.6, 1.2)
         tx, ty = line.tangent
         assert tx * tx - ty * ty == pytest.approx(1.0)
         for s in (-2.0, 0.0, 1.5):
@@ -536,21 +536,21 @@ class TestPlaneLines:
             assert line.residual(x, y) == pytest.approx(0.0, abs=1e-12)
 
     def test_second_kind_is_timelike(self):
-        line = plane_geodesic(LineKind.SECOND, -0.4, 0.7)
+        line = PlaneLine(LineKind.SECOND, -0.4, 0.7)
         tx, ty = line.tangent
         assert tx * tx - ty * ty == pytest.approx(-1.0)
         x, y = line.point_at(2.0)
         assert line.residual(x, y) == pytest.approx(0.0, abs=1e-12)
 
     def test_line_equation(self):
-        line = plane_geodesic(LineKind.FIRST, 0.6, 1.2)
+        line = PlaneLine(LineKind.FIRST, 0.6, 1.2)
         x, y = line.point_at(0.8)
         assert x * math.sinh(0.6) + y * math.cosh(0.6) == pytest.approx(1.2)
 
 
 class TestWorldline:
     def test_position_and_velocity(self):
-        wl = worldline_hyperbolic(2.0, t0=0.5, x0=-1.0)
+        wl = Worldline(0.5, -1.0, 2.0)
         t, x = wl.position(0.75)
         assert t == pytest.approx(0.5 + math.sinh(1.5) / 2.0)
         assert x == pytest.approx(-1.0 + (math.cosh(1.5) - 1.0) / 2.0)
@@ -561,23 +561,23 @@ class TestWorldline:
         assert vt * vt - vx * vx == pytest.approx(1.0)
 
     def test_coordinate_speed_approaches_light(self):
-        wl = worldline_hyperbolic(1.0)
+        wl = Worldline(0.0, 0.0, 1.0)
         vt, vx = wl.velocity(20.0)
         assert vx / vt == pytest.approx(1.0, abs=1e-10)
 
     def test_invariant_residual_small(self):
-        wl = worldline_hyperbolic(0.5, t0=-2.0, x0=3.0)
+        wl = Worldline(-2.0, 3.0, 0.5)
         for s in np.linspace(-6.0, 6.0, 25):
             assert abs(wl.invariant_residual(float(s))) < 1e-12
 
     @pytest.mark.parametrize("accel, s", [(1.0, 400.0), (1.0, -700.0), (2.0, 300.0)])
     def test_residual_finite_where_dx_squared_overflows(self, accel, s):
         # dx * dx overflows while the position is still finite
-        res = worldline_hyperbolic(accel, t0=0.3, x0=-1.0).invariant_residual(s)
+        res = Worldline(0.3, -1.0, accel).invariant_residual(s)
         assert math.isfinite(res) and res <= 1e-12
 
     def test_overflow_is_a_domain_error(self):
-        wl = worldline_hyperbolic(1.0)
+        wl = Worldline(0.0, 0.0, 1.0)
         for s in (1000.0, -1000.0, math.inf, math.nan):
             with pytest.raises(DomainError, match="not finite"):
                 wl.position(s)
@@ -586,17 +586,17 @@ class TestWorldline:
 
     def test_bad_acceleration(self):
         with pytest.raises(ValueError, match="positive"):
-            worldline_hyperbolic(0.0)
+            Worldline(0.0, 0.0, 0.0)
         with pytest.raises(ValueError, match="positive"):
-            worldline_hyperbolic(-1.0)
+            Worldline(0.0, 0.0, -1.0)
 
     @pytest.mark.parametrize("accel", [1e200, math.inf, 1e-200, 1e-160])
     def test_acceleration_whose_square_leaves_the_floats(self, accel):
         # accel^2 overflows, underflows to zero, or is subnormal (1/accel^2 = inf)
         with pytest.raises(DomainError, match="1/accel"):
-            worldline_hyperbolic(accel)
+            Worldline(0.0, 0.0, accel)
 
     @pytest.mark.parametrize("t0, x0", [(math.nan, 0.0), (0.0, math.inf), (-math.inf, 1.0)])
     def test_non_finite_start_event(self, t0, x0):
         with pytest.raises(DomainError, match="not finite"):
-            worldline_hyperbolic(1.0, t0=t0, x0=x0)
+            Worldline(t0, x0, 1.0)

@@ -1,6 +1,7 @@
 """Rigid motions: the flat plane group and the four bilinear model groups."""
 
 import copy
+import dataclasses
 import math
 import pickle
 
@@ -22,16 +23,21 @@ from lorentzcc import (
     NoGeodesic,
     OutOfDisk,
     PlaneMotion,
+    Sector,
     SurfaceSpec,
     apply,
     arc_length,
+    conj,
     cross_ratio,
     geodesic_distance,
     geodesic_through,
     hyper_exp,
+    inverse,
     inverse_motion,
+    mul,
     number_for,
     plane_apply,
+    polar,
     solve_two_point,
     square_modulus,
 )
@@ -81,7 +87,7 @@ class TestBilinearMotion:
             BilinearMotion(
                 HyperbolicNumber(1.0, 0.0),
                 HyperbolicNumber(0.0, 0.0),
-                SurfaceSpec.definite_negative(),
+                SurfaceSpec.from_name("def-neg"),
             )
 
     def test_degenerate_pair_rejected(self):
@@ -90,7 +96,7 @@ class TestBilinearMotion:
             BilinearMotion(
                 HyperbolicNumber(1.0, 0.0),
                 HyperbolicNumber(0.0, 1.0),
-                SurfaceSpec.lorentzian_positive(),
+                SurfaceSpec.from_name("lorentz-pos"),
             )
 
     @pytest.mark.parametrize("name", ALL_NAMES)
@@ -133,7 +139,7 @@ class TestBilinearMotion:
     def test_image_overflow_is_a_domain_error(self):
         # D of the denominator overflows at |z| ~ 1e160; the true image is
         # near (-4.2, 1.6), while x / inf would read (-0, 0)
-        spec = SurfaceSpec.definite_positive()
+        spec = SurfaceSpec.from_name("def-pos")
         motion = BilinearMotion(
             number_for(spec, 1.0, 0.1), number_for(spec, 0.2, -0.1), spec
         )
@@ -150,7 +156,7 @@ class TestBilinearMotion:
             apply(motion, (1e308, 0.0))
 
     def test_projective_scaling_is_invisible(self):
-        spec = SurfaceSpec.definite_negative()
+        spec = SurfaceSpec.from_name("def-neg")
         alpha = ComplexNumber(1.0, 0.2)
         beta = ComplexNumber(0.1, -0.3)
         m1 = BilinearMotion(alpha, beta, spec)
@@ -190,17 +196,23 @@ class TestBilinearMotion:
             apply(motion, (0.1, 0.05))
         assert motion != BilinearMotion(alpha, number_for(spec, 0.1, 0.25), spec)
 
-    def test_copy_and_pickle_before_and_after_apply(self):
-        spec = SurfaceSpec.lorentzian_negative()
-        motion = BilinearMotion(number_for(spec, 1.0, 0.2), number_for(spec, 0.1, 0.1), spec)
+    def test_asdict_copy_and_pickle_before_and_after_apply(self):
+        # asdict and astuple once raised AttributeError before the first apply
+        spec = SurfaceSpec.from_name("lorentz-neg")
+        alpha, beta = number_for(spec, 1.0, 0.2), number_for(spec, 0.1, 0.1)
+        motion = BilinearMotion(alpha, beta, spec)
         for _ in range(2):
+            fields = dataclasses.asdict(motion)
+            assert (fields["alpha"], fields["beta"]) == ({"x": 1.0, "y": 0.2}, {"x": 0.1, "y": 0.1})
+            assert dataclasses.astuple(motion)[:2] == ((1.0, 0.2), (0.1, 0.1))
             for dup in (copy.copy(motion), copy.deepcopy(motion),
                         pickle.loads(pickle.dumps(motion))):
                 assert dup == motion
+                assert hash(dup) == hash(motion)
                 assert apply(dup, (0.2, 0.1)) == apply(motion, (0.2, 0.1))
 
     def test_maps_to_infinity(self):
-        spec = SurfaceSpec.definite_negative()
+        spec = SurfaceSpec.from_name("def-neg")
         alpha = ComplexNumber(1.0, 0.0)
         beta = ComplexNumber(0.5, 0.0)
         motion = BilinearMotion(alpha, beta, spec)
@@ -246,9 +258,41 @@ class TestTwoPointSolver:
             assert w2.x == pytest.approx(sol.l, abs=1e-12)
             assert sol.l > 0.0
 
+    @pytest.mark.parametrize("name", ALL_NAMES)
+    def test_alpha_is_the_half_argument_rotation(self, name):
+        """alpha is (cos h, -sin h) on definite surfaces, and (cosh h, -sinh h)
+        on the right sector or (-sinh h, cosh h) on the left one of
+        Lorentzian surfaces, bit for bit, with h half the argument of
+        q = (z2 - z1) / (1 -/+ conj(z1) z2)."""
+        spec = SurfaceSpec.from_name(name)
+        rng = np.random.default_rng(5)
+        sectors = set()
+        for _ in range(200):
+            z1 = _draw_model_point(rng, spec)
+            z2 = _draw_model_point(rng, spec)
+            try:
+                sol = solve_two_point(spec, z1, z2)
+            except (NoGeodesic, CoincidentPoints):
+                continue
+            one = type(z1)(1.0, 0.0)
+            den = one + mul(conj(z1), z2) if spec.kappa > 0.0 else one - mul(conj(z1), z2)
+            pol = polar(mul(z2 - z1, inverse(den)))
+            h = pol.theta / 2.0
+            if pol.sector is None:
+                expected = (math.cos(h), -math.sin(h))
+            elif pol.sector is Sector.RIGHT:
+                expected = (math.cosh(h), -math.sinh(h))
+            else:
+                expected = (-math.sinh(h), math.cosh(h))
+            alpha = sol.motion.alpha
+            assert (alpha.x.hex(), alpha.y.hex()) == (expected[0].hex(), expected[1].hex())
+            assert sol.theta_alpha == -h
+            sectors.add(pol.sector)
+        assert sectors == ({None} if spec.metric_sign > 0.0 else {Sector.RIGHT, Sector.LEFT})
+
     def test_left_sector_pair(self):
         """A pair whose separation points into the left wedge still lands at +l."""
-        spec = SurfaceSpec.lorentzian_negative()
+        spec = SurfaceSpec.from_name("lorentz-neg")
         z1 = number_for(spec, 0.2, 0.0)
         z2 = number_for(spec, -0.2, 0.05)
         sol = solve_two_point(spec, z1, z2)
@@ -258,7 +302,7 @@ class TestTwoPointSolver:
 
     def test_distance_matches_quadrature(self):
         """Pull the normal-form segment back and integrate the line element."""
-        spec = SurfaceSpec.lorentzian_negative()
+        spec = SurfaceSpec.from_name("lorentz-neg")
         z1 = number_for(spec, 0.1, 0.2)
         z2 = number_for(spec, 0.4, 0.1)
         sol = solve_two_point(spec, z1, z2)
@@ -271,40 +315,40 @@ class TestTwoPointSolver:
         assert length == pytest.approx(geodesic_distance(spec, z1, z2), abs=1e-7)
 
     def test_coincident_points(self):
-        spec = SurfaceSpec.definite_positive()
+        spec = SurfaceSpec.from_name("def-pos")
         z = number_for(spec, 0.2, 0.1)
         with pytest.raises(CoincidentPoints):
             solve_two_point(spec, z, number_for(spec, 0.2, 0.1))
         assert geodesic_distance(spec, z, number_for(spec, 0.2, 0.1)) == 0.0
 
     def test_tuple_inputs_coerced(self):
-        spec = SurfaceSpec.definite_negative()
+        spec = SurfaceSpec.from_name("def-neg")
         sol = solve_two_point(spec, (0.0, 0.0), (0.5, 0.0))
         assert sol.l == pytest.approx(0.5)
         assert geodesic_distance(spec, (0.0, 0.0), (0.5, 0.0)) == pytest.approx(math.log(3.0))
 
     def test_null_base_point(self):
-        spec = SurfaceSpec.lorentzian_negative()
+        spec = SurfaceSpec.from_name("lorentz-neg")
         with pytest.raises(NoGeodesic, match="null line"):
             solve_two_point(spec, (0.3, 0.3), (0.5, 0.1))
 
     def test_null_separation(self):
-        spec = SurfaceSpec.lorentzian_positive()
+        spec = SurfaceSpec.from_name("lorentz-pos")
         with pytest.raises(NoGeodesic, match="null-separated"):
             solve_two_point(spec, (0.1, 0.05), (0.3, 0.25))
 
     def test_timelike_separation(self):
-        spec = SurfaceSpec.lorentzian_negative()
+        spec = SurfaceSpec.from_name("lorentz-neg")
         with pytest.raises(NoGeodesic):
             solve_two_point(spec, (0.1, 0.0), (0.1, 0.3))
 
     def test_base_point_on_limiting_curve(self):
-        spec = SurfaceSpec.definite_negative()
+        spec = SurfaceSpec.from_name("def-neg")
         with pytest.raises(NoGeodesic, match="limiting curve"):
             solve_two_point(spec, (1.0, 0.0), (0.2, 0.1))
 
     def test_antipodal_points_on_the_sphere_model(self):
-        spec = SurfaceSpec.definite_positive()
+        spec = SurfaceSpec.from_name("def-pos")
         z1 = (0.5, 0.5)
         z2 = (-1.0, -1.0)  # exactly -1/conj(z1): the normal form blows up
         with pytest.raises(NoGeodesic):
@@ -316,7 +360,7 @@ class TestTwoPointSolver:
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_points_rejected(self, bad):
         # inf once read as coincident with any point (inf <= 1e-14 * inf)
-        spec = SurfaceSpec.definite_negative()
+        spec = SurfaceSpec.from_name("def-neg")
         with pytest.raises(DomainError, match="not finite"):
             geodesic_distance(spec, (bad, 0.0), (0.5, 0.0))
         with pytest.raises(DomainError, match="not finite"):
@@ -335,7 +379,7 @@ class TestTwoPointSolver:
             geodesic_distance(spec, (0.1, 0.0), (3e200, 0.0))
 
     def test_out_of_disk_distance(self):
-        spec = SurfaceSpec.definite_negative()
+        spec = SurfaceSpec.from_name("def-neg")
         with pytest.raises(OutOfDisk, match=">= 1"):
             geodesic_distance(spec, (0.0, 0.0), (1.5, 0.0))
 
@@ -385,7 +429,7 @@ class TestGeodesicThrough:
                 assert conic.residual(z.x, z.y) == pytest.approx(0.0, abs=1e-10)
 
     def test_diameter_degenerates_to_a_line(self):
-        spec = SurfaceSpec.definite_negative()
+        spec = SurfaceSpec.from_name("def-neg")
         conic = geodesic_through(spec, (0.2, 0.0), (-0.4, 0.0))
         # the whole axis solves it, so the quadratic part must vanish
         assert conic.residual(0.7, 0.0) == pytest.approx(0.0, abs=1e-12)
@@ -393,7 +437,7 @@ class TestGeodesicThrough:
 
     def test_scaled_model(self):
         """Physical-chart points on a radius-2 surface."""
-        spec = SurfaceSpec.lorentzian_negative(radius=2.0)
+        spec = SurfaceSpec.from_name("lorentz-neg", radius=2.0)
         z1 = number_for(spec, 0.1, 0.2)   # normalized coordinates
         z2 = number_for(spec, 0.4, 0.1)
         conic = geodesic_through(spec, z1, z2)
@@ -404,7 +448,7 @@ class TestGeodesicThrough:
 
 class TestCrossRatio:
     def test_invariance_under_motions(self):
-        spec = SurfaceSpec.lorentzian_negative()
+        spec = SurfaceSpec.from_name("lorentz-neg")
         rng = np.random.default_rng(45)
         for _ in range(20):
             pts = [_draw_model_point(rng, spec) for _ in range(4)]

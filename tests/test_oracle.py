@@ -27,6 +27,7 @@ from lorentzcc import (
     MetricField,
     MixedCausality,
     NearSingular,
+    PlaneLine,
     Signature,
     SurfaceSpec,
     TauField,
@@ -41,7 +42,6 @@ from lorentzcc import (
     geodesic_parametric_with_velocity,
     integrate_geodesic,
     isothermal_curvature,
-    plane_geodesic,
 )
 
 
@@ -86,7 +86,7 @@ class TestChristoffel:
             assert got == pytest.approx(want, abs=2e-7)
 
     def test_second_order_convergence(self):
-        spec = SurfaceSpec.definite_positive()
+        spec = SurfaceSpec.from_name("def-pos")
         field = MetricField(spec, Chart.CARTESIAN)
         want = _analytic_christoffel(spec, 0.4, 0.2)
         errs = []
@@ -98,13 +98,13 @@ class TestChristoffel:
         assert errs[1] / errs[2] == pytest.approx(4.0, rel=0.35)
 
     def test_symmetry_in_lower_indices(self):
-        field = MetricField(SurfaceSpec.lorentzian_negative(), Chart.CARTESIAN)
+        field = MetricField(SurfaceSpec.from_name("lorentz-neg"), Chart.CARTESIAN)
         g = christoffel(field, 1.7, 0.3)
         assert g[0][0][1] == g[0][1][0]
         assert g[1][0][1] == g[1][1][0]
 
     def test_near_singular_stencil(self):
-        field = MetricField(SurfaceSpec.definite_negative(), Chart.CARTESIAN)
+        field = MetricField(SurfaceSpec.from_name("def-neg"), Chart.CARTESIAN)
         h = 2.0**-13
         with pytest.raises(NearSingular, match="stencil"):
             christoffel(field, 1.0 + h, 0.0, step=h)
@@ -130,7 +130,7 @@ class TestIntegrateGeodesic:
         """Halving the RK4 step cuts the end-point error about 16x against
         the closed-form track (Hairer, Norsett & Wanner, Solving ODEs I,
         section II.4)."""
-        spec = SurfaceSpec.definite_negative()
+        spec = SurfaceSpec.from_name("def-neg")
         field = MetricField(spec, Chart.CARTESIAN)
         eps, sigma, length = 0.5, 0.3, 0.4
         tau = constant_A(spec, eps) * sigma - 0.5
@@ -155,13 +155,13 @@ class TestIntegrateGeodesic:
             integrate_geodesic(field, state, 1.0)
 
     def test_requires_matching_chart(self):
-        field = MetricField(SurfaceSpec.definite_negative(), Chart.CARTESIAN)
+        field = MetricField(SurfaceSpec.from_name("def-neg"), Chart.CARTESIAN)
         state = GeodesicState((0.5, 0.0), (1.0, 0.0), Chart.ISOMETRIC)
         with pytest.raises(ValueError, match="chart"):
             integrate_geodesic(field, state, 1.0)
 
     def test_domain_exit_carries_partial_trajectory(self):
-        spec = SurfaceSpec.definite_negative()
+        spec = SurfaceSpec.from_name("def-neg")
         field = MetricField(spec, Chart.CARTESIAN)
         lam = field.factor(0.9, 0.0)
         state = GeodesicState((0.9, 0.0), (1.0 / math.sqrt(lam), 0.0), Chart.CARTESIAN)
@@ -178,7 +178,7 @@ class TestIntegrateGeodesic:
 class TestArcLength:
     def test_round_trip_around_a_small_circle(self):
         # circumference of x^2 + y^2 = r^2 under 4 (1 + x^2 + y^2)^-2 (dx^2+dy^2)
-        spec = SurfaceSpec.definite_positive()
+        spec = SurfaceSpec.from_name("def-pos")
         field = MetricField(spec, Chart.CARTESIAN)
         r = 0.7
         ang = np.linspace(0.0, 2.0 * math.pi, 4001)
@@ -192,18 +192,18 @@ class TestArcLength:
         assert arc_length(field, pts) == pytest.approx(1.0)
 
     def test_mixed_causality_rejected(self):
-        field = MetricField(SurfaceSpec.lorentzian_positive(), Chart.CARTESIAN)
+        field = MetricField(SurfaceSpec.from_name("lorentz-pos"), Chart.CARTESIAN)
         pts = [(0.5, 0.0), (0.9, 0.1), (0.95, 0.6)]  # spacelike then timelike leg
         with pytest.raises(MixedCausality):
             arc_length(field, pts)
 
     @pytest.mark.parametrize("pts", [[], [(0.3, 0.2)]])
     def test_fewer_than_two_points_measure_zero(self, pts):
-        field = MetricField(SurfaceSpec.lorentzian_negative(), Chart.CARTESIAN)
+        field = MetricField(SurfaceSpec.from_name("lorentz-neg"), Chart.CARTESIAN)
         assert arc_length(field, pts) == 0.0
 
     def test_repeated_points_add_nothing(self):
-        field = MetricField(SurfaceSpec.definite_negative(), Chart.CARTESIAN)
+        field = MetricField(SurfaceSpec.from_name("def-neg"), Chart.CARTESIAN)
         pts = [(0.0, 0.0), (0.1, 0.2), (0.3, -0.1)]
         doubled = [p for p in pts for _ in range(2)]
         assert arc_length(field, doubled) == arc_length(field, pts)
@@ -228,37 +228,37 @@ class TestArcLength:
 
 class TestTauField:
     def test_frozen_value(self):
-        tau = TauField(0.7, 0.3, SurfaceSpec.lorentzian_positive())
+        tau = TauField(0.7, 0.3, SurfaceSpec.from_name("lorentz-pos"))
         assert tau(0.8, 0.5) == pytest.approx(1.567854255158543, rel=1e-10)
 
     def test_reference_radii(self):
-        assert TauField(0.2, 0.0, SurfaceSpec.lorentzian_positive()).rho_ref == 0.0
-        assert TauField(0.2, 0.0, SurfaceSpec.lorentzian_negative()).rho_ref == 1.0
+        assert TauField(0.2, 0.0, SurfaceSpec.from_name("lorentz-pos")).rho_ref == 0.0
+        assert TauField(0.2, 0.0, SurfaceSpec.from_name("lorentz-neg")).rho_ref == 1.0
 
     def test_offset_and_linearity(self):
-        tau = TauField(0.4, 1.5, SurfaceSpec.lorentzian_positive())
+        tau = TauField(0.4, 1.5, SurfaceSpec.from_name("lorentz-pos"))
         assert tau(0.0, 0.0) == pytest.approx(1.5)
         assert tau(0.9, 1.2) - tau(0.9, -0.3) == pytest.approx(0.4 * 1.5, rel=1e-12)
 
     def test_definite_rejected(self):
         with pytest.raises(DomainError, match="Lorentzian"):
-            TauField(0.4, 0.0, SurfaceSpec.definite_negative())
+            TauField(0.4, 0.0, SurfaceSpec.from_name("def-neg"))
 
     def test_metric_field_is_built_once(self, monkeypatch):
-        tau = TauField(0.7, 0.3, SurfaceSpec.lorentzian_positive())
+        tau = TauField(0.7, 0.3, SurfaceSpec.from_name("lorentz-pos"))
         first = tau(0.8, 0.5)
         monkeypatch.setattr(oracle, "MetricField", None)
         assert tau(0.8, 0.5) == first
 
     def test_equality_hash_and_repr_read_the_constants_only(self):
-        spec = SurfaceSpec.lorentzian_negative()
+        spec = SurfaceSpec.from_name("lorentz-neg")
         tau = TauField(0.4, 1.5, spec)
         assert tau == TauField(0.4, 1.5, spec)
         assert hash(tau) == hash((0.4, 1.5, spec))
         assert repr(tau).startswith("TauField(A=0.4, C=1.5, spec=SurfaceSpec(")
 
     def test_negative_surface_domain(self):
-        tau = TauField(0.4, 0.0, SurfaceSpec.lorentzian_negative())
+        tau = TauField(0.4, 0.0, SurfaceSpec.from_name("lorentz-neg"))
         with pytest.raises(DomainError, match="rho > 0"):
             tau(-0.1, 0.0)
 
@@ -268,7 +268,7 @@ class TestTauField:
         # integrand; the subprocess turns a regression into a failure
         code = (
             "from lorentzcc import DomainError, SurfaceSpec, TauField\n"
-            f"tau = TauField(float('{A}'), 0.3, SurfaceSpec.lorentzian_positive())\n"
+            f"tau = TauField(float('{A}'), 0.3, SurfaceSpec.from_name('lorentz-pos'))\n"
             "try:\n"
             f"    tau(float('{rho}'), 0.1)\n"
             "except DomainError:\n"
@@ -284,8 +284,8 @@ class TestTauField:
 class TestBeltrami:
     def test_plane_line_families(self):
         # the first-kind residual is a timelike gradient, the second spacelike
-        first = plane_geodesic(LineKind.FIRST, 0.6, 0.2)
-        second = plane_geodesic(LineKind.SECOND, -0.3, 1.0)
+        first = PlaneLine(LineKind.FIRST, 0.6, 0.2)
+        second = PlaneLine(LineKind.SECOND, -0.3, 1.0)
         val1 = beltrami_delta1(None, lambda x, y: first.residual(x, y), (0.4, -0.7))
         val2 = beltrami_delta1(None, lambda x, y: second.residual(x, y), (0.4, -0.7))
         assert val1 == pytest.approx(-1.0, abs=1e-9)
@@ -316,12 +316,12 @@ class TestBeltrami:
         monkeypatch.setattr(
             MetricField, "factor", lambda self, a, b: calls.append(a) or factor(self, a, b)
         )
-        tau = TauField(0.3, 0.0, SurfaceSpec.lorentzian_negative())
+        tau = TauField(0.3, 0.0, SurfaceSpec.from_name("lorentz-neg"))
         assert tau(1e-9, 0.0) == pytest.approx(-20.668575499742627, rel=1e-12)
         assert len(calls) < 300_000
 
     def test_near_singular(self):
-        spec = SurfaceSpec.lorentzian_negative()
+        spec = SurfaceSpec.from_name("lorentz-neg")
         tau = TauField(0.3, 0.0, spec)
         with pytest.raises(NearSingular):
             beltrami_delta1(spec, tau, (5e-5, 0.0), step=1e-4)
@@ -347,12 +347,12 @@ class TestConstantsCheck:
 
     def test_positive_surface_residuals(self):
         for radius, eps, sigma in ((1.0, 0.4, 0.1), (2.0, -0.3, 0.2)):
-            spec = SurfaceSpec.lorentzian_positive(radius)
+            spec = SurfaceSpec.from_name("lorentz-pos", radius)
             assert max(self._tau_residuals(spec, eps, sigma)) < 1e-10
 
     def test_negative_surface_residuals(self):
         for radius, eps, sigma in ((1.0, 0.4, 0.1), (1.3, -0.7, 0.3)):
-            spec = SurfaceSpec.lorentzian_negative(radius)
+            spec = SurfaceSpec.from_name("lorentz-neg", radius)
             assert max(self._tau_residuals(spec, eps, sigma)) < 1e-10
 
 
@@ -373,11 +373,11 @@ class TestIsothermalCurvature:
         assert k == pytest.approx(spec.gauss_curvature, rel=1e-6)
 
     def test_radius_scaling(self):
-        spec = SurfaceSpec.definite_negative(radius=2.0)
+        spec = SurfaceSpec.from_name("def-neg", radius=2.0)
         assert isothermal_curvature(spec, 0.4, 0.1) == pytest.approx(-0.25, rel=1e-6)
 
     def test_near_singular(self):
-        spec = SurfaceSpec.definite_negative()
+        spec = SurfaceSpec.from_name("def-neg")
         h = 2.0**-13
         with pytest.raises(NearSingular, match="stencil"):
             isothermal_curvature(spec, 1.0 + h, 0.0, step=h)

@@ -1,12 +1,15 @@
 """Surface catalogue, line elements, charts, and the exponential map."""
 
+import argparse
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from lorentzcc import cli, verify
 from lorentzcc import (
+    SURFACE_NAMES,
     Chart,
     CurvatureSign,
     DomainError,
@@ -28,16 +31,27 @@ ALL_NAMES = ("def-pos", "def-neg", "lorentz-pos", "lorentz-neg")
 
 class TestSurfaceSpec:
     def test_catalogue(self):
-        spec = SurfaceSpec.definite_positive(radius=2.0)
+        spec = SurfaceSpec.from_name("def-pos", radius=2.0)
         assert spec.signature is Signature.DEFINITE
         assert spec.curvature_sign is CurvatureSign.POSITIVE
         assert spec.gauss_curvature == pytest.approx(0.25)
         assert spec.metric_sign == 1.0
 
-        spec = SurfaceSpec.lorentzian_negative()
+        spec = SurfaceSpec.from_name("lorentz-neg")
         assert spec.name == "lorentz-neg"
         assert spec.gauss_curvature == pytest.approx(-1.0)
         assert spec.metric_sign == -1.0
+
+    def test_one_catalogue_for_the_cli_and_the_battery(self):
+        assert SURFACE_NAMES == ALL_NAMES
+        assert tuple(spec.name for spec in verify._SURFACES) == SURFACE_NAMES
+        commands = next(
+            a for a in cli._build_parser()._actions
+            if isinstance(a, argparse._SubParsersAction)
+        ).choices
+        for command in ("geodesic", "distance"):
+            (surface,) = [a for a in commands[command]._actions if a.dest == "surface"]
+            assert tuple(surface.choices) == SURFACE_NAMES
 
     @pytest.mark.parametrize("name", ALL_NAMES)
     def test_curvature_sign(self, name):
@@ -53,10 +67,10 @@ class TestSurfaceSpec:
 
     def test_bad_inputs(self):
         with pytest.raises(ValueError, match="radius must be positive"):
-            SurfaceSpec.definite_positive(radius=0.0)
+            SurfaceSpec.from_name("def-pos", radius=0.0)
         for radius in (math.inf, math.nan):
             with pytest.raises(ValueError, match="radius must be positive and finite"):
-                SurfaceSpec.definite_negative(radius=radius)
+                SurfaceSpec.from_name("def-neg", radius=radius)
         with pytest.raises(ValueError):
             SurfaceSpec.from_name("banana")
 
@@ -89,28 +103,28 @@ class TestProfileCurvature:
 
 class TestLineElements:
     def test_isometric_negative_definite(self):
-        spec = SurfaceSpec.definite_negative()
+        spec = SurfaceSpec.from_name("def-neg")
         ds2 = line_element_isometric(spec, 1.0, 0.2, 0.0)
         assert ds2 == pytest.approx(0.04 / math.sinh(1.0) ** 2)
         assert ds2 == pytest.approx(0.0289624664386524, rel=1e-12)
 
     def test_isometric_positive_lorentz(self):
-        spec = SurfaceSpec.lorentzian_positive()
+        spec = SurfaceSpec.from_name("lorentz-pos")
         ds2 = line_element_isometric(spec, 1.0, 0.2, 0.1)
         assert ds2 == pytest.approx(0.03 / math.cosh(1.0) ** 2)
         assert ds2 == pytest.approx(0.0125992302484208, rel=1e-12)
 
     def test_isometric_timelike_sign(self):
-        spec = SurfaceSpec.lorentzian_positive()
+        spec = SurfaceSpec.from_name("lorentz-pos")
         assert line_element_isometric(spec, 0.4, 0.0, 0.3) < 0.0
 
     def test_cartesian_positive_definite(self):
-        spec = SurfaceSpec.definite_positive()
+        spec = SurfaceSpec.from_name("def-pos")
         ds2 = line_element_cartesian(spec, 0.5, 0.5, 0.3, 0.1)
         assert ds2 == pytest.approx(16.0 / 9.0 * 0.1)
 
     def test_cartesian_positive_lorentz(self):
-        spec = SurfaceSpec.lorentzian_positive()
+        spec = SurfaceSpec.from_name("lorentz-pos")
         ds2 = line_element_cartesian(spec, 1.5, 0.5, 0.3, 0.1)
         assert ds2 == pytest.approx(4.0 / 9.0 * 0.08)
         assert ds2 == pytest.approx(0.0355555555555556, rel=1e-12)
@@ -143,16 +157,16 @@ class TestLineElements:
 
     def test_singular_points_flagged(self):
         with pytest.raises(SingularPoint):
-            line_element_isometric(SurfaceSpec.definite_negative(), 0.0, 0.1, 0.0)
+            line_element_isometric(SurfaceSpec.from_name("def-neg"), 0.0, 0.1, 0.0)
         with pytest.raises(OnLimitingCurve):
-            line_element_cartesian(SurfaceSpec.definite_negative(), 1.0, 0.0, 0.1, 0.0)
+            line_element_cartesian(SurfaceSpec.from_name("def-neg"), 1.0, 0.0, 0.1, 0.0)
         with pytest.raises(OnLimitingCurve):
-            line_element_cartesian(SurfaceSpec.lorentzian_positive(), 0.0, 1.0, 0.1, 0.0)
+            line_element_cartesian(SurfaceSpec.from_name("lorentz-pos"), 0.0, 1.0, 0.1, 0.0)
 
 
 class TestMetricField:
     def test_tensor_is_conformal_diagonal(self):
-        spec = SurfaceSpec.lorentzian_negative()
+        spec = SurfaceSpec.from_name("lorentz-neg")
         field = MetricField(spec, Chart.CARTESIAN)
         g = field.tensor(1.5, 0.2)
         lam = field.factor(1.5, 0.2)
@@ -162,36 +176,36 @@ class TestMetricField:
 
     def test_boundary_distances(self):
         inf = math.inf
-        assert MetricField(SurfaceSpec.definite_positive(), Chart.CARTESIAN).boundary_distance(9.0, 9.0) == inf
-        f = MetricField(SurfaceSpec.definite_negative(), Chart.CARTESIAN)
+        assert MetricField(SurfaceSpec.from_name("def-pos"), Chart.CARTESIAN).boundary_distance(9.0, 9.0) == inf
+        f = MetricField(SurfaceSpec.from_name("def-neg"), Chart.CARTESIAN)
         assert f.boundary_distance(0.5, 0.0) == pytest.approx(0.5)
         assert f.boundary_distance(3.0, 4.0) == pytest.approx(4.0)
-        f = MetricField(SurfaceSpec.definite_negative(), Chart.ISOMETRIC)
+        f = MetricField(SurfaceSpec.from_name("def-neg"), Chart.ISOMETRIC)
         assert f.boundary_distance(-0.7, 2.0) == pytest.approx(0.7)
-        f = MetricField(SurfaceSpec.lorentzian_negative(), Chart.CARTESIAN)
+        f = MetricField(SurfaceSpec.from_name("lorentz-neg"), Chart.CARTESIAN)
         # |x^2 - y^2 - 1| / (2 hypot): a safe but pessimistic estimate
         assert f.boundary_distance(2.0, 0.0) == pytest.approx(3.0 / 4.0)
 
     @pytest.mark.parametrize("radius", [0.5, 1.0, 2.5])
     def test_factor_raises_where_the_chart_ends(self, radius):
         r = radius
-        iso = MetricField(SurfaceSpec.lorentzian_negative(r), Chart.ISOMETRIC)
+        iso = MetricField(SurfaceSpec.from_name("lorentz-neg", r), Chart.ISOMETRIC)
         for rho in (0.0, -0.0, 5e-13):
             with pytest.raises(SingularPoint):
                 iso.factor(rho, 0.3)
         for rho in (math.nan, math.inf, -math.inf):
             with pytest.raises(DomainError, match="finite rho"):
                 iso.factor(rho, 0.3)
-        cart = MetricField(SurfaceSpec.definite_negative(r), Chart.CARTESIAN)
+        cart = MetricField(SurfaceSpec.from_name("def-neg", r), Chart.CARTESIAN)
         with pytest.raises(OnLimitingCurve):
             cart.factor(0.6 * r, 0.8 * r)
-        cart = MetricField(SurfaceSpec.lorentzian_positive(r), Chart.CARTESIAN)
+        cart = MetricField(SurfaceSpec.from_name("lorentz-pos", r), Chart.CARTESIAN)
         with pytest.raises(OnLimitingCurve):
             cart.factor(0.75 * r, 1.25 * r)
         # the guard is 1e-12 R^2 on |x^2 + s y^2 + kappa R^2|
         assert cart.factor(0.0, r * (1.0 + 1e-11)) > 0.0
         # def-pos has no limiting curve, and its isometric chart no pole
-        assert MetricField(SurfaceSpec.definite_positive(r), Chart.ISOMETRIC).factor(0.0, 0.0) == r * r
+        assert MetricField(SurfaceSpec.from_name("def-pos", r), Chart.ISOMETRIC).factor(0.0, 0.0) == r * r
 
     @pytest.mark.parametrize("name", ALL_NAMES)
     def test_equality_hash_and_repr_read_spec_and_chart_only(self, name):
@@ -208,7 +222,7 @@ class TestMetricField:
         )
 
     def test_factor_radius_scaling(self):
-        spec = SurfaceSpec.definite_positive(radius=2.0)
+        spec = SurfaceSpec.from_name("def-pos", radius=2.0)
         field = MetricField(spec, Chart.CARTESIAN)
         assert field.factor(0.0, 0.0) == pytest.approx(4.0)
 
@@ -249,7 +263,7 @@ class TestExponentialMap:
     def test_exp_map_needs_finite_rho(self, rho):
         # a NaN rho once came back as (nan, nan)
         with pytest.raises(DomainError, match="rho must be finite"):
-            exp_map_to_cartesian(SurfaceSpec.definite_positive(), rho, 0.1)
+            exp_map_to_cartesian(SurfaceSpec.from_name("def-pos"), rho, 0.1)
 
     @pytest.mark.parametrize(
         "name, rho, phi",
@@ -267,16 +281,16 @@ class TestExponentialMap:
         # a NaN drho once came back as (nan, nan), and a finite tangent whose
         # image overflows as (inf, ...)
         with pytest.raises(DomainError, match="must be finite"):
-            exp_map_pushforward(SurfaceSpec.definite_positive(), 0.3, 0.1, drho, dphi)
+            exp_map_pushforward(SurfaceSpec.from_name("def-pos"), 0.3, 0.1, drho, dphi)
 
     def test_lorentz_map_is_exponential_polar(self):
-        spec = SurfaceSpec.lorentzian_positive(radius=2.0)
+        spec = SurfaceSpec.from_name("lorentz-pos", radius=2.0)
         x, y = exp_map_to_cartesian(spec, 0.3, 0.7)
         assert x == pytest.approx(2.0 * math.exp(0.3) * math.cosh(0.7))
         assert y == pytest.approx(2.0 * math.exp(0.3) * math.sinh(0.7))
 
     def test_definite_map_is_exponential_polar(self):
-        spec = SurfaceSpec.definite_negative()
+        spec = SurfaceSpec.from_name("def-neg")
         x, y = exp_map_to_cartesian(spec, -0.4, 2.0)
         assert x == pytest.approx(math.exp(-0.4) * math.cos(2.0))
         assert y == pytest.approx(math.exp(-0.4) * math.sin(2.0))

@@ -54,6 +54,13 @@ def test_unknown_tolerance_rejected():
         run_all(tolerances={"nope": 1.0})
 
 
+@pytest.mark.parametrize("tol", [math.nan, -1.0, -math.inf])
+def test_tolerance_must_be_non_negative(tol):
+    # once answered as a failed check instead of malformed input
+    with pytest.raises(ValueError, match="tolerances must be non-negative"):
+        run_all(tolerances={"algebra_properties": tol}, names=("algebra_properties",))
+
+
 @pytest.mark.parametrize("scale", [math.inf, math.nan, 0.0, -1.0])
 def test_scale_must_be_positive_and_finite(scale):
     # inf once overflowed in int(round(...)); 0 and -1 ran the floor workloads
