@@ -11,7 +11,6 @@ __all__ = [
     "GeometryError",
     "DivisorOfZero",
     "OnNullLine",
-    "ProfileZero",
     "DomainError",
     "SingularPoint",
     "OnLimitingCurve",
@@ -45,10 +44,6 @@ class OnNullLine(GeometryError):
 
 
 # --- surface charts -------------------------------------------------------
-
-class ProfileZero(GeometryError):
-    """Curvature of a revolution profile evaluated where the profile vanishes."""
-
 
 class DomainError(GeometryError):
     """Argument outside the validity range of a chart or formula."""

@@ -227,11 +227,9 @@ def _uses_tan(spec: SurfaceSpec) -> bool:
     return spec.metric_sign == spec.kappa
 
 
-def _check_eps(spec: SurfaceSpec, eps: float, sigma: float, tau: float = 0.0) -> None:
-    if not (math.isfinite(eps) and math.isfinite(sigma) and math.isfinite(tau)):
-        raise DomainError(
-            f"eps, sigma and tau must be finite, got {eps}, {sigma} and {tau}"
-        )
+def _check_eps(spec: SurfaceSpec, eps: float, sigma: float) -> None:
+    if not (math.isfinite(eps) and math.isfinite(sigma)):
+        raise DomainError(f"eps and sigma must be finite, got {eps} and {sigma}")
     if abs(eps) < 1e-12:
         raise DegenerateEpsilon(
             f"eps = {eps} degenerates the conic; use origin_line(spec, sigma) "
@@ -441,12 +439,12 @@ def geodesic_parametric_with_velocity(
 
     Raises:
         OutOfChart: u outside the chart window, or where c^2 - 1 overflows.
-        DomainError: eps, sigma, tau or u not finite, or sinh(eps) overflows.
+        DomainError: tau not finite, or as :func:`geodesic_family`.
     """
-    _check_eps(spec, eps, sigma, tau)
-    C, S = _family_trig(spec, eps)
-    r = spec.radius
-    return GeodesicFamily(spec, sigma, C, S).state((tau - r * S * sigma) / r)
+    if not math.isfinite(tau):
+        raise DomainError(f"tau must be finite, got {tau}")
+    fam = geodesic_family(spec, eps, sigma)
+    return fam.state((tau - fam.tau0) / spec.radius)
 
 
 def geodesic_parametric(
@@ -561,10 +559,16 @@ def limiting_intersections(
     cross it (orthogonally); def-pos has no real limiting curve at all.
 
     Raises:
+        ValueError: the conic belongs to a surface of the other signature.
         DomainError: def-pos (imaginary limiting curve).
         NoRealIntersection: no real common point.
     """
     s = spec.metric_sign
+    if conic.spec.metric_sign != s:
+        raise ValueError(
+            f"a {conic.spec.name} conic has another quadratic part than the "
+            f"{spec.name} limiting curve"
+        )
     if s > 0.0 and spec.kappa > 0.0:
         raise DomainError("def-pos has no real limiting curve")
     # both curves share the quadratic part x^2 + s y^2, so their common points

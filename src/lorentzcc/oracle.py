@@ -6,7 +6,9 @@ of ``L = ln lambda``, geodesics from a fixed-step RK4 integration of the
 geodesic equation, lengths from midpoint quadrature of polylines, and the
 arc-length field tau from adaptive Simpson quadrature of its defining
 integral.  Nothing in here looks at the conic family, so agreement between
-the two routes is an actual test.
+the two routes is an actual test.  Each routine reads its ``field``
+through ``factor`` and ``signature_sign`` alone (the integrator also through
+``chart`` and ``boundary_distance``), so any chart or tampered field works.
 
 Numerical notes
 ---------------
@@ -138,12 +140,14 @@ def integrate_geodesic(
     states after each step, the initial one included.
 
     Raises:
-        ValueError: the start is not unit speed (or charts disagree).
+        ValueError: not unit speed, charts disagree, or a bad length or step.
         DomainExit: the path came within ``10 * step`` of a chart boundary;
             the partial trajectory rides on the exception.
     """
     if state.chart is not field.chart:
         raise ValueError(f"state chart {state.chart} != field chart {field.chart}")
+    if not (0.0 < length < math.inf and 0.0 < step < math.inf):
+        raise ValueError(f"length {length} and step {step} must be positive and finite")
     x, y = state.position
     vx, vy = state.velocity
     s = field.signature_sign
@@ -298,47 +302,44 @@ class TauField:
 
 
 def beltrami_delta1(
-    spec: SurfaceSpec | None,
+    field,
     tau: Callable[[float, float], float],
     point: tuple[float, float],
     step: float = 1e-5,
 ) -> float:
     """Raw first-order Beltrami quantity ``(d_a tau)^2 + s (d_b tau)^2`` by
-    central differences (``spec=None`` means the flat Lorentz plane, s=-1).
+    central differences, ``s = field.signature_sign``.
 
-    For an arc-length field this equals the isometric conformal factor at
-    the point (or 1 on the plane) — that is the property worth testing.
+    For an arc-length field this equals the field's conformal factor at the
+    point (1 on the flat plane) — that is the property worth testing.
 
     Raises:
         NearSingular: the stencil left the field's domain.
     """
-    s = -1.0 if spec is None else spec.metric_sign
     a, b = point
     try:
         ta = (tau(a + step, b) - tau(a - step, b)) / (2.0 * step)
         tb = (tau(a, b + step) - tau(a, b - step)) / (2.0 * step)
     except GeometryError as exc:
         raise NearSingular(f"tau stencil at {point} left the domain: {exc}") from exc
-    return ta * ta + s * tb * tb
+    return ta * ta + field.signature_sign * tb * tb
 
 
-def isothermal_curvature(
-    spec: SurfaceSpec, x: float, y: float, step: float = 1e-4
-) -> float:
-    """Gauss curvature from the conformal Cartesian factor by finite
-    differences: ``K = -(L_xx + s L_yy) / (2 lambda)`` with ``L = ln
-    lambda``.  A pure metric-side probe of the curvature normalization.
+def isothermal_curvature(field, a: float, b: float, step: float = 1e-4) -> float:
+    """Gauss curvature ``K = -(L_aa + s L_bb) / (2 lambda)`` of a conformal
+    field of either chart, ``L = ln lambda`` and ``s = field.signature_sign``,
+    from second central differences of ``L``: a rescale ``c lambda`` reads
+    ``K / c``; truncation and rounding (``|L| 2^-52 / step^2``) balance near 1e-4.
+
+    Raises:
+        NearSingular: a stencil point left the chart domain.
     """
-    metric = MetricField(spec, Chart.CARTESIAN)
-
-    def logf(a: float, b: float) -> float:
-        return math.log(metric.factor(a, b))
-
+    factor = field.factor
     try:
-        l0 = logf(x, y)
-        lxx = (logf(x + step, y) - 2.0 * l0 + logf(x - step, y)) / (step * step)
-        lyy = (logf(x, y + step) - 2.0 * l0 + logf(x, y - step)) / (step * step)
+        lam = factor(a, b)
+        l0 = math.log(lam)
+        laa = math.log(factor(a + step, b)) - 2.0 * l0 + math.log(factor(a - step, b))
+        lbb = math.log(factor(a, b + step)) - 2.0 * l0 + math.log(factor(a, b - step))
     except GeometryError as exc:
-        raise NearSingular(f"curvature stencil at ({x}, {y}) left the domain: {exc}") from exc
-    lam = metric.factor(x, y)
-    return -(lxx + spec.metric_sign * lyy) / (2.0 * lam)
+        raise NearSingular(f"curvature stencil at ({a}, {b}) left the domain: {exc}") from exc
+    return -(laa + field.signature_sign * lbb) / (2.0 * lam * step * step)

@@ -46,9 +46,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable
 
-from .errors import DomainError, OnLimitingCurve, ProfileZero, SingularPoint
+from .errors import DomainError, OnLimitingCurve, SingularPoint
 from .hypernum import cos_sin
 
 __all__ = [
@@ -58,7 +57,6 @@ __all__ = [
     "Chart",
     "SurfaceSpec",
     "MetricField",
-    "gauss_curvature_of_profile",
     "line_element_isometric",
     "line_element_cartesian",
     "exp_map_to_cartesian",
@@ -186,7 +184,7 @@ class MetricField:
 
     ``factor(a, b)`` is the scalar lambda in ``ds^2 = lambda (da^2 + s db^2)``
     with ``s = signature_sign``; it is all the numerical oracle reads (its
-    Christoffel symbols come from central differences of ``ln lambda``).
+    Christoffel symbols and curvature come from differences of ``ln lambda``).
     ``tensor`` is the same data as a 2x2 matrix of nested tuples,
     ``((lambda, 0), (0, s lambda))``, for callers that want one.
     ``boundary_distance`` estimates how far a point is from the nearest
@@ -235,25 +233,6 @@ class MetricField:
             return math.inf
         # |base| / |grad base|, base as in the Lorentzian conformal factor
         return abs((a - b) * (a + b) + spec._kappa_r2) / grad
-
-
-def gauss_curvature_of_profile(
-    profile: Callable[[float], float], u: float, step: float = 1e-5
-) -> float:
-    """Curvature ``K = -r''(u) / r(u)`` of a surface of revolution profile.
-
-    ``r`` is the unit-speed profile (distance from the axis as a function of
-    arc length along a meridian); the second derivative is taken by central
-    differences with the given step.
-
-    Raises:
-        ProfileZero: the profile vanishes at ``u`` and K is undefined there.
-    """
-    r0 = profile(u)
-    if abs(r0) < 1e-12:
-        raise ProfileZero(f"profile vanishes at u = {u}")
-    second = (profile(u + step) - 2.0 * r0 + profile(u - step)) / (step * step)
-    return -second / r0
 
 
 def line_element_isometric(

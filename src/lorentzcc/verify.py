@@ -26,6 +26,7 @@ fails with ``measured = inf`` under any tolerance.
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 import random
@@ -61,11 +62,13 @@ from .motion import (
     solve_two_point,
 )
 from .oracle import (
+    FlatPlaneField,
     GeodesicState,
     TauField,
     arc_length,
     beltrami_delta1,
     integrate_geodesic,
+    isothermal_curvature,
 )
 from .surface import (
     SURFACE_NAMES,
@@ -74,7 +77,6 @@ from .surface import (
     SurfaceSpec,
     exp_map_pushforward,
     exp_map_to_cartesian,
-    gauss_curvature_of_profile,
     line_element_cartesian,
 )
 
@@ -169,29 +171,46 @@ def _u_window(fam: GeodesicFamily) -> tuple[float, float]:
     return (u_s, u_s + 0.8)
 
 
+@dataclass(frozen=True, slots=True)
+class _ScaledField(MetricField):
+    """A metric field whose factor is multiplied by ``scale``."""
+
+    scale: float
+
+    def factor(self, a: float, b: float) -> float:
+        return self.scale * MetricField.factor(self, a, b)
+
+
+def _metric(spec: SurfaceSpec, chart: Chart, perturb: float) -> MetricField:
+    """The field the numerical routes read: tampered by ``1 + perturb``."""
+    return _ScaledField(spec, chart, 1.0 + perturb) if perturb else MetricField(spec, chart)
+
+
 # --------------------------------------------------------------------------
-# 1. profile curvature
+# 1. profile curvature: K of the library's metrics from ln(factor)
 
 
 def _check_profile_curvature(rng, scale, perturb):
-    worst = 0.0
-    count = 0
+    # a fixed 3 x 3 grid per chart, clear of the limiting curves (|x|, |y|
+    # <= 0.6 R) and of the kappa < 0 pole (rho >= 0.3)
+    rel = []
     for r in (0.5, 1.0, 3.0):
-        cases = (
-            (lambda u, r=r: r * math.sin(u / r), 1.0 / (r * r), 0.3 * r, (math.pi - 0.3) * r),
-            (lambda u, r=r: r * math.sinh(u / r), -1.0 / (r * r), 0.3 * r, 3.0 * r),
+        cart = _linspace(-0.6 * r, 0.6 * r, 3)
+        grids = (
+            (Chart.CARTESIAN, cart, 1e-4 * r),
+            (Chart.ISOMETRIC, _linspace(0.3, 1.5, 3), 1e-4),
         )
-        for profile, expected, lo, hi in cases:
-            # keep the FD step near the optimum for a second difference:
-            # rounding noise grows with the profile value, so scale with R
-            step = 1e-4 * max(1.0, r)
-            for u in _linspace(lo, hi, 10):
-                k = gauss_curvature_of_profile(profile, u, step=step)
-                worst = _worst(worst, abs(k - expected) / abs(expected))
-                count += 1
+        for name in SURFACE_NAMES:
+            spec = SurfaceSpec.from_name(name, r)
+            for chart, a_grid, step in grids:
+                field = _metric(spec, chart, perturb)
+                for a, b in itertools.product(a_grid, cart):
+                    k = isothermal_curvature(field, a, b, step=step)
+                    rel.append(abs(k / spec.gauss_curvature - 1.0))
     return (
-        (("relative curvature error", worst, 1.0),),
-        f"{count} probes, sin/sinh profiles, R in {{0.5, 1, 3}}, FD step 1e-4*max(1,R)",
+        (("relative curvature error", _worst(*rel), 1.0),),
+        f"{len(rel)} probes, K from FD of ln(factor) on both charts, R in {{0.5, 1, 3}}, "
+        "step 1e-4 (1e-4*R Cartesian)",
     )
 
 
@@ -229,30 +248,13 @@ def _check_closed_form_consistency(rng, scale, perturb):
 # 3. closed forms vs RK4 on the FD metric
 
 
-class _ScaledField:
-    """Conformal factor multiplied by a constant (metric tampering hook)."""
-
-    def __init__(self, base: MetricField, scale: float):
-        self._base = base
-        self._scale = scale
-        self.signature_sign = base.signature_sign
-        self.chart = base.chart
-
-    def factor(self, a: float, b: float) -> float:
-        return self._scale * self._base.factor(a, b)
-
-    def boundary_distance(self, a: float, b: float) -> float:
-        return self._base.boundary_distance(a, b)
-
-
 def _check_oracle_equivalence(rng, scale, perturb):
     n_geo = max(1, int(round(5 * scale)))
     length = 1.0 if scale >= 1.0 else max(0.2, float(scale))
     step = 1e-3
     worst = 0.0
     for spec in _SURFACES:
-        base_field = MetricField(spec, Chart.CARTESIAN)
-        field = _ScaledField(base_field, 1.0 + perturb) if perturb else base_field
+        field = _metric(spec, Chart.CARTESIAN, perturb)
         for _ in range(n_geo):
             eps, sigma = _signed_draw(rng, 0.1, 1.0)
             fam = geodesic_family(spec, eps, sigma)
@@ -469,18 +471,15 @@ def _check_limiting_orthogonality(rng, scale, perturb):
 
 def _check_beltrami_fields(rng, scale, perturb):
     worst = 0.0
+    plane = FlatPlaneField()
     # flat plane: the two line families give -1 / +1 exactly
     for kind, expected in ((LineKind.FIRST, -1.0), (LineKind.SECOND, 1.0)):
         for _ in range(3):
             theta = rng.uniform(-1.2, 1.2)
             c = rng.uniform(-1.0, 1.0)
             line = PlaneLine(kind, theta, c)
-
-            def tau_plane(a: float, b: float, line=line) -> float:
-                return line.residual(a, b)
-
             pt = (rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0))
-            val = beltrami_delta1(None, tau_plane, pt, step=1e-4)
+            val = beltrami_delta1(plane, line.residual, pt, step=1e-4)
             worst = _worst(worst, abs(val - expected))
     # curved: tau fields built by quadrature, compared to the conformal factor
     n_pts = max(2, int(round(5 * scale)))
@@ -490,7 +489,7 @@ def _check_beltrami_fields(rng, scale, perturb):
         for _ in range(n_pts):
             rho = rng.uniform(0.5, 1.5)
             phi = rng.uniform(-1.0, 1.0)
-            val = beltrami_delta1(spec, tau, (rho, phi), step=1e-4)
+            val = beltrami_delta1(metric, tau, (rho, phi), step=1e-4)
             worst = _worst(worst, abs(val - metric.factor(rho, 0.0)))
     return (
         (("|(d_rho tau)^2 - (d_phi tau)^2 - factor|", worst, 1.0),),
@@ -612,9 +611,11 @@ def run_all(
     ``tolerances`` overrides per-check thresholds, each non-negative (``inf``
     included; NaN or a negative value is a ``ValueError``); ``scale``
     shrinks or grows the randomized workloads; ``perturb`` multiplies the
-    metric used by the numerical route of ``oracle_equivalence`` by
-    ``1 + perturb`` (a tampering knob: any nonzero value must make that
-    check fail).  Each check draws from its own ``random.Random`` stream,
+    metric read by the numerical routes of ``profile_curvature`` and
+    ``oracle_equivalence`` by ``1 + perturb`` (a tampering knob: the
+    measured curvature scales by ``1 / (1 + perturb)`` and the RK4 track
+    advances ``1 / sqrt(1 + perturb)`` as far per step, so any nonzero value
+    must make both checks fail).  Each check draws from its own ``random.Random`` stream,
     seeded by the string ``"lorentzcc/{seed}/{index}"``, so a run is the
     same on every platform.
     """

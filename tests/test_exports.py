@@ -39,8 +39,6 @@ ALLOWLIST = {
     "plane_apply": "the rigid motions of the flat Lorentz plane",
     "TwoPointSolution": "return type of solve_two_point: the normal-form motion",
     "cross_ratio": "the motion-invariant cross ratio of four points",
-    "FlatPlaneField": "metric field of the flat Lorentz plane, the oracle's flat case",
-    "isothermal_curvature": "Gauss curvature from the conformal factor alone",
     "CheckResult": "return type of run_all",
     "DEFAULT_TOLERANCES": "the battery's documented bound per check",
 }

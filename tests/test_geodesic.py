@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from lorentzcc import (
+    SURFACE_NAMES,
     DegenerateEpsilon,
     DomainError,
     LineKind,
@@ -35,8 +36,6 @@ from lorentzcc import (
     origin_line,
 )
 from lorentzcc.geodesic import GeodesicConic
-
-ALL_NAMES = ("def-pos", "def-neg", "lorentz-pos", "lorentz-neg")
 
 
 def _safe_taus(spec, eps, sigma, n=15):
@@ -63,7 +62,7 @@ class TestFamilyConstants:
         assert constant_A(SurfaceSpec.from_name("def-neg"), 0.5) == pytest.approx(math.sinh(0.5))
         assert constant_A(SurfaceSpec.from_name("lorentz-pos"), 0.5) == pytest.approx(math.sinh(0.5))
 
-    @pytest.mark.parametrize("name", ALL_NAMES)
+    @pytest.mark.parametrize("name", SURFACE_NAMES)
     def test_epsilon_round_trip(self, name):
         spec = SurfaceSpec.from_name(name, radius=1.7)
         for eps in (-1.1, -0.3, 0.2, 0.9):
@@ -106,7 +105,7 @@ class TestFamilyConstants:
         with pytest.raises(DomainError, match="tau0"):
             geodesic_family(SurfaceSpec.from_name("lorentz-pos"), 700.0, 1e10)
 
-    @pytest.mark.parametrize("name", ALL_NAMES)
+    @pytest.mark.parametrize("name", SURFACE_NAMES)
     def test_non_finite_family_input_rejected(self, name):
         spec = SurfaceSpec.from_name(name)
         for eps, sigma, tau in (
@@ -154,7 +153,7 @@ class TestSignedFormulas:
     """One body on the surface signs (s, kappa) gives each surface the bits
     of its own textbook formula: multiplying by +-1 is exact."""
 
-    @pytest.mark.parametrize("name", ALL_NAMES)
+    @pytest.mark.parametrize("name", SURFACE_NAMES)
     def test_family_conic_bits(self, name):
         spec = SurfaceSpec.from_name(name, 1.7)
         r = spec.radius
@@ -202,7 +201,7 @@ class TestConicForm:
                 (conic.residual(x, y + h) - conic.residual(x, y - h)) / (2 * h), rel=1e-6
             )
 
-    @pytest.mark.parametrize("name", ALL_NAMES)
+    @pytest.mark.parametrize("name", SURFACE_NAMES)
     def test_parametric_points_lie_on_the_conic(self, name):
         spec = SurfaceSpec.from_name(name, radius=1.4)
         rng = np.random.default_rng(31)
@@ -218,7 +217,7 @@ class TestConicForm:
 
 
 class TestParametrization:
-    @pytest.mark.parametrize("name", ALL_NAMES)
+    @pytest.mark.parametrize("name", SURFACE_NAMES)
     def test_unit_speed(self, name):
         spec = SurfaceSpec.from_name(name, radius=0.8)
         rng = np.random.default_rng(32)
@@ -232,7 +231,7 @@ class TestParametrization:
                 ds2 = line_element_isometric(spec, rho, drho, dphi)
                 assert ds2 == pytest.approx(1.0, abs=1e-10)
 
-    @pytest.mark.parametrize("name", ALL_NAMES)
+    @pytest.mark.parametrize("name", SURFACE_NAMES)
     def test_velocity_matches_finite_difference(self, name):
         spec = SurfaceSpec.from_name(name)
         h = 1e-6
@@ -274,11 +273,14 @@ class TestParametrization:
         with pytest.raises(OutOfChart, match="u = "):
             geodesic_parametric_with_velocity(SurfaceSpec.from_name(name), 0.5, 0.1, tau)
 
-    @pytest.mark.parametrize("name", ALL_NAMES)
+    @pytest.mark.parametrize("name", SURFACE_NAMES)
     def test_overflowing_arc_parameter_is_a_domain_error(self, name):
         # tau - A sigma overflows; sin(u) once raised a bare ValueError
         spec = SurfaceSpec.from_name(name, radius=4.0)
         with pytest.raises(DomainError, match="u = "):
+            geodesic_parametric_with_velocity(spec, 0.5, -5e307, 1.7e308)
+        # A sigma itself overflows: the family rejects it first
+        with pytest.raises(DomainError, match="tau0 = A sigma overflows"):
             geodesic_parametric_with_velocity(spec, 0.5, 1e308, 0.0)
 
     def test_definite_positive_crosses_many_turns(self):
@@ -331,7 +333,7 @@ class TestWindows:
         with pytest.raises(OutOfChart):
             fam.state(0.0)
 
-    @pytest.mark.parametrize("name", ALL_NAMES)
+    @pytest.mark.parametrize("name", SURFACE_NAMES)
     def test_non_finite_arc_parameter(self, name):
         fam = geodesic_family(SurfaceSpec.from_name(name), 0.5, 0.1)
         for u in (math.nan, math.inf, -math.inf):
@@ -340,7 +342,7 @@ class TestWindows:
 
 
 class TestOriginLines:
-    @pytest.mark.parametrize("name", ALL_NAMES)
+    @pytest.mark.parametrize("name", SURFACE_NAMES)
     def test_line_contains_the_ray(self, name):
         spec = SurfaceSpec.from_name(name, radius=1.1)
         sigma = 0.6
@@ -524,6 +526,26 @@ class TestLimitingCurve:
         spec = SurfaceSpec.from_name(name)
         with pytest.raises(NoRealIntersection):
             limiting_intersections(spec, GeodesicConic(quad, a, b, c, spec))
+
+    @pytest.mark.parametrize(
+        "name, conic_name", [("lorentz-neg", "def-neg"), ("def-neg", "lorentz-neg")]
+    )
+    def test_conic_of_the_other_signature_rejected(self, name, conic_name):
+        # the line-quadric reduction needs a shared x^2 + s y^2; lorentz-neg
+        # with a def-neg conic once returned hits with conic residual 1.6
+        conic = geodesic_from_constants(SurfaceSpec.from_name(conic_name), 0.5, 0.3)
+        with pytest.raises(ValueError, match="quadratic part"):
+            limiting_intersections(SurfaceSpec.from_name(name), conic)
+
+    def test_conic_of_another_radius_accepted(self):
+        # the reduction holds for any quad, so the hits lie on both curves
+        spec = SurfaceSpec.from_name("lorentz-neg", 2.0)
+        conic = geodesic_from_constants(SurfaceSpec.from_name("lorentz-neg"), 0.5, 0.3)
+        hits = limiting_intersections(spec, conic)
+        assert len(hits) == 2
+        for hit in hits:
+            assert conic.residual(hit.x, hit.y) == pytest.approx(0.0, abs=1e-12)
+            assert limiting_curve(spec).residual(hit.x, hit.y) == pytest.approx(0.0, abs=1e-12)
 
 
 class TestPlaneLines:

@@ -18,11 +18,11 @@ import math
 import re
 from pathlib import Path
 
+from lorentzcc import SURFACE_NAMES
 from lorentzcc.cli import main
 
 GOLDEN = Path(__file__).with_name("golden") / "cli.json"
 
-SURFACES = ("def-pos", "def-neg", "lorentz-pos", "lorentz-neg")
 # a motion with D(alpha) + kappa D(beta) = 0 on each surface
 DEGENERATE = {
     "def-pos": "0,0,0,0",
@@ -33,7 +33,7 @@ DEGENERATE = {
 
 
 def invocations():
-    for name in SURFACES:
+    for name in SURFACE_NAMES:
         for radius in (1.0, 2.5):
             surf = ["--surface", name, "--R", f"{radius:g}"]
 

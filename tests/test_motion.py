@@ -10,6 +10,7 @@ import pytest
 
 from lorentzcc import cli, motion
 from lorentzcc import (
+    SURFACE_NAMES,
     BilinearMotion,
     Chart,
     CoincidentPoints,
@@ -41,8 +42,6 @@ from lorentzcc import (
     solve_two_point,
     square_modulus,
 )
-
-ALL_NAMES = ("def-pos", "def-neg", "lorentz-pos", "lorentz-neg")
 
 
 def _draw_model_point(rng, spec, bound=0.4):
@@ -99,7 +98,7 @@ class TestBilinearMotion:
                 SurfaceSpec.from_name("lorentz-pos"),
             )
 
-    @pytest.mark.parametrize("name", ALL_NAMES)
+    @pytest.mark.parametrize("name", SURFACE_NAMES)
     def test_inverse_round_trip(self, name):
         spec = SurfaceSpec.from_name(name)
         rng = np.random.default_rng(42)
@@ -121,14 +120,14 @@ class TestBilinearMotion:
             ((1e200, 0.0), (0.0, 0.0)),  # finite, but D(alpha) overflows
         ],
     )
-    @pytest.mark.parametrize("name", ALL_NAMES)
+    @pytest.mark.parametrize("name", SURFACE_NAMES)
     def test_non_finite_constants_rejected(self, name, alpha, beta):
         # abs(nan) <= tol is False: the degeneracy test alone lets NaN through
         spec = SurfaceSpec.from_name(name)
         with pytest.raises(DomainError, match="not finite"):
             BilinearMotion(number_for(spec, *alpha), number_for(spec, *beta), spec)
 
-    @pytest.mark.parametrize("name", ALL_NAMES)
+    @pytest.mark.parametrize("name", SURFACE_NAMES)
     def test_degenerate_message_carries_the_curvature_sign(self, name):
         spec = SurfaceSpec.from_name(name)
         zero = number_for(spec, 0.0, 0.0)
@@ -146,7 +145,7 @@ class TestBilinearMotion:
         with pytest.raises(DomainError, match="not finite"):
             apply(motion, (1e160, 0.0))
 
-    @pytest.mark.parametrize("name", ALL_NAMES)
+    @pytest.mark.parametrize("name", SURFACE_NAMES)
     def test_image_beyond_the_float_range_maps_to_infinity(self, name):
         # alpha z overflows at a finite z; the image was returned as inf
         spec = SurfaceSpec.from_name(name)
@@ -166,7 +165,7 @@ class TestBilinearMotion:
         assert w1.x == pytest.approx(w2.x, rel=1e-12)
         assert w1.y == pytest.approx(w2.y, rel=1e-12)
 
-    @pytest.mark.parametrize("name", ALL_NAMES)
+    @pytest.mark.parametrize("name", SURFACE_NAMES)
     def test_first_and_later_applies_agree(self, name):
         spec = SurfaceSpec.from_name(name)
         rng = np.random.default_rng(7)
@@ -182,7 +181,7 @@ class TestBilinearMotion:
             assert apply(warm, z) == first
             assert apply(warm, z) == first
 
-    @pytest.mark.parametrize("name", ALL_NAMES)
+    @pytest.mark.parametrize("name", SURFACE_NAMES)
     def test_equality_hash_and_repr_ignore_the_apply_cache(self, name):
         spec = SurfaceSpec.from_name(name)
         alpha, beta = number_for(spec, 1.0, 0.2), number_for(spec, 0.1, -0.25)
@@ -230,7 +229,7 @@ class TestTwoPointSolver:
         "lorentz-neg": ((0.1, 0.2), (0.4, 0.1), math.sqrt(0.08 / 0.9555), 2.0 * math.atanh(math.sqrt(0.08 / 0.9555))),
     }
 
-    @pytest.mark.parametrize("name", ALL_NAMES)
+    @pytest.mark.parametrize("name", SURFACE_NAMES)
     def test_frozen_abscissa_and_distance(self, name):
         p1, p2, l_expect, d_expect = self.FROZEN[name]
         spec = SurfaceSpec.from_name(name)
@@ -239,7 +238,7 @@ class TestTwoPointSolver:
         assert sol.l == pytest.approx(l_expect, rel=1e-13)
         assert geodesic_distance(spec, z1, z2) == pytest.approx(d_expect, rel=1e-13)
 
-    @pytest.mark.parametrize("name", ALL_NAMES)
+    @pytest.mark.parametrize("name", SURFACE_NAMES)
     def test_normal_form(self, name):
         """The solved motion sends z1 to the origin and z2 onto the x axis."""
         spec = SurfaceSpec.from_name(name)
@@ -258,7 +257,7 @@ class TestTwoPointSolver:
             assert w2.x == pytest.approx(sol.l, abs=1e-12)
             assert sol.l > 0.0
 
-    @pytest.mark.parametrize("name", ALL_NAMES)
+    @pytest.mark.parametrize("name", SURFACE_NAMES)
     def test_alpha_is_the_half_argument_rotation(self, name):
         """alpha is (cos h, -sin h) on definite surfaces, and (cosh h, -sinh h)
         on the right sector or (-sinh h, cosh h) on the left one of
@@ -369,7 +368,7 @@ class TestTwoPointSolver:
         with pytest.raises(DomainError, match="not finite"):
             apply(motion, (bad, bad))
 
-    @pytest.mark.parametrize("name", ALL_NAMES)
+    @pytest.mark.parametrize("name", SURFACE_NAMES)
     def test_overflowing_points_are_a_domain_error(self, name):
         # D(z1) = inf would read nan on def-pos, "on the limiting curve" elsewhere
         spec = SurfaceSpec.from_name(name)
@@ -400,7 +399,7 @@ class TestSolveOnce:
         assert '"distance"' in capsys.readouterr().out
         assert len(calls) == 1
 
-    @pytest.mark.parametrize("name", ALL_NAMES)
+    @pytest.mark.parametrize("name", SURFACE_NAMES)
     def test_solution_carries_conic_and_distance(self, name):
         spec = SurfaceSpec.from_name(name, 2.5)
         z1, z2 = number_for(spec, 0.1, 0.05), number_for(spec, 0.4, -0.1)
@@ -414,7 +413,7 @@ class TestSolveOnce:
 
 
 class TestGeodesicThrough:
-    @pytest.mark.parametrize("name", ALL_NAMES)
+    @pytest.mark.parametrize("name", SURFACE_NAMES)
     def test_conic_contains_both_points(self, name):
         spec = SurfaceSpec.from_name(name)
         rng = np.random.default_rng(44)

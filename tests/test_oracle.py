@@ -18,6 +18,7 @@ import pytest
 
 from lorentzcc import oracle
 from lorentzcc import (
+    SURFACE_NAMES,
     Chart,
     DomainError,
     DomainExit,
@@ -154,6 +155,26 @@ class TestIntegrateGeodesic:
         with pytest.raises(ValueError, match="unit speed"):
             integrate_geodesic(field, state, 1.0)
 
+    @pytest.mark.parametrize(
+        "length, step",
+        [
+            (-1.0, 1e-3),
+            (0.0, 1e-3),
+            (math.inf, 1e-3),
+            (math.nan, 1e-3),
+            (1.0, -1e-3),
+            (1.0, 0.0),
+            (1.0, math.inf),
+            (1.0, math.nan),
+        ],
+    )
+    def test_requires_positive_finite_length_and_step(self, length, step):
+        # round(length / step) once turned these into one forward or
+        # backward step, an OverflowError or a ZeroDivisionError
+        state = GeodesicState((0.0, 0.0), (1.0, 0.0), Chart.CARTESIAN)
+        with pytest.raises(ValueError, match="positive and finite"):
+            integrate_geodesic(FlatPlaneField(), state, length, step=step)
+
     def test_requires_matching_chart(self):
         field = MetricField(SurfaceSpec.from_name("def-neg"), Chart.CARTESIAN)
         state = GeodesicState((0.5, 0.0), (1.0, 0.0), Chart.ISOMETRIC)
@@ -286,8 +307,9 @@ class TestBeltrami:
         # the first-kind residual is a timelike gradient, the second spacelike
         first = PlaneLine(LineKind.FIRST, 0.6, 0.2)
         second = PlaneLine(LineKind.SECOND, -0.3, 1.0)
-        val1 = beltrami_delta1(None, lambda x, y: first.residual(x, y), (0.4, -0.7))
-        val2 = beltrami_delta1(None, lambda x, y: second.residual(x, y), (0.4, -0.7))
+        plane = FlatPlaneField()
+        val1 = beltrami_delta1(plane, lambda x, y: first.residual(x, y), (0.4, -0.7))
+        val2 = beltrami_delta1(plane, lambda x, y: second.residual(x, y), (0.4, -0.7))
         assert val1 == pytest.approx(-1.0, abs=1e-9)
         assert val2 == pytest.approx(1.0, abs=1e-9)
 
@@ -304,7 +326,7 @@ class TestBeltrami:
         points = ((0.6, -0.4), (1.0, 0.8), (1.4, 0.1),
                   (0.6586864035243256, 0.3), (1.317726700614119, -0.2))
         for rho, phi in points:
-            val = beltrami_delta1(spec, tau, (rho, phi), step=1e-4)
+            val = beltrami_delta1(field, tau, (rho, phi), step=1e-4)
             assert val == pytest.approx(field.factor(rho, 0.0), abs=1e-6)
 
     def test_quadrature_next_to_the_pole_stops_at_rounding_level(self, monkeypatch):
@@ -324,7 +346,7 @@ class TestBeltrami:
         spec = SurfaceSpec.from_name("lorentz-neg")
         tau = TauField(0.3, 0.0, spec)
         with pytest.raises(NearSingular):
-            beltrami_delta1(spec, tau, (5e-5, 0.0), step=1e-4)
+            beltrami_delta1(MetricField(spec, Chart.ISOMETRIC), tau, (5e-5, 0.0), step=1e-4)
 
 
 class TestConstantsCheck:
@@ -369,15 +391,29 @@ class TestIsothermalCurvature:
     )
     def test_recovers_gauss_curvature(self, name, x, y):
         spec = SurfaceSpec.from_name(name)
-        k = isothermal_curvature(spec, x, y)
+        k = isothermal_curvature(MetricField(spec, Chart.CARTESIAN), x, y)
         assert k == pytest.approx(spec.gauss_curvature, rel=1e-6)
 
+    @pytest.mark.parametrize("name", SURFACE_NAMES)
+    @pytest.mark.parametrize("radius", [0.5, 2.0])
+    def test_isometric_chart(self, name, radius):
+        # L = ln factor depends on rho alone, so K = -L_rho_rho / (2 factor)
+        spec = SurfaceSpec.from_name(name, radius)
+        field = MetricField(spec, Chart.ISOMETRIC)
+        for rho in (0.4, 0.9, 1.4):
+            k = isothermal_curvature(field, rho, -0.3)
+            assert k == pytest.approx(spec.gauss_curvature, rel=1e-6)
+
     def test_radius_scaling(self):
-        spec = SurfaceSpec.from_name("def-neg", radius=2.0)
-        assert isothermal_curvature(spec, 0.4, 0.1) == pytest.approx(-0.25, rel=1e-6)
+        field = MetricField(SurfaceSpec.from_name("def-neg", radius=2.0), Chart.CARTESIAN)
+        assert isothermal_curvature(field, 0.4, 0.1) == pytest.approx(-0.25, rel=1e-6)
+
+    def test_flat_plane_is_flat(self):
+        assert isothermal_curvature(FlatPlaneField(), 0.7, -0.4) == 0.0
 
     def test_near_singular(self):
-        spec = SurfaceSpec.from_name("def-neg")
         h = 2.0**-13
-        with pytest.raises(NearSingular, match="stencil"):
-            isothermal_curvature(spec, 1.0 + h, 0.0, step=h)
+        for chart, a in ((Chart.CARTESIAN, 1.0 + h), (Chart.ISOMETRIC, h)):
+            field = MetricField(SurfaceSpec.from_name("def-neg"), chart)
+            with pytest.raises(NearSingular, match="stencil"):
+                isothermal_curvature(field, a, 0.0, step=h)

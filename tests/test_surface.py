@@ -15,18 +15,14 @@ from lorentzcc import (
     DomainError,
     MetricField,
     OnLimitingCurve,
-    ProfileZero,
     Signature,
     SingularPoint,
     SurfaceSpec,
     exp_map_pushforward,
     exp_map_to_cartesian,
-    gauss_curvature_of_profile,
     line_element_cartesian,
     line_element_isometric,
 )
-
-ALL_NAMES = ("def-pos", "def-neg", "lorentz-pos", "lorentz-neg")
 
 
 class TestSurfaceSpec:
@@ -43,7 +39,7 @@ class TestSurfaceSpec:
         assert spec.metric_sign == -1.0
 
     def test_one_catalogue_for_the_cli_and_the_battery(self):
-        assert SURFACE_NAMES == ALL_NAMES
+        assert SURFACE_NAMES == ("def-pos", "def-neg", "lorentz-pos", "lorentz-neg")
         assert tuple(spec.name for spec in verify._SURFACES) == SURFACE_NAMES
         commands = next(
             a for a in cli._build_parser()._actions
@@ -53,13 +49,13 @@ class TestSurfaceSpec:
             (surface,) = [a for a in commands[command]._actions if a.dest == "surface"]
             assert tuple(surface.choices) == SURFACE_NAMES
 
-    @pytest.mark.parametrize("name", ALL_NAMES)
+    @pytest.mark.parametrize("name", SURFACE_NAMES)
     def test_curvature_sign(self, name):
         spec = SurfaceSpec.from_name(name, 2.5)
         assert spec.kappa == (1.0 if name.endswith("pos") else -1.0)
         assert spec.gauss_curvature == spec.kappa / 6.25
 
-    @pytest.mark.parametrize("name", ALL_NAMES)
+    @pytest.mark.parametrize("name", SURFACE_NAMES)
     def test_from_name_round_trip(self, name):
         spec = SurfaceSpec.from_name(name, radius=1.5)
         assert spec.name == name
@@ -73,32 +69,6 @@ class TestSurfaceSpec:
                 SurfaceSpec.from_name("def-neg", radius=radius)
         with pytest.raises(ValueError):
             SurfaceSpec.from_name("banana")
-
-
-class TestProfileCurvature:
-    """K = -r''/r recovered from a rotation/boost profile by finite differences."""
-
-    @pytest.mark.parametrize("r0", [0.5, 1.0, 3.0])
-    def test_sine_profile(self, r0):
-        profile = lambda u: r0 * math.sin(u / r0)
-        for u in np.linspace(0.4 * r0, 2.6 * r0, 7):
-            k = gauss_curvature_of_profile(profile, float(u), step=1e-4 * max(1.0, r0))
-            assert k == pytest.approx(1.0 / r0**2, rel=1e-6)
-
-    @pytest.mark.parametrize("r0", [0.5, 1.0, 3.0])
-    def test_hyperbolic_profile(self, r0):
-        profile = lambda u: r0 * math.sinh(u / r0)
-        for u in np.linspace(0.4 * r0, 2.5 * r0, 7):
-            k = gauss_curvature_of_profile(profile, float(u), step=1e-4 * max(1.0, r0))
-            assert k == pytest.approx(-1.0 / r0**2, rel=1e-6)
-
-    def test_flat_profile(self):
-        k = gauss_curvature_of_profile(lambda u: u, 1.3)
-        assert k == pytest.approx(0.0, abs=1e-6)
-
-    def test_zero_profile_rejected(self):
-        with pytest.raises(ProfileZero, match="vanishes"):
-            gauss_curvature_of_profile(math.sin, math.pi)
 
 
 class TestLineElements:
@@ -207,7 +177,7 @@ class TestMetricField:
         # def-pos has no limiting curve, and its isometric chart no pole
         assert MetricField(SurfaceSpec.from_name("def-pos", r), Chart.ISOMETRIC).factor(0.0, 0.0) == r * r
 
-    @pytest.mark.parametrize("name", ALL_NAMES)
+    @pytest.mark.parametrize("name", SURFACE_NAMES)
     def test_equality_hash_and_repr_read_spec_and_chart_only(self, name):
         spec = SurfaceSpec.from_name(name, 2.5)
         field = MetricField(spec, Chart.CARTESIAN)
@@ -228,7 +198,7 @@ class TestMetricField:
 
 
 class TestExponentialMap:
-    @pytest.mark.parametrize("name", ALL_NAMES)
+    @pytest.mark.parametrize("name", SURFACE_NAMES)
     def test_push_forward_matches_finite_differences(self, name):
         spec = SurfaceSpec.from_name(name, radius=1.3)
         rng = np.random.default_rng(21)
@@ -244,7 +214,7 @@ class TestExponentialMap:
             assert dx == pytest.approx((xp[0] - xm[0]) / (2 * h), rel=1e-6, abs=1e-6)
             assert dy == pytest.approx((xp[1] - xm[1]) / (2 * h), rel=1e-6, abs=1e-6)
 
-    @pytest.mark.parametrize("name", ALL_NAMES)
+    @pytest.mark.parametrize("name", SURFACE_NAMES)
     def test_signed_map_keeps_each_surface_bits(self, name):
         spec = SurfaceSpec.from_name(name, 1.3)
         rng = np.random.default_rng(22)
@@ -267,7 +237,7 @@ class TestExponentialMap:
 
     @pytest.mark.parametrize(
         "name, rho, phi",
-        [(name, 1000.0, 0.1) for name in ALL_NAMES] + [("lorentz-pos", 5.0, 706.0)],
+        [(name, 1000.0, 0.1) for name in SURFACE_NAMES] + [("lorentz-pos", 5.0, 706.0)],
     )
     def test_exp_map_overflow_is_a_domain_error(self, name, rho, phi):
         # exp(1000) once raised a bare OverflowError; e^5 cosh(706) is inf
@@ -295,7 +265,7 @@ class TestExponentialMap:
         assert x == pytest.approx(math.exp(-0.4) * math.cos(2.0))
         assert y == pytest.approx(math.exp(-0.4) * math.sin(2.0))
 
-    @pytest.mark.parametrize("name", ALL_NAMES)
+    @pytest.mark.parametrize("name", SURFACE_NAMES)
     def test_line_element_agrees_between_charts(self, name):
         """Pull the cartesian metric back through the map: same ds^2."""
         spec = SurfaceSpec.from_name(name)

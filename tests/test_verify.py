@@ -154,7 +154,7 @@ def test_measured_is_the_worst_named_sub_error():
 
 def test_nan_probe_fails_the_check(monkeypatch):
     # max(0.0, nan) is 0.0, so a check whose every probe read NaN once passed
-    monkeypatch.setattr(verify, "gauss_curvature_of_profile", lambda *a, **k: math.nan)
+    monkeypatch.setattr(verify, "isothermal_curvature", lambda *a, **k: math.nan)
     (res,) = run_all(seed=3, scale=0.02, names=("profile_curvature",))
     assert not res.passed
     assert math.isnan(res.measured)
@@ -194,6 +194,31 @@ def test_metric_perturbation_is_detected():
     assert clean.passed
     assert not tampered.passed
     assert tampered.measured > 100.0 * clean.measured
+
+
+def test_metric_perturbation_fails_profile_curvature():
+    """A factor ``c lambda`` has curvature ``K / c``, so a rescale by
+    ``1 + 1e-3`` reads about 1e-3 against the tolerance of 1e-6."""
+    (clean,) = run_all(seed=5, scale=0.05, names=("profile_curvature",))
+    (tampered,) = run_all(seed=5, scale=0.05, names=("profile_curvature",), perturb=1e-3)
+    assert clean.passed
+    assert not tampered.passed
+    assert tampered.measured == pytest.approx(1e-3 / (1.0 + 1e-3), rel=1e-3)
+
+
+def test_metric_built_for_a_shifted_radius_fails_profile_curvature(monkeypatch):
+    """A metric built for ``R (1 + d)`` has curvature ``K / (1 + d)^2``;
+    d = 1e-6 reads about 2e-6 against the tolerance of 1e-6."""
+
+    def shifted(spec, chart):
+        radius = spec.radius * (1.0 + 1e-6)
+        return MetricField(SurfaceSpec(spec.signature, spec.curvature_sign, radius), chart)
+
+    (clean,) = run_all(seed=5, names=("profile_curvature",))
+    monkeypatch.setattr(verify, "MetricField", shifted)
+    (tampered,) = run_all(seed=5, names=("profile_curvature",))
+    assert clean.passed
+    assert not tampered.passed, tampered.detail
 
 
 def test_position_dependent_metric_tampering_is_detected(monkeypatch):
