@@ -79,6 +79,13 @@ def _parse_point(text: str) -> tuple[float, float]:
     return float(parts[0]), float(parts[1])
 
 
+def _physical_points(args, spec: SurfaceSpec):
+    """The two ``--points`` as physical pairs and as normalized numbers ``p / R``."""
+    r = spec.radius
+    p1, p2 = (_parse_point(text) for text in args.points)
+    return p1, p2, number_for(spec, p1[0] / r, p1[1] / r), number_for(spec, p2[0] / r, p2[1] / r)
+
+
 def _parse_floats(text: str, count: int, what: str) -> list[float]:
     parts = text.split(",")
     if len(parts) != count:
@@ -199,11 +206,8 @@ def cmd_geodesic(args) -> int:
         raise ValueError(f"need at least 2 samples, got {args.samples}")
 
     if args.points is not None:
-        p1 = _parse_point(args.points[0])
-        p2 = _parse_point(args.points[1])
+        p1, p2, z1, z2 = _physical_points(args, spec)
         r = spec.radius
-        z1 = number_for(spec, p1[0] / r, p1[1] / r)
-        z2 = number_for(spec, p2[0] / r, p2[1] / r)
         logger.debug("two-point geodesic on %s through %s and %s", spec.name, p1, p2)
         sol = solve_two_point(spec, z1, z2)
         inv = inverse_motion(sol.motion)
@@ -269,11 +273,7 @@ def cmd_geodesic(args) -> int:
 
 def cmd_distance(args) -> int:
     spec = SurfaceSpec.from_name(args.surface, args.R)
-    p1 = _parse_point(args.points[0])
-    p2 = _parse_point(args.points[1])
-    r = spec.radius
-    z1 = number_for(spec, p1[0] / r, p1[1] / r)
-    z2 = number_for(spec, p2[0] / r, p2[1] / r)
+    _, _, z1, z2 = _physical_points(args, spec)
     if args.apply_motion:
         ax, ay, bx, by = _parse_floats(args.apply_motion, 4, "--apply-motion")
         motion = BilinearMotion(number_for(spec, ax, ay), number_for(spec, bx, by), spec)

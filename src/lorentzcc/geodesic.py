@@ -105,17 +105,21 @@ class PlaneLine:
     c: float
 
     @property
+    def _normal(self) -> tuple[float, float, float]:
+        """The residual's gradient ``(n_x, n_y)`` and ``<n, n>``: -1 first kind, +1 second."""
+        ch, sh = cos_sin(1.0, self.theta)
+        return (sh, ch, -1.0) if self.kind is LineKind.FIRST else (ch, sh, 1.0)
+
+    @property
     def base_point(self) -> tuple[float, float]:
-        if self.kind is LineKind.FIRST:
-            return (-self.c * math.sinh(self.theta), self.c * math.cosh(self.theta))
-        return (self.c * math.cosh(self.theta), -self.c * math.sinh(self.theta))
+        nx, ny, nn = self._normal  # c n / <n, n>, the index raised: (n_x, -n_y)
+        return (nn * self.c * nx, -(nn * self.c) * ny)
 
     @property
     def tangent(self) -> tuple[float, float]:
-        """Unit tangent: |dx^2 - dy^2| = 1 exactly."""
-        if self.kind is LineKind.FIRST:
-            return (math.cosh(self.theta), -math.sinh(self.theta))
-        return (math.sinh(self.theta), -math.cosh(self.theta))
+        """Unit tangent ``(n_y, -n_x)``: |dx^2 - dy^2| = 1 exactly."""
+        nx, ny, _ = self._normal
+        return (ny, -nx)
 
     def point_at(self, s: float) -> tuple[float, float]:
         bx, by = self.base_point
@@ -123,9 +127,8 @@ class PlaneLine:
         return (bx + s * tx, by + s * ty)
 
     def residual(self, x: float, y: float) -> float:
-        if self.kind is LineKind.FIRST:
-            return x * math.sinh(self.theta) + y * math.cosh(self.theta) - self.c
-        return x * math.cosh(self.theta) + y * math.sinh(self.theta) - self.c
+        nx, ny, _ = self._normal
+        return x * nx + y * ny - self.c
 
 
 @dataclass(frozen=True, slots=True)
@@ -227,10 +230,12 @@ def _uses_tan(spec: SurfaceSpec) -> bool:
     return spec.metric_sign == spec.kappa
 
 
-def _check_eps(spec: SurfaceSpec, eps: float, sigma: float) -> None:
+def _check_eps(spec: SurfaceSpec, eps: float, sigma: float = 0.0, line_ok: bool = False) -> None:
+    """The one test of the family constants: both finite, ``|eps| >= 1e-12``
+    unless ``line_ok``, and ``|eps| < pi/2`` where ``C = cos(eps)``."""
     if not (math.isfinite(eps) and math.isfinite(sigma)):
         raise DomainError(f"eps and sigma must be finite, got {eps} and {sigma}")
-    if abs(eps) < 1e-12:
+    if abs(eps) < 1e-12 and not line_ok:
         raise DegenerateEpsilon(
             f"eps = {eps} degenerates the conic; use origin_line(spec, sigma) "
             "for the straight geodesic through the origin"
@@ -240,14 +245,10 @@ def _check_eps(spec: SurfaceSpec, eps: float, sigma: float) -> None:
 
 
 def _family_trig(spec: SurfaceSpec, eps: float) -> tuple[float, float]:
-    """``(C, S)``: ``(cos, sin)(eps)`` where s = kappa, ``(cosh, sinh)(eps)``
-    elsewhere; raises as :func:`constant_A`."""
+    """``(C, S)`` of a checked eps: ``(cos, sin)(eps)`` where s = kappa,
+    ``(cosh, sinh)(eps)`` elsewhere; raises where sinh(eps) or A overflows."""
     if _uses_tan(spec):
-        if not abs(eps) < math.pi / 2.0:
-            raise DomainError(f"{spec.name} needs |eps| < pi/2, got {eps}")
         return math.cos(eps), math.sin(eps)
-    if not math.isfinite(eps):
-        raise DomainError(f"eps must be finite, got {eps}")
     try:
         C, S = math.cosh(eps), math.sinh(eps)
     except OverflowError:
@@ -261,9 +262,10 @@ def constant_A(spec: SurfaceSpec, eps: float) -> float:
     """Conserved momentum ``A = R S`` of the (eps, sigma) family.
 
     Raises:
-        DomainError: |eps| >= pi/2 where A = R sin(eps); eps is not finite or
+        DomainError: eps is not finite; |eps| >= pi/2 where A = R sin(eps);
             sinh(eps) or A overflows where A = R sinh(eps).
     """
+    _check_eps(spec, eps, line_ok=True)
     return spec.radius * _family_trig(spec, eps)[1]
 
 

@@ -206,18 +206,30 @@ def hyper_exp(w: Number) -> Number:
 
     Note ``square_modulus(hyper_exp(w)) = exp(2 w.x)``: the image always lies
     in the right sector.
+
+    Raises:
+        DomainError: ``w`` or a part of the image is not finite.
     """
-    e = math.exp(w.x)
+    try:
+        e = math.exp(w.x)
+    except OverflowError:
+        e = math.inf
     c, s = cos_sin(w.unit, w.y)
-    return type(w)(e * c, e * s)
+    x, y = e * c, e * s
+    if not (math.isfinite(w.x) and math.isfinite(x) and math.isfinite(y)):
+        raise DomainError(f"exp({w.x}, {w.y}) = ({x}, {y}) is not finite")
+    return type(w)(x, y)
 
 
 def polar(z: Number) -> PolarForm:
     """Polar decomposition.
 
     Hyperbolic case raises :class:`OnNullLine` when ``|D(z)| <= tol``; the
-    complex case raises :class:`DivisorOfZero` at the origin only.
+    complex case raises :class:`DivisorOfZero` at the origin only.  Both
+    raise :class:`DomainError` where ``z`` is not finite.
     """
+    if not (math.isfinite(z.x) and math.isfinite(z.y)):
+        raise DomainError(f"({z.x}, {z.y}) is not finite; no polar form")
     if z.unit < 0.0:
         if z.x == 0.0 and z.y == 0.0:
             raise DivisorOfZero("complex zero has no polar form")

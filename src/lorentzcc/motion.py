@@ -42,6 +42,7 @@ from .hypernum import (
     ComplexNumber,
     HyperbolicNumber,
     Number,
+    PolarForm,
     Sector,
     conj,
     cos_sin,
@@ -209,16 +210,17 @@ class TwoPointSolution:
     theta_alpha: float
 
     @property
-    def theta_beta(self) -> float:
+    def _polar_beta(self) -> PolarForm:
         beta = self.motion.beta
-        return 0.0 if beta.x == 0.0 and beta.y == 0.0 else polar(beta).theta
+        return PolarForm(0.0, 0.0, None, 1) if beta.x == 0.0 and beta.y == 0.0 else polar(beta)
+
+    @property
+    def theta_beta(self) -> float:
+        return self._polar_beta.theta
 
     @property
     def rho_beta(self) -> float:
-        beta = self.motion.beta
-        if beta.x == 0.0 and beta.y == 0.0:
-            return 0.0
-        pb = polar(beta)
+        pb = self._polar_beta
         return pb.sign * pb.rho  # sign is +1 for complex numbers
 
     @property

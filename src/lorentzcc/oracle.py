@@ -12,16 +12,18 @@ through ``factor`` and ``signature_sign`` alone (the integrator also through
 
 Numerical notes
 ---------------
-* ``_log_factor_gradient`` is the one finite-difference stencil of the
-  geodesic code: ``(L_a, L_b)`` from four factor calls at half-width
-  ``step``, each component ``ln(lambda_+ / lambda_-) / (2 step)``.  The
-  truncation error is O(step^2), so errors shrink about 4x when the step
-  halves.  ``christoffel`` fills its nested (2, 2, 2) tuple from
-  ``(L_a, L_b)`` with the closed index formulas of a conformal metric.
+* ``_cross`` is the one finite-difference stencil, ``f(a +- h, b)`` and
+  ``f(a, b +- h)``, turning a stencil point's ``GeometryError`` into
+  ``NearSingular``; ``(L_a, L_b)`` (``ln(lambda_+ / lambda_-) / (2 h)``), the
+  Beltrami and the curvature differences read it.  The error is O(h^2), so
+  it shrinks about 4x when h halves.  ``christoffel`` fills its nested
+  (2, 2, 2) tuple from ``(L_a, L_b)`` by a conformal metric's index formulas.
 * ``integrate_geodesic`` is classical RK4 in plain floats; every stage
   re-evaluates ``(L_a, L_b)`` (stencil half-width one hundredth of the time
   step) and forms the acceleration from it directly, so halving the step
-  cuts the error about 16x.  It refuses non-unit-speed starts and raises
+  cuts the error about 16x.  The last step is shortened to end at
+  ``length`` unless ``length`` is within 1e-12 (relative) of a step
+  multiple.  It refuses non-unit-speed (or NaN) starts and raises
   :class:`~lorentzcc.errors.DomainExit` carrying the partial trajectory when
   the path drifts within ``10 * step`` of a chart boundary.
 * ``arc_length`` binds ``field.factor`` once per polyline and tracks the
@@ -44,6 +46,7 @@ Numerical notes
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -92,21 +95,19 @@ class FlatPlaneField:
         return math.inf
 
 
-def _log_factor_gradient(field, a: float, b: float, step: float) -> tuple[float, float]:
-    """``(d_a ln lambda, d_b ln lambda)`` by central differences of the factor.
-
-    Raises:
-        NearSingular: a stencil point left the chart domain.
-    """
+def _cross(f: Callable[[float, float], float], a: float, b: float, h: float) -> tuple:
+    """``f`` at ``(a + h, b), (a - h, b), (a, b + h), (a, b - h)``; raises
+    :class:`NearSingular` where one of them leaves the domain of ``f``."""
     try:
-        fpa = field.factor(a + step, b)
-        fma = field.factor(a - step, b)
-        fpb = field.factor(a, b + step)
-        fmb = field.factor(a, b - step)
+        return f(a + h, b), f(a - h, b), f(a, b + h), f(a, b - h)
     except GeometryError as exc:
-        raise NearSingular(
-            f"metric stencil at ({a}, {b}) with step {step} left the domain: {exc}"
-        ) from exc
+        raise NearSingular(f"stencil at ({a}, {b}) with step {h} left the domain: {exc}") from exc
+
+
+def _log_factor_gradient(factor, a: float, b: float, step: float) -> tuple[float, float]:
+    """``(d_a ln lambda, d_b ln lambda)`` by central differences of
+    ``factor``; raises as :func:`_cross`."""
+    fpa, fma, fpb, fmb = _cross(factor, a, b, step)
     width = 2.0 * step
     return math.log(fpa / fma) / width, math.log(fpb / fmb) / width
 
@@ -124,7 +125,7 @@ def christoffel(field, a: float, b: float, step: float = 1e-5) -> tuple:
     Raises:
         NearSingular: a stencil point left the chart domain.
     """
-    la, lb = _log_factor_gradient(field, a, b, step)
+    la, lb = _log_factor_gradient(field.factor, a, b, step)
     ha, hb = 0.5 * la, 0.5 * lb
     s = field.signature_sign
     return (((ha, hb), (hb, -s * ha)), ((-s * hb, ha), (ha, hb)))
@@ -137,7 +138,10 @@ def integrate_geodesic(
 
     The initial velocity must be unit speed in the field's metric (to 1e-9),
     so the curve parameter coincides with arc length.  Returns the list of
-    states after each step, the initial one included.
+    states after each step, the initial one included.  Every step is
+    ``step`` long but the last, which is shortened to end at ``length``;
+    a length within 1e-12 (relative) of a step multiple takes that many
+    whole steps.
 
     Raises:
         ValueError: not unit speed, charts disagree, or a bad length or step.
@@ -150,39 +154,45 @@ def integrate_geodesic(
         raise ValueError(f"length {length} and step {step} must be positive and finite")
     x, y = state.position
     vx, vy = state.velocity
-    s = field.signature_sign
-    speed2 = field.factor(x, y) * (vx * vx + s * vy * vy)
-    if abs(abs(speed2) - 1.0) >= 1e-9:
+    s, factor = field.signature_sign, field.factor
+    speed2 = factor(x, y) * (vx * vx + s * vy * vy)
+    if not abs(abs(speed2) - 1.0) < 1e-9:
         raise ValueError(f"initial velocity is not unit speed: |ds^2| = {abs(speed2)}")
 
     # FD step: well below the integration step so the O(fd^2) stencil
     # truncation stays negligible against the RK4 error even where the
     # conformal factor has steep higher derivatives.
     fd_step = 0.01 * step
-    n_steps = max(1, int(round(length / step)))
+    ratio = length / step
+    n_steps = round(ratio)
+    if abs(ratio - n_steps) <= 1e-12 * ratio:
+        steps = itertools.repeat(step, n_steps)
+    else:
+        n_steps = math.floor(ratio)
+        steps = itertools.chain(itertools.repeat(step, n_steps), (length - n_steps * step,))
 
     def accel(x: float, y: float, vx: float, vy: float) -> tuple[float, float]:
         # -Gamma^l_ik v^i v^k = n (L_a, s L_b) - (v . grad L) v, n = <v, v>_s / 2
-        la, lb = _log_factor_gradient(field, x, y, fd_step)
+        la, lb = _log_factor_gradient(factor, x, y, fd_step)
         n = 0.5 * (vx * vx + s * vy * vy)
         dot = la * vx + lb * vy
         return la * n - vx * dot, s * lb * n - vy * dot
 
-    half, sixth = 0.5 * step, step / 6.0
     chart = state.chart
     states = [state]
-    for _ in range(n_steps):
+    for h in steps:
         if field.boundary_distance(x, y) < 10.0 * step:
             raise DomainExit(
                 f"geodesic reached the chart boundary near ({x}, {y})", states
             )
+        half, sixth = 0.5 * h, h / 6.0
         ax1, ay1 = accel(x, y, vx, vy)
         vx2, vy2 = vx + half * ax1, vy + half * ay1
         ax2, ay2 = accel(x + half * vx, y + half * vy, vx2, vy2)
         vx3, vy3 = vx + half * ax2, vy + half * ay2
         ax3, ay3 = accel(x + half * vx2, y + half * vy2, vx3, vy3)
-        vx4, vy4 = vx + step * ax3, vy + step * ay3
-        ax4, ay4 = accel(x + step * vx3, y + step * vy3, vx4, vy4)
+        vx4, vy4 = vx + h * ax3, vy + h * ay3
+        ax4, ay4 = accel(x + h * vx3, y + h * vy3, vx4, vy4)
         x += sixth * (vx + 2.0 * vx2 + 2.0 * vx3 + vx4)
         y += sixth * (vy + 2.0 * vy2 + 2.0 * vy3 + vy4)
         vx += sixth * (ax1 + 2.0 * ax2 + 2.0 * ax3 + ax4)
@@ -219,9 +229,7 @@ def arc_length(field, points: Sequence[tuple[float, float]]) -> float:
     return total
 
 
-def _adaptive_simpson(
-    fn: Callable[[float], float], a: float, b: float, tol: float = 1e-10
-) -> float:
+def _adaptive_simpson(fn: Callable[[float], float], a: float, b: float, tol: float) -> float:
     """Adaptive Simpson quadrature with Richardson end correction.
 
     Raises:
@@ -316,12 +324,9 @@ def beltrami_delta1(
     Raises:
         NearSingular: the stencil left the field's domain.
     """
-    a, b = point
-    try:
-        ta = (tau(a + step, b) - tau(a - step, b)) / (2.0 * step)
-        tb = (tau(a, b + step) - tau(a, b - step)) / (2.0 * step)
-    except GeometryError as exc:
-        raise NearSingular(f"tau stencil at {point} left the domain: {exc}") from exc
+    tpa, tma, tpb, tmb = _cross(tau, *point, step)
+    ta = (tpa - tma) / (2.0 * step)
+    tb = (tpb - tmb) / (2.0 * step)
     return ta * ta + field.signature_sign * tb * tb
 
 
@@ -332,14 +337,12 @@ def isothermal_curvature(field, a: float, b: float, step: float = 1e-4) -> float
     ``K / c``; truncation and rounding (``|L| 2^-52 / step^2``) balance near 1e-4.
 
     Raises:
-        NearSingular: a stencil point left the chart domain.
+        NearSingular: a stencil point around ``(a, b)`` left the chart domain
+            (``(a, b)`` itself raises the field's own error).
     """
-    factor = field.factor
-    try:
-        lam = factor(a, b)
-        l0 = math.log(lam)
-        laa = math.log(factor(a + step, b)) - 2.0 * l0 + math.log(factor(a - step, b))
-        lbb = math.log(factor(a, b + step)) - 2.0 * l0 + math.log(factor(a, b - step))
-    except GeometryError as exc:
-        raise NearSingular(f"curvature stencil at ({a}, {b}) left the domain: {exc}") from exc
+    lam = field.factor(a, b)
+    l0 = math.log(lam)
+    fpa, fma, fpb, fmb = _cross(field.factor, a, b, step)
+    laa = math.log(fpa) - 2.0 * l0 + math.log(fma)
+    lbb = math.log(fpb) - 2.0 * l0 + math.log(fmb)
     return -(laa + field.signature_sign * lbb) / (2.0 * lam * step * step)

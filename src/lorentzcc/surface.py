@@ -165,16 +165,25 @@ def _isometric_factor(spec: SurfaceSpec, rho: float) -> float:
 
 
 def _cartesian_factor(spec: SurfaceSpec, x: float, y: float) -> float:
-    """``4 R^4 / base^2``, ``base = x^2 + s y^2 + kappa R^2``."""
+    """``4 R^4 / base^2``, ``base = x^2 + s y^2 + kappa R^2``.
+
+    Raises:
+        DomainError: x or y is not finite, or base is NaN.
+        OnLimitingCurve: ``|base| < 1e-12 R^2``.
+    """
     if spec.metric_sign > 0.0:
         base = x * x + y * y + spec._kappa_r2
     else:
         # factored: x*x - y*y loses digits far out near the null lines
         base = (x - y) * (x + y) + spec._kappa_r2
-    if abs(base) < spec._guard:
-        raise OnLimitingCurve(
-            f"({x}, {y}) lies on the limiting curve of the {spec.name} chart"
-        )
+    if not spec._guard <= abs(base) < math.inf:
+        # a finite point whose base overflows keeps the factor 0.0
+        if base != base or not (math.isfinite(x) and math.isfinite(y)):
+            raise DomainError(f"the {spec.name} factor at ({x}, {y}) is undefined (base {base})")
+        if abs(base) < spec._guard:
+            raise OnLimitingCurve(
+                f"({x}, {y}) lies on the limiting curve of the {spec.name} chart"
+            )
     return spec._four_r4 / (base * base)
 
 
@@ -254,6 +263,7 @@ def line_element_cartesian(
     """Signed ``ds^2`` of a tangent vector in the Cartesian chart.
 
     Raises:
+        DomainError: x or y is not finite, or the factor's base is NaN.
         OnLimitingCurve: the point is on the curve where the factor diverges.
     """
     lam = _cartesian_factor(spec, x, y)

@@ -270,7 +270,9 @@ def _check_oracle_equivalence(rng, scale, perturb):
             state = GeodesicState((x, y), (vx / speed, vy / speed), Chart.CARTESIAN)
             states = integrate_geodesic(field, state, length, step)
             for k in range(0, len(states), 50):
-                expected = exp_map_to_cartesian(spec, *fam.state(u_launch + k * step)[0])
+                # the last step ends at length, and may be short
+                tau = min(k * step, length)
+                expected = exp_map_to_cartesian(spec, *fam.state(u_launch + tau)[0])
                 px, py = states[k].position
                 worst = _worst(worst, math.hypot(px - expected[0], py - expected[1]))
     return (

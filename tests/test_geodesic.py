@@ -79,21 +79,6 @@ class TestFamilyConstants:
         with pytest.raises(DomainError, match=r"\|A\| < R"):
             epsilon_from_constant(SurfaceSpec.from_name("def-pos"), 1.0)
 
-    @pytest.mark.parametrize("name", ["def-neg", "lorentz-pos"])
-    @pytest.mark.parametrize("eps", [math.nan, math.inf, -math.inf])
-    def test_sinh_row_needs_finite_eps(self, name, eps):
-        # the sinh rows once returned nan / inf
-        with pytest.raises(DomainError, match="finite"):
-            constant_A(SurfaceSpec.from_name(name), eps)
-
-    def test_sinh_overflow_is_a_domain_error(self):
-        for name in ("def-neg", "lorentz-pos"):
-            spec = SurfaceSpec.from_name(name)
-            with pytest.raises(DomainError, match="overflows"):
-                constant_A(spec, 800.0)
-            with pytest.raises(DomainError, match="overflows"):
-                geodesic_parametric(spec, 800.0, 0.1, 0.0)
-
     def test_overflowing_momentum_or_turning_point_is_a_domain_error(self):
         # sinh(710) is finite but A = R sinh(eps) at R = 2 is not; both read inf
         spec = SurfaceSpec.from_name("lorentz-pos", radius=2.0)
@@ -130,13 +115,39 @@ class TestFamilyConstants:
         with pytest.raises(DomainError, match="not finite"):
             geodesic_from_constants(spec, 0.5, 1000.0)
 
-    def test_eps_zero_is_degenerate(self):
-        with pytest.raises(DegenerateEpsilon, match="origin_line"):
-            geodesic_from_constants(SurfaceSpec.from_name("def-pos"), 0.0, 0.3)
+    # today's answer of each family entry point at a bad eps, sigma = 0.1 and
+    # tau = 0: (geodesic_from_constants, geodesic_family,
+    # geodesic_parametric_with_velocity, constant_A) on the tan rows (def-pos,
+    # lorentz-neg) and on the tanh rows; None answers
+    _D, _E = DomainError, DegenerateEpsilon
+    _BAD_EPS = (
+        (math.nan, (_D, _D, _D, _D), (_D, _D, _D, _D)),
+        (math.inf, (_D, _D, _D, _D), (_D, _D, _D, _D)),
+        (-math.inf, (_D, _D, _D, _D), (_D, _D, _D, _D)),
+        (math.pi / 2.0, (_D, _D, _D, _D), (None, None, None, None)),
+        (-math.pi / 2.0, (_D, _D, _D, _D), (None, None, None, None)),
+        (800.0, (_D, _D, _D, _D), (None, _D, _D, _D)),  # sinh(800) overflows
+        (1e-13, (_E, _E, _E, None), (_E, _E, _E, None)),  # a straight line
+    )
 
-    def test_eps_near_right_angle_rejected_on_tan_rows(self):
-        with pytest.raises(DomainError, match="pi/2"):
-            geodesic_from_constants(SurfaceSpec.from_name("lorentz-neg"), math.pi / 2, 0.0)
+    @pytest.mark.parametrize("name", SURFACE_NAMES)
+    @pytest.mark.parametrize("eps, on_tan, on_tanh", _BAD_EPS)
+    def test_bad_eps_table(self, name, eps, on_tan, on_tanh):
+        spec = SurfaceSpec.from_name(name)
+        entry_points = (
+            lambda: geodesic_from_constants(spec, eps, 0.1),
+            lambda: geodesic_family(spec, eps, 0.1),
+            lambda: geodesic_parametric_with_velocity(spec, eps, 0.1, 0.0),
+            lambda: constant_A(spec, eps),
+        )
+        expected = on_tan if spec.metric_sign == spec.kappa else on_tanh
+        for call, want in zip(entry_points, expected):
+            if want is None:
+                call()
+                continue
+            with pytest.raises(want) as info:
+                call()
+            assert info.type is want
 
     def test_geodesic_from_AB_matches_constants_route(self):
         spec = SurfaceSpec.from_name("lorentz-pos", radius=1.2)
@@ -568,6 +579,30 @@ class TestPlaneLines:
         line = PlaneLine(LineKind.FIRST, 0.6, 1.2)
         x, y = line.point_at(0.8)
         assert x * math.sinh(0.6) + y * math.cosh(0.6) == pytest.approx(1.2)
+
+    @pytest.mark.parametrize("theta, c", [(0.6, 1.2), (-0.4, 0.7), (1.3, -2.5), (0.0, 0.0)])
+    def test_each_kind_keeps_its_own_bits(self, theta, c):
+        # the formulas of each kind, written out; hex tells -0.0 from 0.0
+        ch, sh = math.cosh(theta), math.sinh(theta)
+        x, y = 0.3, -1.7
+        want = {
+            LineKind.FIRST: ((-c * sh, c * ch), (ch, -sh), x * sh + y * ch - c),
+            LineKind.SECOND: ((c * ch, -c * sh), (sh, -ch), x * ch + y * sh - c),
+        }
+        for kind, (base, tangent, residual) in want.items():
+            line = PlaneLine(kind, theta, c)
+            assert [v.hex() for v in line.base_point] == [v.hex() for v in base]
+            assert [v.hex() for v in line.tangent] == [v.hex() for v in tangent]
+            assert line.residual(x, y).hex() == residual.hex()
+
+    @pytest.mark.parametrize("theta", [math.nan, math.inf, 1000.0])
+    def test_non_finite_angle_is_a_domain_error(self, theta):
+        # once (nan, nan) answers or a bare OverflowError from math.cosh
+        line = PlaneLine(LineKind.SECOND, theta, 1.0)
+        with pytest.raises(DomainError):
+            line.tangent
+        with pytest.raises(DomainError):
+            line.residual(0.1, 0.2)
 
 
 class TestWorldline:

@@ -239,8 +239,36 @@ class TestPolar:
         with pytest.raises(DivisorOfZero):
             polar(ComplexNumber(0.0, 0.0))
 
+    @pytest.mark.parametrize(
+        "z",
+        [
+            HyperbolicNumber(math.nan, 0.0),  # once a bare ZeroDivisionError
+            HyperbolicNumber(math.inf, 1.0),  # once OnNullLine, off every null line
+            ComplexNumber(math.nan, 0.0),  # the complex two once answered
+            ComplexNumber(math.inf, 0.0),
+        ],
+    )
+    def test_non_finite_is_a_domain_error(self, z):
+        with pytest.raises(DomainError) as info:
+            polar(z)
+        assert info.type is DomainError
+
 
 class TestExponential:
+    @pytest.mark.parametrize(
+        "w",
+        [
+            HyperbolicNumber(1000.0, 0.0),  # once a bare OverflowError
+            HyperbolicNumber(709.0, 2.0),  # once answered inf
+            ComplexNumber(1000.0, 0.5),
+            HyperbolicNumber(math.nan, 0.0),
+            HyperbolicNumber(-math.inf, 0.0),  # once answered (0, 0)
+        ],
+    )
+    def test_non_finite_argument_or_image_is_a_domain_error(self, w):
+        with pytest.raises(DomainError):
+            hyper_exp(w)
+
     def test_hyperbolic_components(self):
         w = hyper_exp(HyperbolicNumber(0.5, 0.3))
         assert w.x == pytest.approx(math.exp(0.5) * math.cosh(0.3))

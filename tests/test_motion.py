@@ -289,6 +289,22 @@ class TestTwoPointSolver:
             sectors.add(pol.sector)
         assert sectors == ({None} if spec.metric_sign > 0.0 else {Sector.RIGHT, Sector.LEFT})
 
+    # (theta_beta, rho_beta) of fixed pairs, as hex; zero when z1 = 0
+    BETA_BITS = (
+        ("def-pos", (0.3, -0.2), (0.1, 0.5), "0x1.b82d57367855fp+0", "0x1.71355d04de190p-2"),
+        ("def-neg", (0.3, -0.2), (-0.1, 0.4), "0x1.6de46e13c8e7cp+0", "0x1.71355d04de190p-2"),
+        ("lorentz-pos", (0.3, 0.1), (0.7, 0.2), "0x1.b7a27ee8316f9p-3", "-0x1.21a1851ff6309p-2"),
+        ("lorentz-neg", (-0.2, 0.05), (-0.6, 0.1),
+         "-0x1.95fbcaf122a6cp-3", "0x1.8c97ef43f7248p-3"),
+        ("lorentz-neg", (0.0, 0.0), (0.5, 0.1), "0x0.0p+0", "0x0.0p+0"),
+        ("def-pos", (0.0, 0.0), (0.5, 0.1), "0x0.0p+0", "0x0.0p+0"),
+    )
+
+    @pytest.mark.parametrize("name, z1, z2, theta_hex, rho_hex", BETA_BITS)
+    def test_beta_polar_bits(self, name, z1, z2, theta_hex, rho_hex):
+        sol = solve_two_point(SurfaceSpec.from_name(name), z1, z2)
+        assert (sol.theta_beta.hex(), sol.rho_beta.hex()) == (theta_hex, rho_hex)
+
     def test_left_sector_pair(self):
         """A pair whose separation points into the left wedge still lands at +l."""
         spec = SurfaceSpec.from_name("lorentz-neg")

@@ -24,10 +24,12 @@ from lorentzcc import (
     DomainExit,
     FlatPlaneField,
     GeodesicState,
+    GeometryError,
     LineKind,
     MetricField,
     MixedCausality,
     NearSingular,
+    OnLimitingCurve,
     PlaneLine,
     Signature,
     SurfaceSpec,
@@ -104,11 +106,29 @@ class TestChristoffel:
         assert g[0][0][1] == g[0][1][0]
         assert g[1][0][1] == g[1][1][0]
 
-    def test_near_singular_stencil(self):
-        field = MetricField(SurfaceSpec.from_name("def-neg"), Chart.CARTESIAN)
+    # each route of the cross stencil, one step h off the limiting circle of
+    # def-neg (or the rho = 0 pole), so the point a - h is on it
+    @pytest.mark.parametrize(
+        "route, chart",
+        [
+            ("christoffel", Chart.CARTESIAN),
+            ("beltrami_delta1", Chart.CARTESIAN),
+            ("isothermal_curvature", Chart.CARTESIAN),
+            ("isothermal_curvature", Chart.ISOMETRIC),
+        ],
+    )
+    def test_near_singular_stencil(self, route, chart):
+        field = MetricField(SurfaceSpec.from_name("def-neg"), chart)
         h = 2.0**-13
-        with pytest.raises(NearSingular, match="stencil"):
-            christoffel(field, 1.0 + h, 0.0, step=h)
+        a = h if chart is Chart.ISOMETRIC else 1.0 + h
+        call = {
+            "christoffel": lambda: christoffel(field, a, 0.0, step=h),
+            "beltrami_delta1": lambda: beltrami_delta1(field, field.factor, (a, 0.0), step=h),
+            "isothermal_curvature": lambda: isothermal_curvature(field, a, 0.0, step=h),
+        }[route]
+        with pytest.raises(NearSingular, match="stencil") as info:
+            call()
+        assert isinstance(info.value.__cause__, GeometryError)
 
     def test_flat_plane_is_flat(self):
         g = christoffel(FlatPlaneField(), 0.7, -0.4)
@@ -155,6 +175,31 @@ class TestIntegrateGeodesic:
         with pytest.raises(ValueError, match="unit speed"):
             integrate_geodesic(field, state, 1.0)
 
+    def test_nan_start_is_rejected(self):
+        # both once integrated to 11 NaN states: the unit-speed test was
+        # false for NaN, and the factor answered NaN
+        field = MetricField(SurfaceSpec.from_name("def-neg"), Chart.CARTESIAN)
+        at_nan = GeodesicState((math.nan, 0.0), (1.0, 0.0), Chart.CARTESIAN)
+        with pytest.raises(DomainError):
+            integrate_geodesic(field, at_nan, 0.01)
+        lam = field.factor(0.1, 0.0)
+        moving_nan = GeodesicState((0.1, 0.0), (math.nan, 1.0 / math.sqrt(lam)), Chart.CARTESIAN)
+        with pytest.raises(ValueError, match="unit speed"):
+            integrate_geodesic(field, moving_nan, 0.01)
+
+    @pytest.mark.parametrize(
+        "length, n_steps",
+        [(1e-4, 1), (1.0015, 1002), (1.0025, 1003), (0.3, 300), (0.2499, 250)],
+    )
+    def test_ends_at_the_requested_length(self, length, n_steps):
+        # once round(length / step) whole steps, at least one: 1e-4 went to
+        # 1e-3, and 1.0015 and 1.0025 both to 1.002; 0.3 / 1e-3 is
+        # 299.99999999999994, within rounding of 300 whole steps
+        state = GeodesicState((0.0, 0.0), (1.0, 0.0), Chart.CARTESIAN)
+        states = integrate_geodesic(FlatPlaneField(), state, length, step=1e-3)
+        assert len(states) == n_steps + 1
+        assert states[-1].position[0] == pytest.approx(length, rel=1e-14)
+
     @pytest.mark.parametrize(
         "length, step",
         [
@@ -197,6 +242,12 @@ class TestIntegrateGeodesic:
 
 
 class TestArcLength:
+    def test_nan_point_is_a_domain_error(self):
+        # once answered nan
+        field = MetricField(SurfaceSpec.from_name("def-pos"), Chart.CARTESIAN)
+        with pytest.raises(DomainError):
+            arc_length(field, [(0.0, 0.0), (math.nan, 0.5)])
+
     def test_round_trip_around_a_small_circle(self):
         # circumference of x^2 + y^2 = r^2 under 4 (1 + x^2 + y^2)^-2 (dx^2+dy^2)
         spec = SurfaceSpec.from_name("def-pos")
@@ -345,7 +396,7 @@ class TestBeltrami:
     def test_near_singular(self):
         spec = SurfaceSpec.from_name("lorentz-neg")
         tau = TauField(0.3, 0.0, spec)
-        with pytest.raises(NearSingular):
+        with pytest.raises(NearSingular, match="stencil"):
             beltrami_delta1(MetricField(spec, Chart.ISOMETRIC), tau, (5e-5, 0.0), step=1e-4)
 
 
@@ -411,9 +462,8 @@ class TestIsothermalCurvature:
     def test_flat_plane_is_flat(self):
         assert isothermal_curvature(FlatPlaneField(), 0.7, -0.4) == 0.0
 
-    def test_near_singular(self):
-        h = 2.0**-13
-        for chart, a in ((Chart.CARTESIAN, 1.0 + h), (Chart.ISOMETRIC, h)):
-            field = MetricField(SurfaceSpec.from_name("def-neg"), chart)
-            with pytest.raises(NearSingular, match="stencil"):
-                isothermal_curvature(field, a, 0.0, step=h)
+    def test_point_off_the_chart_raises_its_own_error(self):
+        # the stencil around it is clear, the point itself is on the curve
+        field = MetricField(SurfaceSpec.from_name("def-neg"), Chart.CARTESIAN)
+        with pytest.raises(OnLimitingCurve):
+            isothermal_curvature(field, 1.0, 0.0)

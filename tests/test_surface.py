@@ -178,6 +178,28 @@ class TestMetricField:
         assert MetricField(SurfaceSpec.from_name("def-pos", r), Chart.ISOMETRIC).factor(0.0, 0.0) == r * r
 
     @pytest.mark.parametrize("name", SURFACE_NAMES)
+    @pytest.mark.parametrize(
+        "x, y", [(math.nan, 0.0), (0.0, math.nan), (math.inf, 0.0), (0.5, -math.inf)]
+    )
+    def test_cartesian_factor_needs_a_finite_point(self, name, x, y):
+        # once nan, or 0.0 at an infinite coordinate
+        spec = SurfaceSpec.from_name(name)
+        with pytest.raises(DomainError):
+            MetricField(spec, Chart.CARTESIAN).factor(x, y)
+        with pytest.raises(DomainError):
+            line_element_cartesian(spec, x, y, 0.1, 0.0)
+
+    def test_cartesian_base_overflow(self):
+        # a finite point: (x - y)(x + y) is 0 * inf = nan on the null line
+        # (once answered nan), a plain overflow keeps the factor 0.0
+        cart = MetricField(SurfaceSpec.from_name("lorentz-pos"), Chart.CARTESIAN)
+        with pytest.raises(DomainError):
+            cart.factor(1e308, 1e308)
+        assert cart.factor(1e308, 0.0) == 0.0
+        cart = MetricField(SurfaceSpec.from_name("def-neg"), Chart.CARTESIAN)
+        assert cart.factor(1e200, 1e200) == 0.0
+
+    @pytest.mark.parametrize("name", SURFACE_NAMES)
     def test_equality_hash_and_repr_read_spec_and_chart_only(self, name):
         spec = SurfaceSpec.from_name(name, 2.5)
         field = MetricField(spec, Chart.CARTESIAN)
