@@ -47,25 +47,13 @@ def _json_dumps(obj) -> str:
         return "{" + inner + "}"
     if isinstance(obj, (list, tuple)):
         return "[" + ", ".join(_json_dumps(v) for v in obj) + "]"
-    if isinstance(obj, bool) or obj is None:
-        return _jsonlib.dumps(obj)
-    if isinstance(obj, int):
-        return str(obj)
     if isinstance(obj, float):
         return format(obj, ".17g")
-    if isinstance(obj, str):
-        return _jsonlib.dumps(obj)
-    raise TypeError(f"cannot serialize {type(obj).__name__}")
+    return _jsonlib.dumps(obj)
 
 
 def _csv_row(values) -> str:
-    cells = []
-    for v in values:
-        if isinstance(v, float):
-            cells.append(format(v, ".17g"))
-        else:
-            cells.append(str(v))
-    return ",".join(cells)
+    return ",".join(format(v, ".17g") for v in values)
 
 
 # --------------------------------------------------------------------------
@@ -149,15 +137,11 @@ def _limiting_curve_polylines(spec: SurfaceSpec):
             return []
         ang = _linspace(0.0, 2.0 * math.pi, 129)
         return [[(r * math.cos(a), r * math.sin(a)) for a in ang]]
+    # y^2 - x^2 = R^2 (lorentz-pos) and x^2 - y^2 = R^2 are mirror images in y = x
     out = []
-    if spec.kappa > 0.0:
-        xs = _linspace(-big, big, 65)
-        for sgn in (1.0, -1.0):
-            out.append([(x, sgn * math.hypot(x, r)) for x in xs])
-    else:
-        ys = _linspace(-big, big, 65)
-        for sgn in (1.0, -1.0):
-            out.append([(sgn * math.hypot(y, r), y) for y in ys])
+    for sgn in (1.0, -1.0):
+        branch = [(t, sgn * math.hypot(t, r)) for t in _linspace(-big, big, 65)]
+        out.append(branch if spec.kappa > 0.0 else [(y, x) for x, y in branch])
     return out
 
 

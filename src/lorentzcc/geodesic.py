@@ -536,7 +536,13 @@ class LimitingIntersection:
     product: float
 
 
-def _solve_quadratic(qa: float, qb: float, qc: float) -> tuple[float, float]:
+def _solve_quadratic(qa: float, qb: float, qc: float) -> tuple[float, ...]:
+    """Real roots of ``qa t^2 + qb t + qc``; where ``qa = 0`` (a line parallel
+    to an asymptote) the one root ``-qc / qb``."""
+    if qa == 0.0:
+        if qb == 0.0:
+            raise NoRealIntersection("asymptote-parallel line misses the curve")
+        return (-qc / qb,)
     disc = qb * qb - 4.0 * qa * qc
     if disc < 0.0:
         raise NoRealIntersection(
@@ -582,17 +588,7 @@ def limiting_intersections(
         if k == 0.0:
             raise ValueError("conic coincides with the limiting curve")
         raise NoRealIntersection("conic and limiting curve are disjoint level sets")
-    if s < 0.0 and abs(a) == abs(b):
-        # line parallel to an asymptote: a single crossing
-        p = -k / a
-        if p == 0.0:
-            raise NoRealIntersection("asymptote-parallel line misses the curve")
-        q = rhs / p
-        if _sign(a) == _sign(b):
-            pts = [((p + q) / 2.0, (p - q) / 2.0)]
-        else:
-            pts = [((q + p) / 2.0, (q - p) / 2.0)]
-    elif abs(b) > abs(a):
+    if abs(b) > abs(a):
         xs = _solve_quadratic(b * b + s * a * a, 2.0 * s * a * k, s * k * k - b * b * rhs)
         pts = [(x, -(a * x + k) / b) for x in xs]
     else:

@@ -24,6 +24,9 @@ The near-null guard of the hyperbolic plane is
 
 applied to ``|D(z)|``; small numbers are deliberately treated as near-null
 because every statement downstream degrades in the same absolute way.
+The rule also holds for a finite ``z`` whose ``D`` overflows: ``is_null``
+then tests ``|D| / max(|x|, |y|)`` and ``polar`` returns the finite
+modulus, both from ``1 - r``, ``r = min(|x|, |y|) / max(|x|, |y|)``.
 """
 
 from __future__ import annotations
@@ -100,6 +103,10 @@ class Sector(Enum):
     DOWN = "down"
 
 
+_RIGHT_LEFT = (Sector.RIGHT, Sector.LEFT)
+_UP_DOWN = (Sector.UP, Sector.DOWN)
+
+
 @dataclass(frozen=True, slots=True)
 class PolarForm:
     """Polar decomposition of a non-null number.
@@ -157,9 +164,16 @@ def square_modulus(z: Number) -> float:
 
 def is_null(z: Number) -> bool:
     """True when ``z`` is (numerically) a divisor of zero."""
-    if z.unit > 0.0:
-        return abs(square_modulus(z)) <= zero_divisor_tolerance(z)
-    return z.x == 0.0 and z.y == 0.0
+    if z.unit < 0.0:
+        return z.x == 0.0 and z.y == 0.0
+    d = square_modulus(z)
+    if d != d and math.isfinite(z.x) and math.isfinite(z.y):
+        # both squares overflow: the same rule divided by m = max(|x|, |y|),
+        # |D| / m = m (1 - r)(1 + r) with r = min / m and t = 1 - r exact
+        m = max(abs(z.x), abs(z.y))
+        t = (m - min(abs(z.x), abs(z.y))) / m
+        return m * (t * (2.0 - t)) <= 1e-12
+    return abs(d) <= zero_divisor_tolerance(z)
 
 
 def inverse(z: Number) -> Number:
@@ -237,15 +251,16 @@ def polar(z: Number) -> PolarForm:
 
     if is_null(z):
         raise OnNullLine(f"({z.x}, {z.y}) lies on a null line")
-    ax, ay = abs(z.x), abs(z.y)
-    if ax > ay:
-        sector = Sector.RIGHT if z.x > 0 else Sector.LEFT
-        sign = 1 if z.x > 0 else -1
-        rho = math.sqrt((ax - ay) * (ax + ay))
-        theta = math.atanh(z.y / z.x)
-    else:
-        sector = Sector.UP if z.y > 0 else Sector.DOWN
-        sign = 1 if z.y > 0 else -1
-        rho = math.sqrt((ay - ax) * (ay + ax))
-        theta = math.atanh(z.x / z.y)
-    return PolarForm(rho, theta, sector, sign)
+    # h (x + h y) = y + h x: up/down are right/left with the parts swapped
+    p, q = z.x, z.y
+    ap, aq = abs(p), abs(q)
+    pos, neg = _RIGHT_LEFT
+    if aq >= ap:
+        p, q, ap, aq = q, p, aq, ap
+        pos, neg = _UP_DOWN
+    rho = math.sqrt((ap - aq) * (ap + aq))
+    if rho == math.inf:  # D overflowed, not the modulus: |p| sqrt((1 - r)(1 + r))
+        t = (ap - aq) / ap
+        rho = ap * math.sqrt(t * (2.0 - t))
+    sector, sign = (pos, 1) if p > 0 else (neg, -1)
+    return PolarForm(rho, math.atanh(q / p), sector, sign)

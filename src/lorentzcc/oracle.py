@@ -30,6 +30,9 @@ Numerical notes
   causal type with two flags; a segment costs one factor call and no
   container operation.  ``TauField`` holds its isometric ``MetricField``
   from construction on, so an evaluation builds no field.
+  ``FlatPlaneField`` rejects a NaN or infinite point with
+  :class:`~lorentzcc.errors.DomainError`, as the Cartesian ``MetricField``
+  does, so no routine answers NaN on the flat plane.
 * ``_adaptive_simpson`` accepts an interval when ``|S2 - S1| <= 15 tol``,
   which bounds the extrapolated error by roughly ``tol``, or when
   ``|S2 - S1|`` is at rounding level, ``1e-15 |S2|``: next to an integrable
@@ -89,6 +92,8 @@ class FlatPlaneField:
     chart: Chart = Chart.CARTESIAN
 
     def factor(self, a: float, b: float) -> float:
+        if not (math.isfinite(a) and math.isfinite(b)):
+            raise DomainError(f"the flat-plane factor at ({a}, {b}) is undefined")
         return 1.0
 
     def boundary_distance(self, a: float, b: float) -> float:
@@ -150,8 +155,11 @@ def integrate_geodesic(
     """
     if state.chart is not field.chart:
         raise ValueError(f"state chart {state.chart} != field chart {field.chart}")
-    if not (0.0 < length < math.inf and 0.0 < step < math.inf):
-        raise ValueError(f"length {length} and step {step} must be positive and finite")
+    if not (0.0 < length < math.inf and 0.0 < step < math.inf and length / step < math.inf):
+        raise ValueError(
+            f"length {length} and step {step} must be positive and finite, "
+            "and so must length / step"
+        )
     x, y = state.position
     vx, vy = state.velocity
     s, factor = field.signature_sign, field.factor
@@ -237,8 +245,6 @@ def _adaptive_simpson(fn: Callable[[float], float], a: float, b: float, tol: flo
     """
     if not (math.isfinite(a) and math.isfinite(b)):
         raise DomainError(f"quadrature bounds ({a}, {b}) are not finite")
-    if a == b:
-        return 0.0
 
     def simpson(lo: float, hi: float, flo: float, fmid: float, fhi: float) -> float:
         return (hi - lo) / 6.0 * (flo + 4.0 * fmid + fhi)

@@ -4,10 +4,12 @@ Most run ``cli.main`` in-process; one test starts ``python -m lorentzcc.cli``
 to cover the module entry point and its exit codes.
 """
 
+import importlib
 import json
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from test_golden_cli import run
@@ -274,6 +276,34 @@ def test_overflow_and_non_finite_scalars_exit_2(args):
     assert json.loads(proc.stderr)["error"] in want
 
 
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (("distance", "--surface", "def-neg", "--points", "0,0", "0.5,0",
+          "--apply-motion", "1,0,0"),
+         "expected 4 comma-separated values for --apply-motion, got '1,0,0'"),
+        (("geodesic", "--surface", "def-pos", "--eps", "0.3"),
+         "family mode needs both --eps and --sigma"),
+        (("worldline", "--g", "1", "--s-range", "1"), "expected --s-range lo,hi[,n], got '1'"),
+        (("worldline", "--g", "1", "--s-range", "0,1,1"), "need at least 2 samples, got 1"),
+    ],
+)
+def test_malformed_option_exits_2_with_its_message(args, message):
+    proc = run_cli(*args)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert json.loads(proc.stderr) == {"error": "ValueError", "message": message}
+
+
+def test_console_script_is_cli_main():
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11 on
+    pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
+    target = tomllib.loads(pyproject.read_text(encoding="utf-8"))["project"]["scripts"]
+    assert target == {"lorentzcc": "lorentzcc.cli:main"}
+    module, _, name = target["lorentzcc"].partition(":")
+    assert getattr(importlib.import_module(module), name) is main
+
+
 def test_help_prints_usage_and_exits_0(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--help"])
@@ -309,6 +339,12 @@ class TestWorldlineCommand:
         assert doc["g"] == 1.5
         assert len(doc["samples"]) == 3
         assert doc["samples"][0]["t"] == 0.5
+
+    def test_two_value_range_takes_101_samples(self):
+        proc = run_cli("worldline", "--g", "1", "--s-range", "0,1", check=True)
+        rows = [[float(v) for v in line.split(",")] for line in proc.stdout.split()[1:]]
+        assert len(rows) == 101
+        assert (rows[0][0], rows[50][0], rows[-1][0]) == (0.0, 0.5, 1.0)
 
     def test_residual_finite_where_dx_squared_overflows(self):
         proc = run_cli("worldline", "--g", "1", "--s-range", "0,400,3", check=True)
@@ -359,7 +395,7 @@ class TestVerifyCommand:
         assert proc.returncode == 1
 
     @pytest.mark.parametrize("tol", ["nope=1", "algebra_properties=nan",
-                                     "algebra_properties=-1"])
+                                     "algebra_properties=-1", "foo"])
     def test_unknown_or_malformed_tolerance_exits_2(self, tol):
         proc = run_cli("verify", *self.FAST, "--tol", tol)
         assert proc.returncode == 2

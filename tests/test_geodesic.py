@@ -531,12 +531,20 @@ class TestLimitingCurve:
             ("lorentz-neg", 0.0, 1.0, 1.0, 0.0),  # asymptote itself
             ("lorentz-neg", 0.0, 1.0, 0.0, -0.5),  # |b| = 0, between the branches
             ("def-neg", 0.0, 1.0, 0.5, 3.0),  # line outside the circle
+            ("lorentz-pos", 1.0, 0.0, 0.0, 2.0),  # concentric, no linear part
+            ("def-neg", 2.0, 0.0, 0.0, -1.0),  # concentric circle of radius 1/sqrt(2)
         ],
     )
     def test_hand_built_conics_that_miss(self, name, quad, a, b, c):
         spec = SurfaceSpec.from_name(name)
         with pytest.raises(NoRealIntersection):
             limiting_intersections(spec, GeodesicConic(quad, a, b, c, spec))
+
+    @pytest.mark.parametrize("name", ["def-neg", "lorentz-pos", "lorentz-neg"])
+    def test_limiting_curve_itself_rejected(self, name):
+        spec = SurfaceSpec.from_name(name, 2.5)
+        with pytest.raises(ValueError, match="coincides"):
+            limiting_intersections(spec, limiting_curve(spec))
 
     @pytest.mark.parametrize(
         "name, conic_name", [("lorentz-neg", "def-neg"), ("def-neg", "lorentz-neg")]

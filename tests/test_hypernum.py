@@ -187,6 +187,18 @@ class TestNullLines:
         assert zero_divisor_tolerance(HyperbolicNumber(0.1, 0.1)) == pytest.approx(1e-12)
         assert zero_divisor_tolerance(HyperbolicNumber(50.0, 0.0)) == pytest.approx(5e-11)
 
+    @pytest.mark.parametrize(
+        "x, y, null",
+        [
+            (1e200, 1e200, True),  # |inf - inf| = nan once read "not null"
+            (-1.5e308, 1.5e308, True),  # x + y itself overflows
+            (1e200, 1e200 * (1.0 + 1e-15), False),
+            (1.7976931348623157e308, 1e300, False),
+        ],
+    )
+    def test_rule_holds_where_d_overflows(self, x, y, null):
+        assert is_null(HyperbolicNumber(x, y)) is null
+
     def test_complex_null_is_only_zero(self):
         assert is_null(ComplexNumber(0.0, 0.0))
         assert not is_null(ComplexNumber(1e-30, 0.0))
@@ -238,6 +250,29 @@ class TestPolar:
             polar(HyperbolicNumber(0.3, 0.3))
         with pytest.raises(DivisorOfZero):
             polar(ComplexNumber(0.0, 0.0))
+
+    @pytest.mark.parametrize(
+        "z, rho, sector, sign",
+        [
+            # (x - y)(x + y) overflows; the modulus once read inf
+            (HyperbolicNumber(1e200, 0.0), 1e200, Sector.RIGHT, 1),
+            (HyperbolicNumber(0.0, -1e200), 1e200, Sector.DOWN, -1),
+            (HyperbolicNumber(-5e200, 3e200), 4e200, Sector.LEFT, -1),
+            (HyperbolicNumber(3e200, 5e200), 4e200, Sector.UP, 1),
+            (HyperbolicNumber(1.7976931348623157e308, 1e300), 1.7976931348623157e308,
+             Sector.RIGHT, 1),
+        ],
+    )
+    def test_finite_modulus_where_d_overflows(self, z, rho, sector, sign):
+        p = polar(z)
+        assert (p.sector, p.sign) == (sector, sign)
+        assert p.rho == pytest.approx(rho, rel=1e-15)
+        assert math.isfinite(p.theta)
+
+    def test_null_line_where_d_overflows(self):
+        # once a bare ValueError from atanh(1)
+        with pytest.raises(OnNullLine, match="null line"):
+            polar(HyperbolicNumber(1e200, 1e200))
 
     @pytest.mark.parametrize(
         "z",

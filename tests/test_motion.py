@@ -352,6 +352,18 @@ class TestTwoPointSolver:
         with pytest.raises(NoGeodesic, match="null-separated"):
             solve_two_point(spec, (0.1, 0.05), (0.3, 0.25))
 
+    def test_null_separation_where_d_overflows(self):
+        # is_null once read |inf - inf| = nan as "not null", and polar raised
+        # a bare ValueError from atanh(1)
+        spec = SurfaceSpec.from_name("lorentz-pos")
+        with pytest.raises(NoGeodesic, match="null-separated"):
+            solve_two_point(spec, (0.0, 0.0), (1e200, 1e200))
+
+    def test_point_of_the_other_number_type_rejected(self):
+        spec = SurfaceSpec.from_name("lorentz-pos")
+        with pytest.raises(TypeError, match="lorentz-pos points must be HyperbolicNumber"):
+            solve_two_point(spec, ComplexNumber(0.1, 0.0), (0.3, 0.1))
+
     def test_timelike_separation(self):
         spec = SurfaceSpec.from_name("lorentz-neg")
         with pytest.raises(NoGeodesic):

@@ -211,6 +211,7 @@ class TestIntegrateGeodesic:
             (1.0, 0.0),
             (1.0, math.inf),
             (1.0, math.nan),
+            (1e300, 1e-10),  # length / step overflows
         ],
     )
     def test_requires_positive_finite_length_and_step(self, length, step):
@@ -239,6 +240,45 @@ class TestIntegrateGeodesic:
         assert len(track) > 1
         assert track[-1].position[0] < 1.0  # stopped short of the limiting circle
         assert track[-1].position[0] > 0.9
+
+
+class TestFlatPlaneField:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize(
+        "route, error",
+        [
+            # each once answered: nan or inf, NaN or infinite states, -0.0, zeros
+            (lambda f, p: arc_length(f, [(0.0, 0.0), p]), DomainError),
+            (lambda f, p: integrate_geodesic(f, GeodesicState(p, (1.0, 0.0), f.chart), 0.01),
+             DomainError),
+            (lambda f, p: isothermal_curvature(f, *p), DomainError),
+            (lambda f, p: christoffel(f, *p), NearSingular),
+        ],
+        ids=["arc_length", "integrate_geodesic", "isothermal_curvature", "christoffel"],
+    )
+    def test_non_finite_point_rejected(self, route, error, bad):
+        with pytest.raises(error, match="flat-plane factor") as info:
+            route(FlatPlaneField(), (bad, 0.0))
+        assert info.type is error
+
+
+class TestAdaptiveSimpson:
+    @pytest.mark.parametrize(
+        "fn, match",
+        [
+            (lambda t: math.nan if t == 0.0 else 1.0, "not finite at 0.0, 0.5 or 1.0"),
+            (lambda t: math.inf if t == 0.25 else 1.0, r"not finite on \[0.0, 1.0\]"),
+        ],
+        ids=["first sample", "panel sum"],
+    )
+    def test_non_finite_integrand_is_a_domain_error(self, fn, match):
+        with pytest.raises(DomainError, match=match):
+            oracle._adaptive_simpson(fn, 0.0, 1.0, 1e-10)
+
+    def test_infinite_bound_is_a_domain_error(self):
+        tau = TauField(0.7, 0.3, SurfaceSpec.from_name("lorentz-pos"))
+        with pytest.raises(DomainError, match="quadrature bounds"):
+            tau(math.inf, 0.1)
 
 
 class TestArcLength:

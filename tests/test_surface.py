@@ -155,6 +155,8 @@ class TestMetricField:
         f = MetricField(SurfaceSpec.from_name("lorentz-neg"), Chart.CARTESIAN)
         # |x^2 - y^2 - 1| / (2 hypot): a safe but pessimistic estimate
         assert f.boundary_distance(2.0, 0.0) == pytest.approx(3.0 / 4.0)
+        # the gradient of the base vanishes at the origin, far from the curve
+        assert f.boundary_distance(0.0, 0.0) == inf
 
     @pytest.mark.parametrize("radius", [0.5, 1.0, 2.5])
     def test_factor_raises_where_the_chart_ends(self, radius):

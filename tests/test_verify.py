@@ -9,11 +9,19 @@ from lorentzcc import (
     CHECK_NAMES,
     DEFAULT_TOLERANCES,
     CheckResult,
+    DivisorOfZero,
+    HyperbolicNumber,
     InvalidMotion,
     MetricField,
     NoGeodesic,
+    NoRealIntersection,
+    OnNullLine,
+    PolarForm,
     SurfaceSpec,
     geodesic_family,
+    inverse,
+    limiting_intersections,
+    polar,
     run_all,
     verify,
 )
@@ -105,22 +113,65 @@ def test_tolerance_override_can_fail_a_check():
     assert "[FAIL]" in res.summary_line()
 
 
-def test_check_that_cannot_measure_fails_under_any_tolerance(monkeypatch):
-    def no_geodesic(spec, z1, z2):
-        raise NoGeodesic("no pair is joinable")
+def _no_geodesic(spec, z1, z2):
+    raise NoGeodesic("no pair is joinable")
 
-    monkeypatch.setattr(verify, "solve_two_point", no_geodesic)
-    (res,) = run_all(
-        seed=3,
-        scale=0.02,
-        names=("two_point_solver",),
-        tolerances={"two_point_solver": math.inf},
-    )
+
+def _never_crosses(spec, conic):
+    raise NoRealIntersection("no conic meets the curve")
+
+
+def _first_hit_only(spec, conic):
+    return limiting_intersections(spec, conic)[:1]
+
+
+def _lorentz_pos_crosses(spec, conic):
+    try:
+        return limiting_intersections(spec, conic)
+    except NoRealIntersection:
+        return []
+
+
+def _accepts_null(exc_type, fn, answer):
+    def lenient(z):
+        try:
+            return fn(z)
+        except exc_type:
+            return answer
+    return lenient
+
+
+@pytest.mark.parametrize(
+    "name, attr, replacement, detail",
+    [
+        ("two_point_solver", "solve_two_point", _no_geodesic, "def-pos"),
+        ("limiting_orthogonality", "limiting_intersections", _never_crosses,
+         "unexpectedly missed the limiting curve"),
+        ("limiting_orthogonality", "limiting_intersections", _first_hit_only,
+         "expected 2 limiting-curve crossings, got 1"),
+        ("limiting_orthogonality", "limiting_intersections", _lorentz_pos_crosses,
+         "unexpectedly crossed the limiting curve at 0 points"),
+        ("algebra_properties", "polar",
+         _accepts_null(OnNullLine, polar, PolarForm(0.0, 0.0, None, 1)),
+         "polar form failed to reject the null element"),
+        ("algebra_properties", "inverse",
+         _accepts_null(DivisorOfZero, inverse, HyperbolicNumber(0.0, 0.0)),
+         "inverse failed to reject the divisor of zero"),
+    ],
+    ids=["no geodesic", "missed", "one crossing", "lorentz-pos crossed",
+         "null polar", "null inverse"],
+)
+def test_check_that_cannot_measure_fails_under_any_tolerance(
+    monkeypatch, name, attr, replacement, detail
+):
+    monkeypatch.setattr(verify, attr, replacement)
+    (res,) = run_all(seed=3, scale=0.02, names=(name,), tolerances={name: math.inf})
     assert not res.passed
     assert res.measured == math.inf
     assert res.tolerance == math.inf
-    assert "def-pos" in res.detail
-    assert res.summary_line().startswith("[FAIL] two_point_solver: measured inf")
+    assert res.errors == ()
+    assert detail in res.detail
+    assert res.summary_line().startswith(f"[FAIL] {name}: measured inf")
 
 
 def test_motion_invariance_shortfall_fails_under_any_tolerance(monkeypatch):
