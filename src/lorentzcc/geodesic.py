@@ -105,29 +105,13 @@ class PlaneLine:
     c: float
 
     @property
-    def _normal(self) -> tuple[float, float, float]:
-        """The residual's gradient ``(n_x, n_y)`` and ``<n, n>``: -1 first kind, +1 second."""
+    def _normal(self) -> tuple[float, float]:
+        """The residual's gradient ``(n_x, n_y)``."""
         ch, sh = cos_sin(1.0, self.theta)
-        return (sh, ch, -1.0) if self.kind is LineKind.FIRST else (ch, sh, 1.0)
-
-    @property
-    def base_point(self) -> tuple[float, float]:
-        nx, ny, nn = self._normal  # c n / <n, n>, the index raised: (n_x, -n_y)
-        return (nn * self.c * nx, -(nn * self.c) * ny)
-
-    @property
-    def tangent(self) -> tuple[float, float]:
-        """Unit tangent ``(n_y, -n_x)``: |dx^2 - dy^2| = 1 exactly."""
-        nx, ny, _ = self._normal
-        return (ny, -nx)
-
-    def point_at(self, s: float) -> tuple[float, float]:
-        bx, by = self.base_point
-        tx, ty = self.tangent
-        return (bx + s * tx, by + s * ty)
+        return (sh, ch) if self.kind is LineKind.FIRST else (ch, sh)
 
     def residual(self, x: float, y: float) -> float:
-        nx, ny, _ = self._normal
+        nx, ny = self._normal
         return x * nx + y * ny - self.c
 
 
@@ -159,15 +143,11 @@ class Worldline:
             raise DomainError(f"start event (t0, x0) = ({self.t0}, {self.x0}) is not finite")
 
     def position(self, s: float) -> tuple[float, float]:
+        """``(t, x)`` at proper time s; raises :class:`DomainError` where
+        ``accel s`` is not finite or cosh overflows."""
         g = self.accel
         ch, sh = cos_sin(1.0, g * s)
         return (self.t0 + sh / g, self.x0 + (ch - 1.0) / g)
-
-    def velocity(self, s: float) -> tuple[float, float]:
-        """(dt/ds, dx/ds) = (cosh, sinh)(accel s), a unit timelike vector, so
-        dx/dt = tanh(accel s).  Both this and :meth:`position` raise
-        :class:`DomainError` where ``accel s`` is not finite or cosh overflows."""
-        return cos_sin(1.0, self.accel * s)
 
     def invariant_residual(self, s: float) -> float:
         """Scale-relative defect of the hyperbola invariant at proper time s.
@@ -568,7 +548,8 @@ def limiting_intersections(
 
     Raises:
         ValueError: the conic belongs to a surface of the other signature.
-        DomainError: def-pos (imaginary limiting curve).
+        DomainError: def-pos (imaginary limiting curve); the line lies
+            beyond the float range, or a hit or its product is not finite.
         NoRealIntersection: no real common point.
     """
     s = spec.metric_sign
@@ -588,16 +569,29 @@ def limiting_intersections(
         if k == 0.0:
             raise ValueError("conic coincides with the limiting curve")
         raise NoRealIntersection("conic and limiting curve are disjoint level sets")
-    if abs(b) > abs(a):
-        xs = _solve_quadratic(b * b + s * a * a, 2.0 * s * a * k, s * k * k - b * b * rhs)
-        pts = [(x, -(a * x + k) / b) for x in xs]
-    else:
-        ys = _solve_quadratic(b * b + s * a * a, 2.0 * b * k, k * k - a * a * rhs)
-        pts = [(-(b * y + k) / a, y) for y in ys]
+    # scale the line by an exact power of two, to m = max(|a|, |b|) near 1, or
+    # to m |k| near 1 where |k| > m, so that the coefficients below neither
+    # overflow nor vanish where the hits are floats; the roots keep their bits
+    m = max(abs(a), abs(b))
+    e = -(math.frexp(m)[1] + math.frexp(max(m, abs(k)))[1]) // 2
+    try:
+        a, b, k = math.ldexp(a, e), math.ldexp(b, e), math.ldexp(k, e)
+    except OverflowError:
+        raise DomainError(f"line {a} x + {b} y + {k} = 0 lies beyond the float range") from None
+    # solve for x where |b| > |a|; else swap x and y, which turns the
+    # weights (1, s) of x^2 + s y^2 into (s, 1)
+    swap = abs(a) >= abs(b)
+    a, b, wx, wy = (b, a, s, 1.0) if swap else (a, b, 1.0, s)
+    us = _solve_quadratic(wx * b * b + wy * a * a, 2.0 * wy * a * k, wy * k * k - b * b * rhs)
 
     out = []
-    for x, y in pts:
+    for u in us:
+        v = -(a * u + k) / b
+        x, y = (v, u) if swap else (u, v)
         g1 = conic.gradient(x, y)
         g2 = lim.gradient(x, y)
-        out.append(LimitingIntersection(x, y, g1[0] * g2[0] + s * g1[1] * g2[1]))
+        product = g1[0] * g2[0] + s * g1[1] * g2[1]
+        if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(product)):
+            raise DomainError(f"hit ({x}, {y}) with product {product} is not finite")
+        out.append(LimitingIntersection(x, y, product))
     return out

@@ -35,6 +35,7 @@ from .errors import (
     InvalidMotion,
     MapsToInfinity,
     NoGeodesic,
+    OnNullLine,
     OutOfDisk,
 )
 from .geodesic import GeodesicConic
@@ -288,9 +289,10 @@ def solve_two_point(spec: SurfaceSpec, z1, z2) -> TwoPointSolution:
     except DivisorOfZero as exc:
         raise NoGeodesic(f"normal-form denominator degenerates: {exc}") from exc
 
-    if hyperbolic and is_null(q):
-        raise NoGeodesic(f"{z1} and {z2} are null-separated")
-    pol = polar(q)
+    try:
+        pol = polar(q)
+    except OnNullLine as exc:
+        raise NoGeodesic(f"{z1} and {z2} are null-separated") from exc
     if pol.sector in (Sector.UP, Sector.DOWN):
         raise NoGeodesic(
             f"{z1} and {z2} are separated across the null cone "
