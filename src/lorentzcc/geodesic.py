@@ -535,11 +535,10 @@ def _solve_quadratic(qa: float, qb: float, qc: float) -> tuple[float, ...]:
     return r1, r2
 
 
-def limiting_intersections(
-    spec: SurfaceSpec, conic: GeodesicConic
-) -> list[LimitingIntersection]:
-    """Real intersections of a conic with the limiting curve of the chart.
+def limiting_intersections(conic: GeodesicConic) -> list[LimitingIntersection]:
+    """Real intersections of a conic with the limiting curve of its surface.
 
+    The conic carries its surface (``conic.spec``), and with it the curve.
     Family geodesics of lorentz-neg always yield two (this is how that
     surface's geodesics terminate); lorentz-pos family geodesics never meet
     the curve and raise :class:`NoRealIntersection`.  On def-neg the
@@ -547,17 +546,12 @@ def limiting_intersections(
     cross it (orthogonally); def-pos has no real limiting curve at all.
 
     Raises:
-        ValueError: the conic belongs to a surface of the other signature.
         DomainError: def-pos (imaginary limiting curve); the line lies
             beyond the float range, or a hit or its product is not finite.
         NoRealIntersection: no real common point.
     """
+    spec = conic.spec
     s = spec.metric_sign
-    if conic.spec.metric_sign != s:
-        raise ValueError(
-            f"a {conic.spec.name} conic has another quadratic part than the "
-            f"{spec.name} limiting curve"
-        )
     if s > 0.0 and spec.kappa > 0.0:
         raise DomainError("def-pos has no real limiting curve")
     # both curves share the quadratic part x^2 + s y^2, so their common points
@@ -575,9 +569,13 @@ def limiting_intersections(
     m = max(abs(a), abs(b))
     e = -(math.frexp(m)[1] + math.frexp(max(m, abs(k)))[1]) // 2
     try:
-        a, b, k = math.ldexp(a, e), math.ldexp(b, e), math.ldexp(k, e)
+        scaled = math.ldexp(a, e), math.ldexp(b, e), math.ldexp(k, e)
     except OverflowError:
-        raise DomainError(f"line {a} x + {b} y + {k} = 0 lies beyond the float range") from None
+        scaled = None
+    # a k that vanishes in the scaling would read as an asymptote-parallel line
+    if scaled is None or (scaled[2] == 0.0 and k != 0.0):
+        raise DomainError(f"line {a} x + {b} y + {k} = 0 lies beyond the float range")
+    a, b, k = scaled
     # solve for x where |b| > |a|; else swap x and y, which turns the
     # weights (1, s) of x^2 + s y^2 into (s, 1)
     swap = abs(a) >= abs(b)

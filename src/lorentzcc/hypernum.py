@@ -54,7 +54,9 @@ __all__ = [
 
 @dataclass(frozen=True, slots=True)
 class Number:
-    """``x + j*y`` with ``j*j = unit``; instantiate one of the two planes."""
+    """``x + j*y`` with ``j*j = unit``; instantiate one of the two planes.
+
+    :func:`mul` is the product; ``scalar * z`` scales both parts."""
 
     x: float
     y: float
@@ -68,16 +70,8 @@ class Number:
     def __neg__(self) -> "Number":
         return type(self)(-self.x, -self.y)
 
-    def __mul__(self, other):
-        if isinstance(other, Number):
-            return mul(self, other)
-        return type(self)(self.x * other, self.y * other)
-
     def __rmul__(self, scalar: float) -> "Number":
         return type(self)(scalar * self.x, scalar * self.y)
-
-    def __truediv__(self, scalar: float) -> "Number":
-        return type(self)(self.x / scalar, self.y / scalar)
 
 
 class HyperbolicNumber(Number):

@@ -48,7 +48,6 @@ from .hypernum import (
     conj,
     cos_sin,
     inverse,
-    is_null,
     mul,
     polar,
     square_modulus,
@@ -203,12 +202,19 @@ class TwoPointSolution:
     ``l`` is the model abscissa of the image of ``z2`` (so the invariant
     separation in normalized units); ``theta_alpha`` / ``theta_beta`` are the
     arguments of the motion constants and ``rho_beta`` the signed modulus of
-    ``beta`` (both zero by convention when ``z1`` is the origin).
+    ``beta`` (both zero by convention when ``z1`` is the origin).  ``r`` is
+    ``sinh^2`` (negative curvature) or ``tan^2`` (positive) of half the
+    normalized distance: ``D(z2 - z1)`` over ``(1 - D(z1))(1 - D(z2))``, or
+    over ``D`` of the normal-form denominator.  It is not read from the
+    quotient whose modulus is ``l``: where the denominator is near null, the
+    parts of that quotient cannot hold its small ``D``, and ``l`` keeps only
+    a few digits.
     """
 
     motion: BilinearMotion
     l: float
     theta_alpha: float
+    r: float
 
     @property
     def _polar_beta(self) -> PolarForm:
@@ -238,31 +244,38 @@ class TwoPointSolution:
 
     @property
     def distance(self) -> float:
-        """Physical distance: ``2R atanh(l)`` at negative curvature,
-        ``2R atan(l)`` at positive.
+        """Physical distance: ``2R asinh(sqrt(r))`` at negative curvature,
+        ``2R atan(sqrt(r))`` at positive (``2R atanh(l)``, ``2R atan(l)``).
 
         Raises:
-            OutOfDisk: negative curvature with ``l >= 1`` (the second point
-                is not inside the model domain).
+            OutOfDisk: negative curvature with ``l >= 1``, or with ``r``
+                outside ``[0, inf)`` (the second point is not inside the
+                model domain).
         """
         spec = self.motion.spec
-        l, r = self.l, spec.radius
+        l, r = self.l, self.r
         if spec.kappa < 0.0:
             if l >= 1.0:
                 raise OutOfDisk(f"image abscissa l = {l} >= 1; point outside the model")
-            return 2.0 * r * math.atanh(l)
-        return 2.0 * r * math.atan(l)
+            if not 0.0 <= r < math.inf:
+                raise OutOfDisk(f"sinh^2 of half the distance r = {r}; point on the boundary")
+            return 2.0 * spec.radius * math.asinh(math.sqrt(r))
+        return 2.0 * spec.radius * math.atan(math.sqrt(r))
 
 
 def solve_two_point(spec: SurfaceSpec, z1, z2) -> TwoPointSolution:
     """Motion normal form of the geodesic through two normalized points.
+
+    A point on a null line through the origin is an ordinary point of a
+    Lorentzian surface, so it may be either point; only the separation
+    ``z2 - z1`` is tested against the null cone.
 
     Raises:
         CoincidentPoints: z1 == z2 (to 1e-14, relative).
         DomainError: ``D`` of a point, or of the normal-form denominator,
             overflows.
         NoGeodesic: no geodesic of the closed-form family joins the points
-            (null or spacelike separation on a Lorentzian surface, a null or
+            (null or spacelike separation on a Lorentzian surface, a
             limiting-curve base point, antipodal points, ...).
     """
     z1 = _as_number(spec, z1)
@@ -270,10 +283,6 @@ def solve_two_point(spec: SurfaceSpec, z1, z2) -> TwoPointSolution:
     tol = 1e-14 * max(1.0, abs(z1.x), abs(z1.y), abs(z2.x), abs(z2.y))
     if abs(z1.x - z2.x) <= tol and abs(z1.y - z2.y) <= tol:
         raise CoincidentPoints(f"points coincide: {z1}")
-    hyperbolic = spec.metric_sign < 0.0
-
-    if hyperbolic and is_null(z1) and not (z1.x == 0.0 and z1.y == 0.0):
-        raise NoGeodesic(f"base point {z1} lies on a null line of the model")
     d1 = square_modulus(z1)
     if not math.isfinite(d1):
         raise DomainError(f"D of the base point {z1} overflows")
@@ -304,7 +313,13 @@ def solve_two_point(spec: SurfaceSpec, z1, z2) -> TwoPointSolution:
     alpha = type(z1)(-s, c) if pol.sector is Sector.LEFT else type(z1)(c, -s)
 
     beta = -mul(alpha, z1)
-    return TwoPointSolution(BilinearMotion(alpha, beta, spec), pol.rho, -half)
+    n = square_modulus(z2 - z1)
+    if kappa > 0.0:
+        r = n / square_modulus(den)
+    else:
+        m = (1.0 - d1) * (1.0 - square_modulus(z2))
+        r = n / m if m else math.inf
+    return TwoPointSolution(BilinearMotion(alpha, beta, spec), pol.rho, -half, r)
 
 
 def geodesic_through(spec: SurfaceSpec, z1, z2) -> GeodesicConic:

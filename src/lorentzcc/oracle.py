@@ -8,7 +8,7 @@ arc-length field tau from adaptive Simpson quadrature of its defining
 integral.  Nothing in here looks at the conic family, so agreement between
 the two routes is an actual test.  Each routine reads its ``field``
 through ``factor`` and ``signature_sign`` alone (the integrator also through
-``chart`` and ``boundary_distance``), so any chart or tampered field works.
+``boundary_distance``), so any chart or tampered field works.
 
 Numerical notes
 ---------------
@@ -77,19 +77,19 @@ __all__ = [
 
 @dataclass(frozen=True, slots=True)
 class GeodesicState:
-    """Point and velocity of a geodesic in a given chart."""
+    """Point and velocity of a geodesic, in the chart of the field that
+    integrates it (the field owns the chart; the state does not repeat it)."""
 
     position: tuple[float, float]
     velocity: tuple[float, float]
-    chart: Chart
 
 
 @dataclass(frozen=True, slots=True)
 class FlatPlaneField:
     """Metric field of the flat Lorentz plane (duck-typed like MetricField)."""
 
-    signature_sign: float = -1.0
-    chart: Chart = Chart.CARTESIAN
+    signature_sign = -1.0
+    chart = Chart.CARTESIAN
 
     def factor(self, a: float, b: float) -> float:
         if not (math.isfinite(a) and math.isfinite(b)):
@@ -141,6 +141,7 @@ def integrate_geodesic(
 ) -> list[GeodesicState]:
     """RK4 integration of the geodesic equation, fixed step in arc length.
 
+    ``state`` and the returned states are read in the chart of ``field``.
     The initial velocity must be unit speed in the field's metric (to 1e-9),
     so the curve parameter coincides with arc length.  Returns the list of
     states after each step, the initial one included.  Every step is
@@ -149,12 +150,10 @@ def integrate_geodesic(
     whole steps.
 
     Raises:
-        ValueError: not unit speed, charts disagree, or a bad length or step.
+        ValueError: not unit speed, or a bad length or step.
         DomainExit: the path came within ``10 * step`` of a chart boundary;
             the partial trajectory rides on the exception.
     """
-    if state.chart is not field.chart:
-        raise ValueError(f"state chart {state.chart} != field chart {field.chart}")
     if not (0.0 < length < math.inf and 0.0 < step < math.inf and length / step < math.inf):
         raise ValueError(
             f"length {length} and step {step} must be positive and finite, "
@@ -186,7 +185,6 @@ def integrate_geodesic(
         dot = la * vx + lb * vy
         return la * n - vx * dot, s * lb * n - vy * dot
 
-    chart = state.chart
     states = [state]
     for h in steps:
         if field.boundary_distance(x, y) < 10.0 * step:
@@ -205,7 +203,7 @@ def integrate_geodesic(
         y += sixth * (vy + 2.0 * vy2 + 2.0 * vy3 + vy4)
         vx += sixth * (ax1 + 2.0 * ax2 + 2.0 * ax3 + ax4)
         vy += sixth * (ay1 + 2.0 * ay2 + 2.0 * ay3 + ay4)
-        states.append(GeodesicState((x, y), (vx, vy), chart))
+        states.append(GeodesicState((x, y), (vx, vy)))
     return states
 
 

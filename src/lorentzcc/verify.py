@@ -267,7 +267,7 @@ def _check_oracle_equivalence(rng, scale, perturb):
             vx, vy = exp_map_pushforward(spec, rho, phi, drho, dphi)
             lam = field.factor(x, y)
             speed = math.sqrt(abs(lam * (vx * vx + field.signature_sign * vy * vy)))
-            state = GeodesicState((x, y), (vx / speed, vy / speed), Chart.CARTESIAN)
+            state = GeodesicState((x, y), (vx / speed, vy / speed))
             states = integrate_geodesic(field, state, length, step)
             for k in range(0, len(states), 50):
                 # the last step ends at length, and may be short
@@ -429,7 +429,7 @@ def _check_limiting_orthogonality(rng, scale, perturb):
         eps, sigma = _signed_draw(rng, 0.05, 1.2)
         conic = geodesic_from_constants(spec_n, eps, sigma)
         try:
-            hits = limiting_intersections(spec_n, conic)
+            hits = limiting_intersections(conic)
         except NoRealIntersection:
             raise _Unmeasured(
                 f"lorentz-neg geodesic (eps={eps:.3f}, sigma={sigma:.3f}) "
@@ -450,7 +450,7 @@ def _check_limiting_orthogonality(rng, scale, perturb):
         eps, sigma = _signed_draw(rng, 0.05, 1.5)
         conic = geodesic_from_constants(spec_p, eps, sigma)
         try:
-            hits = limiting_intersections(spec_p, conic)
+            hits = limiting_intersections(conic)
         except NoRealIntersection:
             continue
         raise _Unmeasured(

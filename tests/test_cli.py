@@ -156,6 +156,14 @@ class TestDistanceCommand:
         )
         assert proc.stdout.strip() == "1.09861228866811"
 
+    def test_base_point_next_to_the_origin(self):
+        # (1e-6, 0) once read as a point of a null line, and the pair exited 2
+        proc = run_cli(
+            "distance", "--surface", "lorentz-pos", "--points", "1e-6,0", "0.5,0.1",
+            check=True,
+        )
+        assert proc.stdout.strip() == "0.911064672715205"
+
     def test_motion_invariance(self):
         base = run_cli(
             "distance", "--surface", "lorentz-neg",

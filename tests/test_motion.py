@@ -342,10 +342,47 @@ class TestTwoPointSolver:
         assert sol.l == pytest.approx(0.5)
         assert geodesic_distance(spec, (0.0, 0.0), (0.5, 0.0)) == pytest.approx(math.log(3.0))
 
-    def test_null_base_point(self):
+    def test_null_separated_from_a_null_base_point(self):
+        # (0.3, 0.3) lies on y = x, and the pair on the null line x + y = 0.6
         spec = SurfaceSpec.from_name("lorentz-neg")
-        with pytest.raises(NoGeodesic, match="null line"):
+        with pytest.raises(NoGeodesic, match="null-separated"):
             solve_two_point(spec, (0.3, 0.3), (0.5, 0.1))
+
+    @pytest.mark.parametrize("radius", [0.5, 1.0, 2.5])
+    @pytest.mark.parametrize("name", ["lorentz-pos", "lorentz-neg"])
+    def test_null_base_points_match_the_ambient_distance(self, name, radius):
+        # a point of y = +-x is an ordinary point of the surface, once refused.
+        # The ambient quadric P(z) = (2x, 2y, 1 - kappa D) / (1 + kappa D),
+        # D = x^2 - y^2, with <P, Q> = P.x Q.x - P.y Q.y + kappa P.z Q.z, gives
+        # c = kappa <P(z1), P(z2)> = cos(d / R) on lorentz-pos, joined where
+        # |c| < 1, and cosh(d / R) on lorentz-neg, joined where c > 1.
+        spec = SurfaceSpec.from_name(name, radius)
+        kappa = spec.kappa
+
+        def ambient(x, y):
+            d = x * x - y * y
+            w = 1.0 + kappa * d
+            return 2.0 * x / w, 2.0 * y / w, (1.0 - kappa * d) / w
+
+        rng = np.random.default_rng(54)
+        answered = 0
+        for i in range(2000):
+            x = float(rng.uniform(-0.9, 0.9))
+            z1 = (x, x if i % 2 else -x)
+            z2 = tuple(float(v) for v in rng.uniform(-0.9, 0.9, 2))
+            p, q = ambient(*z1), ambient(*z2)
+            c = kappa * (p[0] * q[0] - p[1] * q[1] + kappa * p[2] * q[2])
+            joined = abs(c) < 1.0 if kappa > 0.0 else c > 1.0
+            try:
+                d = geodesic_distance(spec, z1, z2)
+            except (NoGeodesic, OutOfDisk):
+                assert not joined, (z1, z2, c)
+                continue
+            assert joined, (z1, z2, c, d)
+            answered += 1
+            f = math.cos(d / radius) if kappa > 0.0 else math.cosh(d / radius)
+            assert abs(f - c) <= 1e-14 * max(1.0, abs(c))
+        assert answered > 700
 
     def test_null_separation(self):
         spec = SurfaceSpec.from_name("lorentz-pos")
@@ -409,6 +446,48 @@ class TestTwoPointSolver:
         spec = SurfaceSpec.from_name("def-neg")
         with pytest.raises(OutOfDisk, match=">= 1"):
             geodesic_distance(spec, (0.0, 0.0), (1.5, 0.0))
+        with pytest.raises(OutOfDisk, match=">= 1"):
+            geodesic_distance(spec, (0.0, 0.0), (1.0, 0.0))
+
+    def test_boundary_point_whose_abscissa_rounds_below_one(self):
+        # D(z2) = 1 exactly, so (1 - D(z1))(1 - D(z2)) = 0, while l rounds to
+        # 1 - 1.1e-16; this once read as the finite distance 2 atanh(l) = 37.4
+        spec = SurfaceSpec.from_name("def-neg")
+        z1 = (0.004477843792721422, -2.2517719595427395e-05)
+        z2 = (0.6643029539301958, 0.7474634341555553)
+        assert solve_two_point(spec, z1, z2).l < 1.0
+        with pytest.raises(OutOfDisk, match="boundary"):
+            geodesic_distance(spec, z1, z2)
+
+    @pytest.mark.parametrize(
+        "name, radius, z1, z2, rel",
+        [
+            # l once read 0.7517889936 for 0.7517777334; now 5.0e-11 off
+            ("lorentz-neg", 0.5, (-156720.6335142643, -156720.77852958173),
+             (0.48844319589089674, 0.2615942436393698), 1e-9),
+            # l once read 1.4214956594 for 1.4215696351; now 1.4e-12 off
+            ("lorentz-pos", 1.0, (686246335.631457, 686248396.7383492),
+             (1.6389033370907766, -1.1547922052680943), 1e-10),
+            # next to the antipode (1 + D(z1))(1 + D(z2)) - D(z2 - z1) cancels,
+            # and asin(sqrt(D(z2 - z1) / ((1 + D(z1))(1 + D(z2))))) reads pi,
+            # 1.3e-10 off
+            ("def-pos", 1.0, (0.3, 0.4), (-1.199999999, -1.6), 1e-14),
+        ],
+    )
+    def test_ill_conditioned_pair_matches_high_precision(self, name, radius, z1, z2, rel):
+        # on the Lorentzian surfaces a motion sent z1 far out along a null
+        # line: the normal-form denominator is near null, and l = rho(q) kept
+        # four or five digits
+        mpmath = pytest.importorskip("mpmath")
+        spec = SurfaceSpec.from_name(name, radius)
+        kappa, s = spec.kappa, spec.metric_sign
+        with mpmath.workdps(60):
+            x1, y1, x2, y2 = (mpmath.mpf(v) for v in (*z1, *z2))
+            n = (x2 - x1) ** 2 + s * (y2 - y1) ** 2
+            m = (1 + kappa * (x1 * x1 + s * y1 * y1)) * (1 + kappa * (x2 * x2 + s * y2 * y2))
+            half = mpmath.asinh(mpmath.sqrt(n / m)) if kappa < 0 else mpmath.asin(mpmath.sqrt(n / m))
+            want = float(2 * radius * half)
+        assert geodesic_distance(spec, z1, z2) == pytest.approx(want, rel=rel)
 
 
 class TestSolveOnce:

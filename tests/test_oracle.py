@@ -139,7 +139,7 @@ class TestIntegrateGeodesic:
     def test_flat_plane_straight_line(self):
         field = FlatPlaneField()
         vx, vy = math.cosh(0.3), math.sinh(0.3)  # unit spacelike
-        state = GeodesicState((0.1, -0.2), (vx, vy), Chart.CARTESIAN)
+        state = GeodesicState((0.1, -0.2), (vx, vy))
         states = integrate_geodesic(field, state, 2.0, step=1e-2)
         assert len(states) == 201
         end = states[-1]
@@ -159,7 +159,6 @@ class TestIntegrateGeodesic:
         state = GeodesicState(
             exp_map_to_cartesian(spec, rho, phi),
             exp_map_pushforward(spec, rho, phi, drho, dphi),
-            Chart.CARTESIAN,
         )
         want = exp_map_to_cartesian(spec, *geodesic_parametric(spec, eps, sigma, tau + length))
         errs = []
@@ -171,7 +170,7 @@ class TestIntegrateGeodesic:
 
     def test_requires_unit_speed(self):
         field = FlatPlaneField()
-        state = GeodesicState((0.0, 0.0), (2.0, 0.0), Chart.CARTESIAN)
+        state = GeodesicState((0.0, 0.0), (2.0, 0.0))
         with pytest.raises(ValueError, match="unit speed"):
             integrate_geodesic(field, state, 1.0)
 
@@ -179,11 +178,11 @@ class TestIntegrateGeodesic:
         # both once integrated to 11 NaN states: the unit-speed test was
         # false for NaN, and the factor answered NaN
         field = MetricField(SurfaceSpec.from_name("def-neg"), Chart.CARTESIAN)
-        at_nan = GeodesicState((math.nan, 0.0), (1.0, 0.0), Chart.CARTESIAN)
+        at_nan = GeodesicState((math.nan, 0.0), (1.0, 0.0))
         with pytest.raises(DomainError):
             integrate_geodesic(field, at_nan, 0.01)
         lam = field.factor(0.1, 0.0)
-        moving_nan = GeodesicState((0.1, 0.0), (math.nan, 1.0 / math.sqrt(lam)), Chart.CARTESIAN)
+        moving_nan = GeodesicState((0.1, 0.0), (math.nan, 1.0 / math.sqrt(lam)))
         with pytest.raises(ValueError, match="unit speed"):
             integrate_geodesic(field, moving_nan, 0.01)
 
@@ -195,7 +194,7 @@ class TestIntegrateGeodesic:
         # once round(length / step) whole steps, at least one: 1e-4 went to
         # 1e-3, and 1.0015 and 1.0025 both to 1.002; 0.3 / 1e-3 is
         # 299.99999999999994, within rounding of 300 whole steps
-        state = GeodesicState((0.0, 0.0), (1.0, 0.0), Chart.CARTESIAN)
+        state = GeodesicState((0.0, 0.0), (1.0, 0.0))
         states = integrate_geodesic(FlatPlaneField(), state, length, step=1e-3)
         assert len(states) == n_steps + 1
         assert states[-1].position[0] == pytest.approx(length, rel=1e-14)
@@ -217,21 +216,15 @@ class TestIntegrateGeodesic:
     def test_requires_positive_finite_length_and_step(self, length, step):
         # round(length / step) once turned these into one forward or
         # backward step, an OverflowError or a ZeroDivisionError
-        state = GeodesicState((0.0, 0.0), (1.0, 0.0), Chart.CARTESIAN)
+        state = GeodesicState((0.0, 0.0), (1.0, 0.0))
         with pytest.raises(ValueError, match="positive and finite"):
             integrate_geodesic(FlatPlaneField(), state, length, step=step)
-
-    def test_requires_matching_chart(self):
-        field = MetricField(SurfaceSpec.from_name("def-neg"), Chart.CARTESIAN)
-        state = GeodesicState((0.5, 0.0), (1.0, 0.0), Chart.ISOMETRIC)
-        with pytest.raises(ValueError, match="chart"):
-            integrate_geodesic(field, state, 1.0)
 
     def test_domain_exit_carries_partial_trajectory(self):
         spec = SurfaceSpec.from_name("def-neg")
         field = MetricField(spec, Chart.CARTESIAN)
         lam = field.factor(0.9, 0.0)
-        state = GeodesicState((0.9, 0.0), (1.0 / math.sqrt(lam), 0.0), Chart.CARTESIAN)
+        state = GeodesicState((0.9, 0.0), (1.0 / math.sqrt(lam), 0.0))
         # hyperbolic distance from 0.9 out to the guard zone is about 2.35,
         # so a length-4 request must stop early
         with pytest.raises(DomainExit) as info:
@@ -249,7 +242,7 @@ class TestFlatPlaneField:
         [
             # each once answered: nan or inf, NaN or infinite states, -0.0, zeros
             (lambda f, p: arc_length(f, [(0.0, 0.0), p]), DomainError),
-            (lambda f, p: integrate_geodesic(f, GeodesicState(p, (1.0, 0.0), f.chart), 0.01),
+            (lambda f, p: integrate_geodesic(f, GeodesicState(p, (1.0, 0.0)), 0.01),
              DomainError),
             (lambda f, p: isothermal_curvature(f, *p), DomainError),
             (lambda f, p: christoffel(f, *p), NearSingular),

@@ -117,17 +117,17 @@ def _no_geodesic(spec, z1, z2):
     raise NoGeodesic("no pair is joinable")
 
 
-def _never_crosses(spec, conic):
+def _never_crosses(conic):
     raise NoRealIntersection("no conic meets the curve")
 
 
-def _first_hit_only(spec, conic):
-    return limiting_intersections(spec, conic)[:1]
+def _first_hit_only(conic):
+    return limiting_intersections(conic)[:1]
 
 
-def _lorentz_pos_crosses(spec, conic):
+def _lorentz_pos_crosses(conic):
     try:
-        return limiting_intersections(spec, conic)
+        return limiting_intersections(conic)
     except NoRealIntersection:
         return []
 
@@ -290,10 +290,10 @@ def test_limiting_hits_are_checked_not_trusted(monkeypatch, shift_x, shift_produ
     the pairing of the gradients there, fails the check."""
     intersections = verify.limiting_intersections
 
-    def tampered(spec, conic):
+    def tampered(conic):
         return [
             type(hit)(hit.x * (1.0 + shift_x), hit.y, hit.product + shift_product)
-            for hit in intersections(spec, conic)
+            for hit in intersections(conic)
         ]
 
     (clean,) = run_all(seed=5, scale=0.05, names=("limiting_orthogonality",))
