@@ -18,8 +18,11 @@ Lorentzian surfaces.  ``eps`` enters through one pair ``(C, S)``, with
 ``A`` is the conserved momentum conjugate to ``phi`` and ``sigma`` the
 conserved phase; ``eps -> 0`` degenerates the conic into a straight line
 through the origin (see :func:`origin_line`).  On definite surfaces the
-conics are circles, on Lorentzian ones rectangular hyperbolas whose
-completed-square form is returned by :func:`hyperbola_parameters`.
+conics are circles, on Lorentzian ones rectangular hyperbolas: one conic
+``s (x - x0)^2 + (y - y0)^2 = d^2`` read with ``s = +1`` or ``-1``, whose
+center and ``d`` :func:`completed_square` returns from ``(A, sigma)``.
+Their crossings with the limiting curve are plain ``(x, y)`` points
+(:func:`limiting_intersections`).
 
 The arc-length parametrization lives in ``u = (tau - A sigma)/R``: a
 :class:`GeodesicFamily`, built once per ``(eps, sigma)`` by
@@ -67,7 +70,6 @@ __all__ = [
     "GeodesicConic",
     "Worldline",
     "geodesic_from_constants",
-    "geodesic_from_AB",
     "origin_line",
     "constant_A",
     "epsilon_from_constant",
@@ -75,10 +77,8 @@ __all__ = [
     "geodesic_parametric_with_velocity",
     "GeodesicFamily",
     "geodesic_family",
-    "hyperbola_parameters",
-    "circle_parameters",
+    "completed_square",
     "limiting_curve",
-    "LimitingIntersection",
     "limiting_intersections",
 ]
 
@@ -249,16 +249,21 @@ def constant_A(spec: SurfaceSpec, eps: float) -> float:
     return spec.radius * _family_trig(spec, eps)[1]
 
 
+def _check_A(spec: SurfaceSpec, A: float) -> None:
+    """``|A| < R`` where ``A = R sin(eps)``: the one test of the momentum's range."""
+    if _uses_tan(spec) and not abs(A) < spec.radius:
+        raise DomainError(f"{spec.name} needs |A| < R = {spec.radius}, got A = {A}")
+
+
 def epsilon_from_constant(spec: SurfaceSpec, A: float) -> float:
     """Inverse of :func:`constant_A`.
 
     Raises:
         DomainError: |A| >= R where A = R sin(eps); eps is not finite.
     """
+    _check_A(spec, A)
     r = spec.radius
     if _uses_tan(spec):
-        if not abs(A) < r:
-            raise DomainError(f"{spec.name} needs |A| < R = {r}, got A = {A}")
         return math.asin(A / r)
     eps = math.asinh(A / r)
     if not math.isfinite(eps):
@@ -283,11 +288,6 @@ def geodesic_from_constants(
     lin_x = 2.0 * s * sn / (r * t)
     lin_y = -2.0 * s * c / (r * t)
     return GeodesicConic(1.0 / (r * r), lin_x, lin_y, -spec.kappa, spec)
-
-
-def geodesic_from_AB(spec: SurfaceSpec, A: float, B: float) -> GeodesicConic:
-    """Same family, entered through the conserved pair ``(A, B)``."""
-    return geodesic_from_constants(spec, epsilon_from_constant(spec, A), B)
 
 
 def origin_line(spec: SurfaceSpec, sigma: float) -> GeodesicConic:
@@ -440,56 +440,40 @@ def geodesic_parametric(
 # shapes in the Cartesian chart
 
 
-def circle_parameters(
-    spec: SurfaceSpec, eps: float, sigma: float
-) -> tuple[float, float, float]:
-    """Center and radius of a definite-surface geodesic circle."""
-    if spec.metric_sign < 0.0:
-        raise DomainError(
-            f"{spec.name} geodesics are hyperbolas; see hyperbola_parameters"
-        )
-    conic = geodesic_from_constants(spec, eps, sigma)
-    xc = -conic.lin_x / (2.0 * conic.quad)
-    yc = -conic.lin_y / (2.0 * conic.quad)
-    rad2 = xc * xc + yc * yc - conic.const_term / conic.quad
-    return (xc, yc, math.sqrt(rad2))
-
-
-def hyperbola_parameters(
+def completed_square(
     spec: SurfaceSpec, A: float, B: float
 ) -> tuple[float, float, float]:
-    """Completed-square form of a Lorentzian geodesic conic.
+    """Completed-square form of the geodesic conic with constants ``(A, B)``.
 
-    Returns ``(x0, y0, d)`` with ``(y - y0)^2 - (x - x0)^2 = d^2``:
+    Returns ``(x0, y0, d)`` with ``s (x - x0)^2 + (y - y0)^2 = d^2``, a
+    circle on definite surfaces and a rectangular hyperbola on Lorentzian
+    ones; ``B`` is the phase sigma and ``A = R S`` the momentum:
 
-        x0 = R sinh(B) root / A,  y0 = R cosh(B) root / A,  d = R^2 / A
+        x0 = -s R sn root / A,  y0 = R cs root / A,  d = R^2 / A
 
-    where ``root = sqrt(R^2 + A^2)`` on lorentz-pos and ``sqrt(R^2 - A^2)``
-    on lorentz-neg (which therefore needs |A| < R).
+    where ``(cs, sn) = cos_sin(-s, B)``, ``root = sqrt((R - A)(R + A))``
+    where s = kappa (def-pos, lorentz-neg, which therefore need |A| < R)
+    and ``sqrt(R^2 + A^2)`` elsewhere.  Nothing cancels: ``|d|`` is
+    ``R/|sin(eps)|`` or ``R/|sinh(eps)|``.
 
     Raises:
-        DegenerateEpsilon: A = 0 (the center escapes to infinity; the conic
-            is the straight line y = tanh(B) x).
-        DomainError: A or B is not finite, cosh(B) overflows, or a returned
-            value is not finite.
+        DegenerateEpsilon: |A| < 1e-12 R (the center escapes to infinity;
+            the conic is the straight line through the origin).
+        DomainError: A or B is not finite, cosh(B) overflows, |A| >= R where
+            s = kappa, or a returned value is not finite.
     """
-    if spec.metric_sign > 0.0:
-        raise DomainError(f"{spec.name} geodesics are circles, not hyperbolas")
     if not math.isfinite(A):
         raise DomainError(f"A must be finite, got {A}")
-    ch, sh = cos_sin(1.0, B)
+    s = spec.metric_sign
+    cs, sn = cos_sin(-s, B)
     r = spec.radius
     if abs(A) < 1e-12 * r:
-        raise DegenerateEpsilon(f"A = {A} gives a straight line, not a hyperbola")
-    if spec.kappa > 0.0:
-        root = math.sqrt(r * r + A * A)
-    else:
-        if not abs(A) < r:
-            raise DomainError(f"lorentz-neg needs |A| < R = {r}, got A = {A}")
-        root = math.sqrt((r - A) * (r + A))
-    out = (r * sh * root / A, r * ch * root / A, r * r / A)
+        raise DegenerateEpsilon(f"A = {A} gives a straight line, not a circle or hyperbola")
+    _check_A(spec, A)
+    root = math.sqrt((r - A) * (r + A)) if _uses_tan(spec) else math.sqrt(r * r + A * A)
+    out = (-s * r * sn * root / A, r * cs * root / A, r * r / A)
     if not all(math.isfinite(v) for v in out):
-        raise DomainError(f"hyperbola parameters {out} at A = {A}, B = {B} are not finite")
+        raise DomainError(f"completed-square parameters {out} at A = {A}, B = {B} are not finite")
     return out
 
 
@@ -500,20 +484,6 @@ def limiting_curve(spec: SurfaceSpec) -> GeodesicConic:
     (that chart has no boundary).
     """
     return GeodesicConic(1.0, 0.0, 0.0, spec.kappa * spec.radius * spec.radius, spec)
-
-
-@dataclass(frozen=True, slots=True)
-class LimitingIntersection:
-    """Intersection of a conic with the limiting curve.
-
-    ``product`` is the signature pairing of the two gradients there,
-    ``g1.g2 = d_x F1 d_x F2 + s d_y F1 d_y F2``; its vanishing means the
-    curves cross orthogonally in the sense of the ambient quadratic form.
-    """
-
-    x: float
-    y: float
-    product: float
 
 
 def _solve_quadratic(qa: float, qb: float, qc: float) -> tuple[float, ...]:
@@ -535,8 +505,9 @@ def _solve_quadratic(qa: float, qb: float, qc: float) -> tuple[float, ...]:
     return r1, r2
 
 
-def limiting_intersections(conic: GeodesicConic) -> list[LimitingIntersection]:
-    """Real intersections of a conic with the limiting curve of its surface.
+def limiting_intersections(conic: GeodesicConic) -> list[tuple[float, float]]:
+    """Real intersections ``(x, y)`` of a conic with the limiting curve of its
+    surface.
 
     The conic carries its surface (``conic.spec``), and with it the curve.
     Family geodesics of lorentz-neg always yield two (this is how that
@@ -545,9 +516,14 @@ def limiting_intersections(conic: GeodesicConic) -> list[LimitingIntersection]:
     limiting curve is the circle ``x^2 + y^2 = R^2`` and geodesic circles
     cross it (orthogonally); def-pos has no real limiting curve at all.
 
+    Both curves share the quadratic part, so at every common point the
+    signature pairing of their gradients is ``2 (quad rhs - const_term)``
+    with ``rhs = -kappa R^2``: the same at both hits, and zero for every
+    family conic, whose ``quad rhs = -kappa = const_term``.
+
     Raises:
         DomainError: def-pos (imaginary limiting curve); the line lies
-            beyond the float range, or a hit or its product is not finite.
+            beyond the float range, or a hit is not finite.
         NoRealIntersection: no real common point.
     """
     spec = conic.spec
@@ -556,8 +532,7 @@ def limiting_intersections(conic: GeodesicConic) -> list[LimitingIntersection]:
         raise DomainError("def-pos has no real limiting curve")
     # both curves share the quadratic part x^2 + s y^2, so their common points
     # lie on the line a x + b y + k = 0 and on x^2 + s y^2 = rhs
-    lim = limiting_curve(spec)
-    rhs = -lim.const_term
+    rhs = -limiting_curve(spec).const_term
     a, b, k = conic.lin_x, conic.lin_y, conic.const_term + conic.quad * rhs
     if a == 0.0 and b == 0.0:
         if k == 0.0:
@@ -586,10 +561,7 @@ def limiting_intersections(conic: GeodesicConic) -> list[LimitingIntersection]:
     for u in us:
         v = -(a * u + k) / b
         x, y = (v, u) if swap else (u, v)
-        g1 = conic.gradient(x, y)
-        g2 = lim.gradient(x, y)
-        product = g1[0] * g2[0] + s * g1[1] * g2[1]
-        if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(product)):
-            raise DomainError(f"hit ({x}, {y}) with product {product} is not finite")
-        out.append(LimitingIntersection(x, y, product))
+        if not (math.isfinite(x) and math.isfinite(y)):
+            raise DomainError(f"hit ({x}, {y}) is not finite")
+        out.append((x, y))
     return out

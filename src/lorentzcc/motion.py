@@ -272,8 +272,9 @@ def solve_two_point(spec: SurfaceSpec, z1, z2) -> TwoPointSolution:
 
     Raises:
         CoincidentPoints: z1 == z2 (to 1e-14, relative).
-        DomainError: ``D`` of a point, or of the normal-form denominator,
-            overflows.
+        DomainError: ``D`` of the base point overflows, or ``r`` is NaN
+            because ``D(z2 - z1)``, ``D(z2)`` or ``D`` of the normal-form
+            denominator overflows.
         NoGeodesic: no geodesic of the closed-form family joins the points
             (null or spacelike separation on a Lorentzian surface, a
             limiting-curve base point, antipodal points, ...).
@@ -314,11 +315,11 @@ def solve_two_point(spec: SurfaceSpec, z1, z2) -> TwoPointSolution:
 
     beta = -mul(alpha, z1)
     n = square_modulus(z2 - z1)
-    if kappa > 0.0:
-        r = n / square_modulus(den)
-    else:
-        m = (1.0 - d1) * (1.0 - square_modulus(z2))
-        r = n / m if m else math.inf
+    m = square_modulus(den) if kappa > 0.0 else (1.0 - d1) * (1.0 - square_modulus(z2))
+    r = n / m if m else math.inf
+    # r = inf is the antipodal or boundary limit; only a NaN is refused
+    if r != r:
+        raise DomainError(f"r = D(z2 - z1) / m = {n} / {m} is not a number")
     return TwoPointSolution(BilinearMotion(alpha, beta, spec), pol.rho, -half, r)
 
 

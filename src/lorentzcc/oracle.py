@@ -89,7 +89,6 @@ class FlatPlaneField:
     """Metric field of the flat Lorentz plane (duck-typed like MetricField)."""
 
     signature_sign = -1.0
-    chart = Chart.CARTESIAN
 
     def factor(self, a: float, b: float) -> float:
         if not (math.isfinite(a) and math.isfinite(b)):

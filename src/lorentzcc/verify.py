@@ -38,10 +38,10 @@ from .geodesic import (
     LineKind,
     PlaneLine,
     Worldline,
+    completed_square,
+    epsilon_from_constant,
     geodesic_family,
-    geodesic_from_AB,
     geodesic_from_constants,
-    hyperbola_parameters,
     limiting_curve,
     limiting_intersections,
 )
@@ -420,7 +420,6 @@ def _check_distance_benchmark(rng, scale, perturb):
 def _check_limiting_orthogonality(rng, scale, perturb):
     n = max(3, int(round(20 * scale)))
     worst_pair = 0.0
-    worst_product = 0.0
     worst_hit = 0.0
     spec_p, spec_n = _SURFACES[2:]
     lim_n = limiting_curve(spec_n)
@@ -437,14 +436,11 @@ def _check_limiting_orthogonality(rng, scale, perturb):
             )
         if len(hits) != 2:
             raise _Unmeasured(f"expected 2 limiting-curve crossings, got {len(hits)}")
-        for hit in hits:
-            x, y = hit.x, hit.y
+        for x, y in hits:
             g1 = conic.gradient(x, y)
             g2 = lim_n.gradient(x, y)
             pairing = g1[0] * g2[0] + s * g1[1] * g2[1]
-            norm = math.hypot(*g1) * math.hypot(*g2)
-            worst_pair = _worst(worst_pair, abs(pairing) / norm)
-            worst_product = _worst(worst_product, abs(hit.product - pairing) / norm)
+            worst_pair = _worst(worst_pair, abs(pairing) / (math.hypot(*g1) * math.hypot(*g2)))
             worst_hit = _worst(worst_hit, _conic_error(conic, x, y), _conic_error(lim_n, x, y))
     for _ in range(n):
         eps, sigma = _signed_draw(rng, 0.05, 1.5)
@@ -459,7 +455,6 @@ def _check_limiting_orthogonality(rng, scale, perturb):
         )
     return (
         ("normalized gradient pairing", worst_pair, 1e-9),
-        ("reported product vs pairing", worst_product, 1e-9),
         ("hit residual on both curves", worst_hit, 1e-12),
     ), (
         f"limiting-curve crossings of {n} lorentz-neg geodesics; "
@@ -512,23 +507,24 @@ def _check_worldline_invariant(rng, scale, perturb):
             worst_wl = _worst(worst_wl, wl.invariant_residual(s))
     worst_cs = 0.0
     n = max(2, int(round(5 * scale)))
-    for spec in [sp for sp in _SURFACES if sp.metric_sign < 0.0]:
-        hi = 0.9 if spec.kappa < 0.0 else 2.0
+    for spec in _SURFACES:
+        s = spec.metric_sign
+        hi = 0.9 if s == spec.kappa else 2.0
         for _ in range(n):
             a_const, b_const = _signed_draw(rng, 0.1, hi)
-            x0, y0, d = hyperbola_parameters(spec, a_const, b_const)
-            conic = geodesic_from_AB(spec, a_const, b_const)
+            x0, y0, d = completed_square(spec, a_const, b_const)
+            conic = geodesic_from_constants(spec, epsilon_from_constant(spec, a_const), b_const)
             for _ in range(4):
                 x = rng.uniform(-2.0, 2.0)
                 y = rng.uniform(-2.0, 2.0)
-                completed = (y - y0) ** 2 - (x - x0) ** 2 - d * d
-                # the completed square equals -R^2 * residual (R = 1 here)
-                err = abs(completed + conic.residual(x, y))
+                completed = s * (x - x0) ** 2 + (y - y0) ** 2 - d * d
+                # the completed square equals s R^2 * residual (R = 1 here)
+                err = abs(completed - s * conic.residual(x, y))
                 worst_cs = _worst(worst_cs, err / max(1.0, abs(completed)))
     return (
         ("scale-relative worldline residual", worst_wl, 1e-12),
         ("completed-square conic identity", worst_cs, 1e-9),
-    ), f"{n} conics per Lorentzian surface"
+    ), f"{n} conics per surface"
 
 
 # --------------------------------------------------------------------------

@@ -213,6 +213,8 @@ class TestDistanceCommand:
             ("def-pos", "1e160,0", "0.1,0", "1,0.1,0.2,-0.1"),
             ("lorentz-pos", "0.1,0", "0.3,0.1", "1e200,0,0,0"),
             ("def-neg", "0.1,0", "0.3,0.1", "nan,0,0,0"),
+            # D(z2 - z1) is inf - inf: once "nan" with exit 0
+            ("lorentz-pos", "1e-153,0", "-1e252,-3e275", None),
         ],
     )
     def test_overflow_inside_finite_input_exits_2(self, surface, p1, p2, motion):

@@ -32,10 +32,6 @@ ALLOWLIST = {
     "PolarForm": "return type of polar: the polar form of a non-null number",
     "Signature": "type of SurfaceSpec.signature: definite or Lorentzian metric",
     "origin_line": "the eps = 0 member of the family: a line through the origin",
-    "epsilon_from_constant": "eps from the conserved momentum A; the battery checks it "
-    "through geodesic_from_AB in worldline_invariant",
-    "circle_parameters": "center and radius of the definite-surface geodesic circles",
-    "LimitingIntersection": "return type of limiting_intersections",
     "PlaneMotion": "the rigid motions of the flat Lorentz plane",
     "plane_apply": "the rigid motions of the flat Lorentz plane",
     "TwoPointSolution": "return type of solve_two_point: the normal-form motion",

@@ -20,16 +20,14 @@ from lorentzcc import (
     PlaneLine,
     SurfaceSpec,
     Worldline,
-    circle_parameters,
+    completed_square,
     constant_A,
     epsilon_from_constant,
     exp_map_to_cartesian,
-    geodesic_from_AB,
     geodesic_family,
     geodesic_from_constants,
     geodesic_parametric,
     geodesic_parametric_with_velocity,
-    hyperbola_parameters,
     limiting_curve,
     limiting_intersections,
     line_element_isometric,
@@ -148,16 +146,6 @@ class TestFamilyConstants:
             with pytest.raises(want) as info:
                 call()
             assert info.type is want
-
-    def test_geodesic_from_AB_matches_constants_route(self):
-        spec = SurfaceSpec.from_name("lorentz-pos", radius=1.2)
-        eps, sigma = 0.6, -0.4
-        c1 = geodesic_from_constants(spec, eps, sigma)
-        c2 = geodesic_from_AB(spec, constant_A(spec, eps), sigma)
-        assert c2.quad == pytest.approx(c1.quad)
-        assert c2.lin_x == pytest.approx(c1.lin_x)
-        assert c2.lin_y == pytest.approx(c1.lin_y)
-        assert c2.const_term == pytest.approx(c1.const_term)
 
 
 class TestSignedFormulas:
@@ -364,63 +352,72 @@ class TestOriginLines:
             assert line.residual(x, y) == pytest.approx(0.0, abs=1e-12)
 
 
-class TestCircleGeodesics:
-    def test_positive_circle_radius(self):
-        spec = SurfaceSpec.from_name("def-pos", radius=1.5)
-        xc, yc, rad = circle_parameters(spec, 0.5, 0.2)
-        assert rad == pytest.approx(1.5 / abs(math.sin(0.5)))
+class TestCompletedSquare:
+    """``s (x - x0)^2 + (y - y0)^2 = d^2``: circles on the definite surfaces,
+    rectangular hyperbolas on the Lorentzian ones, one closed form."""
 
-    def test_negative_circle_radius(self):
-        spec = SurfaceSpec.from_name("def-neg", radius=1.5)
-        xc, yc, rad = circle_parameters(spec, 0.5, 0.2)
-        assert rad == pytest.approx(1.5 / abs(math.sinh(0.5)))
+    @pytest.mark.parametrize(
+        "name, trig", [("def-pos", math.sin), ("def-neg", math.sinh)]
+    )
+    def test_circle_radius(self, name, trig):
+        spec = SurfaceSpec.from_name(name, radius=1.5)
+        _, _, d = completed_square(spec, constant_A(spec, 0.5), 0.2)
+        assert abs(d) == pytest.approx(1.5 / abs(trig(0.5)), rel=1e-15)
 
-    def test_circle_points_lie_on_conic(self):
-        spec = SurfaceSpec.from_name("def-neg")
+    @pytest.mark.parametrize("name", ["def-pos", "def-neg"])
+    def test_circle_points_lie_on_conic(self, name):
+        spec = SurfaceSpec.from_name(name)
         conic = geodesic_from_constants(spec, 0.7, -0.4)
-        xc, yc, rad = circle_parameters(spec, 0.7, -0.4)
+        xc, yc, rad = completed_square(spec, constant_A(spec, 0.7), -0.4)
         for ang in np.linspace(0.0, 2.0 * math.pi, 17):
             x, y = xc + rad * math.cos(ang), yc + rad * math.sin(ang)
             assert conic.residual(x, y) == pytest.approx(0.0, abs=1e-12)
 
-    def test_lorentz_rejected(self):
-        with pytest.raises(DomainError, match="hyperbola"):
-            circle_parameters(SurfaceSpec.from_name("lorentz-pos"), 0.5, 0.2)
+    @pytest.mark.parametrize(
+        "eps, sigma",
+        [
+            (10.0, 0.3),  # 1.4e-9 relative error when the radius cancelled
+            (20.0, 0.3),  # the cancelling radius read 0.0
+            (50.0, -0.3675520613974119),  # once a bare ValueError, math domain error
+        ],
+    )
+    def test_far_def_neg_circle_keeps_its_radius(self, eps, sigma):
+        # a radius from x0^2 + y0^2 - const/quad cancels where eps is large
+        spec = SurfaceSpec.from_name("def-neg")
+        xc, yc, d = completed_square(spec, math.sinh(eps), sigma)
+        assert d == pytest.approx(1.0 / math.sinh(eps), rel=1e-15)
+        assert math.hypot(xc, yc) == pytest.approx(1.0 / math.tanh(eps), rel=1e-15)
 
-
-class TestHyperbolaGeodesics:
     def test_frozen_negative_lorentz_values(self):
         spec = SurfaceSpec.from_name("lorentz-neg")
-        x0, y0, d = hyperbola_parameters(spec, math.sin(0.3), 0.2)
+        x0, y0, d = completed_square(spec, math.sin(0.3), 0.2)
         assert x0 == pytest.approx(0.6508645617679029)
         assert y0 == pytest.approx(3.2975985094096854)
         assert d == pytest.approx(3.3838633618241229)
 
-    @pytest.mark.parametrize("name", ["lorentz-pos", "lorentz-neg"])
+    @pytest.mark.parametrize("name", SURFACE_NAMES)
     def test_completed_square_identity(self, name):
-        """(y - y0)^2 - (x - x0)^2 - d^2 = -R^2 * residual, everywhere."""
+        """s (x - x0)^2 + (y - y0)^2 - d^2 = s R^2 * residual, everywhere."""
         spec = SurfaceSpec.from_name(name, radius=1.3)
+        s = spec.metric_sign
         rng = np.random.default_rng(33)
-        a = constant_A(spec, 0.6)
-        x0, y0, d = hyperbola_parameters(spec, a, -0.5)
-        conic = geodesic_from_AB(spec, a, -0.5)
+        x0, y0, d = completed_square(spec, constant_A(spec, 0.6), -0.5)
+        conic = geodesic_from_constants(spec, 0.6, -0.5)
         for _ in range(40):
             x, y = rng.uniform(-3.0, 3.0, size=2)
-            lhs = (y - y0) ** 2 - (x - x0) ** 2 - d * d
-            rhs = -spec.radius**2 * conic.residual(x, y)
+            lhs = s * (x - x0) ** 2 + (y - y0) ** 2 - d * d
+            rhs = s * spec.radius**2 * conic.residual(x, y)
             assert lhs == pytest.approx(rhs, rel=1e-10, abs=1e-9)
-
-    def test_definite_rejected(self):
-        with pytest.raises(DomainError, match="circle"):
-            hyperbola_parameters(SurfaceSpec.from_name("def-pos"), 0.3, 0.0)
 
     def test_radial_constant_rejected(self):
         with pytest.raises(DegenerateEpsilon):
-            hyperbola_parameters(SurfaceSpec.from_name("lorentz-pos"), 0.0, 0.1)
+            completed_square(SurfaceSpec.from_name("lorentz-pos"), 0.0, 0.1)
 
-    def test_negative_lorentz_needs_small_constant(self):
-        with pytest.raises(DomainError, match=r"\|A\| < R"):
-            hyperbola_parameters(SurfaceSpec.from_name("lorentz-neg"), 1.0, 0.1)
+    @pytest.mark.parametrize("name", ["def-pos", "lorentz-neg"])
+    def test_constant_must_stay_below_the_radius(self, name):
+        # the wording of epsilon_from_constant, on both surfaces where A = R sin(eps)
+        with pytest.raises(DomainError, match=rf"^{name} needs \|A\| < R = 1.0, got A = 1.0$"):
+            completed_square(SurfaceSpec.from_name(name), 1.0, 0.1)
 
     @pytest.mark.parametrize(
         "A, B, match",
@@ -433,7 +430,7 @@ class TestHyperbolaGeodesics:
     )
     def test_non_finite_or_overflowing_input_is_a_domain_error(self, A, B, match):
         with pytest.raises(DomainError, match=match):
-            hyperbola_parameters(SurfaceSpec.from_name("lorentz-pos"), A, B)
+            completed_square(SurfaceSpec.from_name("lorentz-pos"), A, B)
 
 
 class TestLimitingCurve:
@@ -456,10 +453,9 @@ class TestLimitingCurve:
             conic = geodesic_from_constants(spec, eps, sigma)
             hits = limiting_intersections(conic)
             assert len(hits) == 2
-            for hit in hits:
-                assert conic.residual(hit.x, hit.y) == pytest.approx(0.0, abs=1e-9)
-                assert lim.residual(hit.x, hit.y) == pytest.approx(0.0, abs=1e-9)
-                assert hit.product == pytest.approx(0.0, abs=1e-9)
+            for x, y in hits:
+                assert conic.residual(x, y) == pytest.approx(0.0, abs=1e-9)
+                assert lim.residual(x, y) == pytest.approx(0.0, abs=1e-9)
 
     def test_positive_lorentz_geodesics_never_reach_the_curve(self):
         spec = SurfaceSpec.from_name("lorentz-pos")
@@ -471,12 +467,11 @@ class TestLimitingCurve:
         spec = SurfaceSpec.from_name("lorentz-neg", radius=1.2)
         sigma = 0.7
         hits = limiting_intersections(origin_line(spec, sigma))
-        xs = sorted(h.x for h in hits)
+        xs = sorted(x for x, _ in hits)
         assert xs[0] == pytest.approx(-1.2 * math.cosh(sigma))
         assert xs[1] == pytest.approx(1.2 * math.cosh(sigma))
-        for h in hits:
-            assert abs(h.y) == pytest.approx(1.2 * abs(math.sinh(sigma)))
-            assert h.product == pytest.approx(0.0, abs=1e-9)
+        for _, y in hits:
+            assert abs(y) == pytest.approx(1.2 * abs(math.sinh(sigma)))
 
     def test_definite_negative_circles_cross_orthogonally(self):
         """Geodesic circles meet the limiting circle at Euclidean right angles."""
@@ -488,9 +483,11 @@ class TestLimitingCurve:
             conic = geodesic_from_constants(spec, eps, sigma)
             hits = limiting_intersections(conic)
             assert len(hits) == 2
-            for hit in hits:
-                assert math.hypot(hit.x, hit.y) == pytest.approx(1.0, abs=1e-9)
-                assert hit.product == pytest.approx(0.0, abs=1e-9)
+            for x, y in hits:
+                assert math.hypot(x, y) == pytest.approx(1.0, abs=1e-9)
+                # the gradients are Euclidean-orthogonal there
+                g1, g2 = conic.gradient(x, y), (2.0 * x, 2.0 * y)
+                assert g1[0] * g2[0] + g1[1] * g2[1] == pytest.approx(0.0, abs=1e-9)
 
     def test_positive_definite_has_no_curve(self):
         spec = SurfaceSpec.from_name("def-pos")
@@ -520,10 +517,10 @@ class TestLimitingCurve:
         lim = limiting_curve(spec)
         hits = limiting_intersections(conic)
         assert len(hits) == count
-        for hit in hits:
-            scale = max(1.0, hit.x * hit.x, hit.y * hit.y)
-            assert abs(conic.residual(hit.x, hit.y)) <= 1e-14 * scale
-            assert abs(lim.residual(hit.x, hit.y)) <= 1e-14 * scale * radius**2
+        for x, y in hits:
+            scale = max(1.0, x * x, y * y)
+            assert abs(conic.residual(x, y)) <= 1e-14 * scale
+            assert abs(lim.residual(x, y)) <= 1e-14 * scale * radius**2
 
     @pytest.mark.parametrize(
         "name, quad, a, b, c",
@@ -562,7 +559,7 @@ class TestLimitingCurve:
                 hits = limiting_intersections(GeodesicConic(0.0, a, b, k, spec))
             except NoRealIntersection as exc:
                 return str(exc)
-            return [(h.x.hex(), h.y.hex(), h.product.hex()) for h in hits]
+            return [(x.hex(), y.hex()) for x, y in hits]
 
         crossed = 0
         for _ in range(2000):
@@ -570,7 +567,7 @@ class TestLimitingCurve:
             want = outcome(pos, a, b, k)
             got = outcome(neg, b, a, k)
             if isinstance(got, list):
-                got = [(y, x, product) for x, y, product in got]
+                got = [(y, x) for x, y in got]
                 crossed += 1
             assert got == want
         assert crossed > 1000
@@ -584,14 +581,40 @@ class TestLimitingCurve:
         lorentz_neg = SurfaceSpec.from_name("lorentz-neg", 2.5)
         # x = -k/a = -5e169 crosses both branches; once "asymptote-parallel line misses"
         cross = GeodesicConic(0.0, 1e-170, 0.0, 0.5, lorentz_neg)
-        hits = limiting_intersections(cross)
-        assert sorted((h.x, h.y, h.product) for h in hits) == [
-            pytest.approx((-5e169, -5e169, -1.0), rel=1e-15),
-            pytest.approx((-5e169, 5e169, -1.0), rel=1e-15),
+        assert sorted(limiting_intersections(cross)) == [
+            pytest.approx((-5e169, -5e169), rel=1e-15),
+            pytest.approx((-5e169, 5e169), rel=1e-15),
         ]
-        # with quad = 1 the hits sit at x = -6.75e170, where the product overflows
-        with pytest.raises(DomainError, match="not finite"):
-            limiting_intersections(GeodesicConic(1.0, 1e-170, 0.0, 0.5, lorentz_neg))
+        # with quad = 1 the hits sit at x = -6.75e170, where the float pairing
+        # of the gradients overflows; once a DomainError for these finite hits
+        hits = limiting_intersections(GeodesicConic(1.0, 1e-170, 0.0, 0.5, lorentz_neg))
+        assert sorted(hits) == [
+            pytest.approx((-6.75e170, -6.75e170), rel=1e-15),
+            pytest.approx((-6.75e170, 6.75e170), rel=1e-15),
+        ]
+
+    @pytest.mark.parametrize(
+        "radius, conic, want",
+        [
+            # the exact pairings are -5.1e125 and -3.4e125, but the float g1.g2
+            # read nan, so these hits once raised "product nan is not finite"
+            (0.5, (-8.331645178500165e125, 0.6266272425638078, -2.8382538590041673,
+                   3.188009164469935),
+             [(-9.4180060917222679e124, -9.4180060917222679e124),
+              (6.011494286723010709e124, -6.011494286723010709e124)]),
+            # k^2 overflows; once (inf, -inf, nan), then the same product error
+            (2.5, (-1.0, -3.55, -3.47, 3.48e171),
+             [(4.9572649572649573543e170, 4.9572649572649573543e170),
+              (4.3500000000000203732e172, -4.3500000000000203732e172)]),
+        ],
+    )
+    def test_finite_hits_whose_gradient_pairing_overflows(self, radius, conic, want):
+        # want: the hits to 20 digits, from the quadratic solved in mpmath; the
+        # second line is near an asymptote, where b^2 - a^2 cancels to a 44th
+        # of its terms, hence 1e-14
+        spec = SurfaceSpec.from_name("lorentz-neg", radius)
+        hits = sorted(limiting_intersections(GeodesicConic(*conic, spec)))
+        assert hits == [pytest.approx(w, rel=1e-14) for w in want]
 
     def test_line_whose_k_vanishes_in_the_scaling(self):
         # k = quad R^2 = 4.2e-121 underflows when the line is scaled down by
@@ -607,7 +630,7 @@ class TestLimitingCurve:
     @pytest.mark.parametrize(
         "quad, a, b, c, message",
         [
-            (-1.0, -3.55, -3.47, 3.48e171, "not finite"),  # k^2 overflows: once (inf, -inf, nan)
+            (-1.0, -3.55, -3.47, 1.7e308, "not finite"),  # the exact hit x = 2.1e309
             (0.0, 5e-324, 0.0, 1e308, "beyond the float range"),  # |k/a| overflows
         ],
     )

@@ -442,6 +442,14 @@ class TestTwoPointSolver:
         with pytest.raises(DomainError):
             geodesic_distance(spec, (0.1, 0.0), (3e200, 0.0))
 
+    @pytest.mark.parametrize("name", ["lorentz-pos", "lorentz-neg"])
+    def test_separation_whose_d_is_nan_is_a_domain_error(self, name):
+        # D(z2 - z1) is inf - inf, so r once read nan: lorentz-pos answered the
+        # distance nan, and lorentz-neg a solution whose r was nan
+        spec = SurfaceSpec.from_name(name)
+        with pytest.raises(DomainError, match="not a number"):
+            solve_two_point(spec, (1e-153, 0.0), (-1e252, -3e275))
+
     def test_out_of_disk_distance(self):
         spec = SurfaceSpec.from_name("def-neg")
         with pytest.raises(OutOfDisk, match=">= 1"):

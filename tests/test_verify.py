@@ -284,17 +284,12 @@ def test_position_dependent_metric_tampering_is_detected(monkeypatch):
     assert tampered.measured > 100.0 * tampered.tolerance
 
 
-@pytest.mark.parametrize("shift_x, shift_product", [(1e-9, 0.0), (0.0, 1e-6)])
-def test_limiting_hits_are_checked_not_trusted(monkeypatch, shift_x, shift_product):
-    """A crossing moved off both curves, or a reported pairing that is not
-    the pairing of the gradients there, fails the check."""
+def test_limiting_hits_are_checked_not_trusted(monkeypatch):
+    """A crossing moved off both curves fails the check."""
     intersections = verify.limiting_intersections
 
     def tampered(conic):
-        return [
-            type(hit)(hit.x * (1.0 + shift_x), hit.y, hit.product + shift_product)
-            for hit in intersections(conic)
-        ]
+        return [(x * (1.0 + 1e-9), y) for x, y in intersections(conic)]
 
     (clean,) = run_all(seed=5, scale=0.05, names=("limiting_orthogonality",))
     monkeypatch.setattr(verify, "limiting_intersections", tampered)
@@ -303,7 +298,6 @@ def test_limiting_hits_are_checked_not_trusted(monkeypatch, shift_x, shift_produ
     assert not res.passed, res.detail
     assert [name for name, _, _ in res.errors] == [
         "normalized gradient pairing",
-        "reported product vs pairing",
         "hit residual on both curves",
     ]
 
