@@ -81,16 +81,6 @@ def _parse_floats(text: str, count: int, what: str) -> list[float]:
     return [float(p) for p in parts]
 
 
-def _parse_tolerances(items) -> dict[str, float]:
-    tols: dict[str, float] = {}
-    for item in items or []:
-        name, sep, value = item.partition("=")
-        if not sep:
-            raise ValueError(f"expected --tol name=value, got {item!r}")
-        tols[name] = float(value)
-    return tols
-
-
 # --------------------------------------------------------------------------
 # svg
 
@@ -293,14 +283,9 @@ def cmd_worldline(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    tols = _parse_tolerances(args.tol)
     names = tuple(args.check) if args.check else None
     results = run_all(
-        seed=args.seed,
-        tolerances=tols,
-        perturb=args.perturb_metric,
-        scale=args.scale,
-        names=names,
+        seed=args.seed, perturb=args.perturb_metric, scale=args.scale, names=names
     )
     for res in results:
         print(res.summary_line())
@@ -377,12 +362,6 @@ def _build_parser() -> argparse.ArgumentParser:
     ver = sub.add_parser("verify", help="run the cross-check battery")
     ver.add_argument("--seed", type=int, default=1234)
     ver.add_argument("--scale", type=float, default=1.0, help="workload scale factor")
-    ver.add_argument(
-        "--tol",
-        action="append",
-        metavar="NAME=VALUE",
-        help=f"override a check tolerance; names: {', '.join(CHECK_NAMES)}",
-    )
     ver.add_argument("--check", action="append", choices=CHECK_NAMES, help="run a subset")
     ver.add_argument("--perturb-metric", type=float, default=0.0, help=argparse.SUPPRESS)
     ver.set_defaults(func=cmd_verify)

@@ -192,9 +192,10 @@ class GeodesicConic:
             raise ValueError("conic must have a quadratic or linear part")
 
     def residual(self, x: float, y: float) -> float:
-        s = self.spec.metric_sign
+        # factored where s < 0: x*x - y*y is inf - inf once both squares overflow
+        square = x * x + y * y if self.spec.metric_sign > 0.0 else (x - y) * (x + y)
         return (
-            self.quad * (x * x + s * y * y)
+            self.quad * square
             + self.lin_x * x
             + self.lin_y * y
             + self.const_term

@@ -16,7 +16,8 @@ Only the null test and the zero guard of the inverse, the exponential
 and the polar form differ in kind between the planes; they branch on
 ``unit``.  ``cos_sin(unit, t)`` is the one such branch for the
 pair ``(cosh t, sinh t)`` / ``(cos t, sin t)``: the two parts of
-``exp(j t)``, shared with the chart maps of the surfaces.
+``exp(j t)``, shared with :meth:`PolarForm.reconstruct` and the chart
+maps of the surfaces.
 
 The near-null guard of the hyperbolic plane is
 
@@ -121,16 +122,17 @@ class PolarForm:
     sign: int
 
     def reconstruct(self) -> Number:
-        """Rebuild the number this form was computed from."""
-        if self.sector is None:
-            return ComplexNumber(
-                self.rho * math.cos(self.theta), self.rho * math.sin(self.theta)
-            )
-        c, s = math.cosh(self.theta), math.sinh(self.theta)
-        r = self.sign * self.rho
-        if self.sector in (Sector.RIGHT, Sector.LEFT):
-            return HyperbolicNumber(r * c, r * s)
-        return HyperbolicNumber(r * s, r * c)
+        """Rebuild the number this form was computed from.
+
+        Raises:
+            DomainError: ``theta`` is not finite, or ``cosh theta`` overflows.
+        """
+        cls = ComplexNumber if self.sector is None else HyperbolicNumber
+        c, s = cos_sin(cls.unit, self.theta)
+        if self.sector in _UP_DOWN:
+            c, s = s, c
+        r = self.sign * self.rho  # sign is +1 for complex numbers: exact
+        return cls(r * c, r * s)
 
 
 def zero_divisor_tolerance(z: Number) -> float:

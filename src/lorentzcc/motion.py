@@ -48,6 +48,7 @@ from .hypernum import (
     conj,
     cos_sin,
     inverse,
+    is_null,
     mul,
     polar,
     square_modulus,
@@ -202,13 +203,14 @@ class TwoPointSolution:
     ``l`` is the model abscissa of the image of ``z2`` (so the invariant
     separation in normalized units); ``theta_alpha`` / ``theta_beta`` are the
     arguments of the motion constants and ``rho_beta`` the signed modulus of
-    ``beta`` (both zero by convention when ``z1`` is the origin).  ``r`` is
-    ``sinh^2`` (negative curvature) or ``tan^2`` (positive) of half the
-    normalized distance: ``D(z2 - z1)`` over ``(1 - D(z1))(1 - D(z2))``, or
-    over ``D`` of the normal-form denominator.  It is not read from the
-    quotient whose modulus is ``l``: where the denominator is near null, the
-    parts of that quotient cannot hold its small ``D``, and ``l`` keeps only
-    a few digits.
+    ``beta`` (both zero by convention where ``beta = -alpha z1`` has no polar
+    form: ``z1`` at the origin, or on a null line through it, where
+    ``sqrt|D(beta)| = 0``).  ``r`` is ``sinh^2`` (negative curvature) or
+    ``tan^2`` (positive) of half the normalized distance: ``D(z2 - z1)``
+    over ``(1 - D(z1))(1 - D(z2))``, or over ``D`` of the normal-form
+    denominator.  It is not read from the quotient whose modulus is ``l``:
+    where the denominator is near null, the parts of that quotient cannot
+    hold its small ``D``, and ``l`` keeps only a few digits.
     """
 
     motion: BilinearMotion
@@ -219,7 +221,7 @@ class TwoPointSolution:
     @property
     def _polar_beta(self) -> PolarForm:
         beta = self.motion.beta
-        return PolarForm(0.0, 0.0, None, 1) if beta.x == 0.0 and beta.y == 0.0 else polar(beta)
+        return PolarForm(0.0, 0.0, None, 1) if is_null(beta) else polar(beta)
 
     @property
     def theta_beta(self) -> float:

@@ -17,11 +17,11 @@ all (too few valid draws, an expected intersection missing, a null input
 accepted) raises ``_Unmeasured(detail)``.
 
 The table ``_CHECKS`` maps each name, in battery order, to its function and
-default tolerance.  :func:`run_all` alone turns errors into a
-:class:`CheckResult`: ``measured`` is the largest ``value / bound``, the
-check passes when ``measured <= tolerance``, and ``detail`` renders every
-sub-error and the note.  A check that could not measure has no errors and
-fails with ``measured = inf`` under any tolerance.
+its one pinned tolerance, a finite constant.  :func:`run_all` alone turns
+errors into a :class:`CheckResult`: ``measured`` is the largest
+``value / bound``, the check passes when ``measured <= tolerance``, and
+``detail`` renders every sub-error and the note.  A check that could not
+measure has no errors and fails with ``measured = inf``.
 """
 
 from __future__ import annotations
@@ -80,17 +80,21 @@ from .surface import (
     line_element_cartesian,
 )
 
-__all__ = ["CheckResult", "CHECK_NAMES", "DEFAULT_TOLERANCES", "run_all"]
+__all__ = ["CheckResult", "CHECK_NAMES", "run_all"]
 
 
 @dataclass(frozen=True, slots=True)
 class CheckResult:
     name: str
-    passed: bool
     measured: float
     tolerance: float
     detail: str
     errors: tuple[tuple[str, float, float], ...]
+
+    @property
+    def passed(self) -> bool:
+        """``measured <= tolerance``: false for a NaN or infinite ``measured``."""
+        return self.measured <= self.tolerance
 
     def summary_line(self) -> str:
         status = "PASS" if self.passed else "FAIL"
@@ -579,7 +583,7 @@ def _check_algebra_properties(rng, scale, perturb):
 
 # --------------------------------------------------------------------------
 
-# name -> (check, default tolerance), in battery order
+# name -> (check, pinned tolerance), in battery order
 _CHECKS = {
     "profile_curvature": (_check_profile_curvature, 1e-6),
     "closed_form_consistency": (_check_closed_form_consistency, 1.0),
@@ -594,54 +598,43 @@ _CHECKS = {
 }
 
 CHECK_NAMES = tuple(_CHECKS)
-DEFAULT_TOLERANCES = {name: tol for name, (_, tol) in _CHECKS.items()}
 
 
 def run_all(
     seed: int = 1234,
-    tolerances: dict[str, float] | None = None,
     perturb: float = 0.0,
     scale: float = 1.0,
     names: tuple[str, ...] | None = None,
 ) -> list[CheckResult]:
     """Run the battery (or the subset ``names``), reproducibly.
 
-    ``tolerances`` overrides per-check thresholds, each non-negative (``inf``
-    included; NaN or a negative value is a ``ValueError``); ``scale``
-    shrinks or grows the randomized workloads; ``perturb`` multiplies the
-    metric read by the numerical routes of ``profile_curvature`` and
-    ``oracle_equivalence`` by ``1 + perturb`` (a tampering knob: the
-    measured curvature scales by ``1 / (1 + perturb)`` and the RK4 track
-    advances ``1 / sqrt(1 + perturb)`` as far per step, so any nonzero value
-    must make both checks fail).  Each check draws from its own ``random.Random`` stream,
-    seeded by the string ``"lorentzcc/{seed}/{index}"``, so a run is the
-    same on every platform.
+    Each check is judged against its pinned tolerance in ``_CHECKS``.
+    ``scale`` shrinks or grows the randomized workloads; ``perturb``
+    multiplies the metric read by the numerical routes of
+    ``profile_curvature`` and ``oracle_equivalence`` by ``1 + perturb`` (a
+    tampering knob: the measured curvature scales by ``1 / (1 + perturb)``
+    and the RK4 track advances ``1 / sqrt(1 + perturb)`` as far per step, so
+    any nonzero value must make both checks fail).  Each check draws from
+    its own ``random.Random`` stream, seeded by the string
+    ``"lorentzcc/{seed}/{index}"``, so a run is the same on every platform.
     """
     if operator.index(seed) < 0:  # a float seed would name another stream
         raise ValueError(f"seed must be non-negative, got {seed}")
     if not 0.0 < scale < math.inf:
         raise ValueError(f"scale must be positive and finite, got {scale}")
-    overrides = tolerances or {}
-    unknown = set(overrides) - set(CHECK_NAMES)
-    if unknown:
-        raise ValueError(f"unknown check names in tolerances: {sorted(unknown)}")
-    malformed = {name: tol for name, tol in overrides.items() if not float(tol) >= 0.0}
-    if malformed:  # malformed input, not a failed check
-        raise ValueError(f"tolerances must be non-negative numbers, got {malformed}")
     if names is not None:
         missing = set(names) - set(CHECK_NAMES)
         if missing:
             raise ValueError(f"unknown check names: {sorted(missing)}")
     results = []
-    for idx, (name, (check, default_tol)) in enumerate(_CHECKS.items()):
+    for idx, (name, (check, tol)) in enumerate(_CHECKS.items()):
         if names is not None and name not in names:
             continue
         rng = random.Random(f"lorentzcc/{seed}/{idx}")
-        tol = float(overrides.get(name, default_tol))
         try:
             errors, note = check(rng, scale, perturb)
         except _Unmeasured as exc:
-            results.append(CheckResult(name, False, math.inf, tol, str(exc), ()))
+            results.append(CheckResult(name, math.inf, tol, str(exc), ()))
             continue
         measured = _worst(*(value / bound for _, value, bound in errors))
         shown = ", ".join(
@@ -649,5 +642,5 @@ def run_all(
             for label, value, bound in errors
         )
         detail = f"{shown}; {note}"
-        results.append(CheckResult(name, measured <= tol, measured, tol, detail, errors))
+        results.append(CheckResult(name, measured, tol, detail, errors))
     return results

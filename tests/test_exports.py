@@ -37,7 +37,6 @@ ALLOWLIST = {
     "TwoPointSolution": "return type of solve_two_point: the normal-form motion",
     "cross_ratio": "the motion-invariant cross ratio of four points",
     "CheckResult": "return type of run_all",
-    "DEFAULT_TOLERANCES": "the battery's documented bound per check",
 }
 
 

@@ -188,6 +188,17 @@ class TestConicForm:
         with pytest.raises(ValueError, match="quadratic or linear"):
             GeodesicConic(0.0, 0.0, 0.0, 1.0, SurfaceSpec.from_name("def-pos"))
 
+    def test_residual_where_both_squares_overflow(self):
+        # x*x - y*y once read inf - inf = nan at this finite limiting-curve hit
+        spec = SurfaceSpec.from_name("lorentz-neg", 2.5)
+        conic = GeodesicConic(-1.0, -3.55, -3.47, 3.48e171, spec)
+        x, y = max(limiting_intersections(conic))
+        assert x == -y and x > 1e172
+        term = max(abs(conic.lin_x * x), abs(conic.lin_y * y), abs(conic.const_term))
+        assert abs(conic.residual(x, y)) <= 1e-15 * term
+        # on the null line y = -x the curve's residual is exactly -R^2
+        assert limiting_curve(spec).residual(x, y) == -2.5 * 2.5
+
     def test_gradient_matches_finite_difference(self):
         conic = geodesic_from_constants(SurfaceSpec.from_name("def-neg"), 0.8, 0.1)
         h = 1e-7

@@ -17,6 +17,7 @@ from lorentzcc import (
     DomainError,
     HyperbolicNumber,
     OnNullLine,
+    PolarForm,
     Sector,
     conj,
     hyper_exp,
@@ -242,6 +243,13 @@ class TestPolar:
             assert w.x == pytest.approx(z.x, rel=1e-9, abs=1e-12)
             assert w.y == pytest.approx(z.y, rel=1e-9, abs=1e-12)
             done += 1
+
+    @pytest.mark.parametrize("sector", [Sector.RIGHT, Sector.UP, None])
+    def test_reconstruct_overflow_is_a_domain_error(self, sector):
+        # cosh(800) overflows: once a bare OverflowError, not a GeometryError
+        theta = math.inf if sector is None else 800.0
+        with pytest.raises(DomainError, match="not finite"):
+            PolarForm(1.0, theta, sector, 1).reconstruct()
 
     def test_complex_polar_round_trip(self):
         p = polar(ComplexNumber(-1.0, 1.0))

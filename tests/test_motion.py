@@ -384,6 +384,21 @@ class TestTwoPointSolver:
             assert abs(f - c) <= 1e-14 * max(1.0, abs(c))
         assert answered > 700
 
+    @pytest.mark.parametrize("radius", [0.5, 1.0, 2.5])
+    @pytest.mark.parametrize("name", ["lorentz-pos", "lorentz-neg"])
+    def test_null_base_point_reads_a_zero_beta_polar_form(self, name, radius):
+        # beta = -alpha z1 is null with z1, and its polar form, refused with
+        # OnNullLine, once failed `geodesic --points` where `distance` answered
+        spec = SurfaceSpec.from_name(name, radius)
+        z2 = (0.5 / radius, 0.2 / radius)
+        for z1 in ((0.1, 0.1), (0.1, -0.1), (-0.1, -0.1)):
+            z1 = (z1[0] / radius, z1[1] / radius)
+            sol = solve_two_point(spec, z1, z2)
+            assert abs(square_modulus(sol.motion.beta)) <= 1e-12
+            assert (sol.theta_beta, sol.rho_beta) == (0.0, 0.0)
+            assert sol.distance == geodesic_distance(spec, z1, z2)
+            assert apply(sol.motion, number_for(spec, *z1)) == number_for(spec, 0.0, 0.0)
+
     def test_null_separation(self):
         spec = SurfaceSpec.from_name("lorentz-pos")
         with pytest.raises(NoGeodesic, match="null-separated"):

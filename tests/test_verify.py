@@ -1,4 +1,4 @@
-"""Plumbing of the cross-check battery: selection, overrides, sensitivity."""
+"""Plumbing of the cross-check battery: selection, pinned bounds, sensitivity."""
 
 import math
 
@@ -7,7 +7,6 @@ import pytest
 
 from lorentzcc import (
     CHECK_NAMES,
-    DEFAULT_TOLERANCES,
     CheckResult,
     DivisorOfZero,
     HyperbolicNumber,
@@ -40,7 +39,12 @@ def test_check_names_are_stable():
         "worldline_invariant",
         "algebra_properties",
     )
-    assert set(DEFAULT_TOLERANCES) == set(CHECK_NAMES)
+
+
+def test_every_pinned_tolerance_is_finite_and_positive():
+    # so a check that measured inf or NaN can never pass
+    for name, (_, tol) in verify._CHECKS.items():
+        assert 0.0 < tol < math.inf, name
 
 
 def test_subset_selection_keeps_battery_order():
@@ -55,18 +59,6 @@ def test_subset_selection_keeps_battery_order():
 def test_unknown_name_rejected():
     with pytest.raises(ValueError, match="unknown check"):
         run_all(names=("algebra_properties", "nope"))
-
-
-def test_unknown_tolerance_rejected():
-    with pytest.raises(ValueError, match="unknown"):
-        run_all(tolerances={"nope": 1.0})
-
-
-@pytest.mark.parametrize("tol", [math.nan, -1.0, -math.inf])
-def test_tolerance_must_be_non_negative(tol):
-    # once answered as a failed check instead of malformed input
-    with pytest.raises(ValueError, match="tolerances must be non-negative"):
-        run_all(tolerances={"algebra_properties": tol}, names=("algebra_properties",))
 
 
 @pytest.mark.parametrize("scale", [math.inf, math.nan, 0.0, -1.0])
@@ -99,18 +91,6 @@ def test_linspace_is_numpy_linspace_bit_for_bit():
         start, stop, n = float(lo), float(hi), int(rng.integers(2, 500))
         assert verify._linspace(start, stop, n) == np.linspace(start, stop, n).tolist()
     assert verify._linspace(0.3, 0.3, 5) == np.linspace(0.3, 0.3, 5).tolist()
-
-
-def test_tolerance_override_can_fail_a_check():
-    (res,) = run_all(
-        seed=3,
-        scale=0.02,
-        names=("algebra_properties",),
-        tolerances={"algebra_properties": 1e-30},
-    )
-    assert not res.passed
-    assert res.tolerance == 1e-30
-    assert "[FAIL]" in res.summary_line()
 
 
 def _no_geodesic(spec, z1, z2):
@@ -165,10 +145,10 @@ def test_check_that_cannot_measure_fails_under_any_tolerance(
     monkeypatch, name, attr, replacement, detail
 ):
     monkeypatch.setattr(verify, attr, replacement)
-    (res,) = run_all(seed=3, scale=0.02, names=(name,), tolerances={name: math.inf})
+    (res,) = run_all(seed=3, scale=0.02, names=(name,))
     assert not res.passed
     assert res.measured == math.inf
-    assert res.tolerance == math.inf
+    assert res.tolerance == verify._CHECKS[name][1]
     assert res.errors == ()
     assert detail in res.detail
     assert res.summary_line().startswith(f"[FAIL] {name}: measured inf")
@@ -179,14 +159,10 @@ def test_motion_invariance_shortfall_fails_under_any_tolerance(monkeypatch):
         raise InvalidMotion("no motion is valid")
 
     monkeypatch.setattr(verify, "BilinearMotion", invalid)
-    (res,) = run_all(
-        seed=3,
-        scale=0.02,
-        names=("motion_invariance",),
-        tolerances={"motion_invariance": math.inf},
-    )
+    (res,) = run_all(seed=3, scale=0.02, names=("motion_invariance",))
     assert not res.passed
     assert res.measured == math.inf
+    assert res.tolerance == verify._CHECKS["motion_invariance"][1]
     assert res.errors == ()
     assert "def-pos" in res.detail
     assert res.summary_line().startswith("[FAIL] motion_invariance: measured inf")
