@@ -20,12 +20,17 @@ every point entering a motion, the two-point solver or the distance must be
 finite.  The flat-plane rigid motions ``w = a z + b`` / ``w = a conj(z) + b``
 with ``D(a) = 1`` are kept separately in :class:`PlaneMotion` and applied by
 :func:`plane_apply`.
+
+:func:`apply`, :func:`solve_two_point` and :attr:`TwoPointSolution.conic`
+work on the float parts, term for term in the order of
+:func:`~lorentzcc.hypernum.mul`, ``conj`` and ``inverse`` (signed zeros
+included), and build a ``Number`` only for what they return or print.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import (
     CoincidentPoints,
@@ -88,13 +93,24 @@ def plane_apply(motion: PlaneMotion, z: HyperbolicNumber) -> HyperbolicNumber:
     """Apply a plane motion.
 
     Raises:
-        InvalidMotion: D(a) differs from 1 beyond 1e-12 (relative).
+        DomainError: a constant, the point or the image is not finite, or
+            D(a) overflows.
+        InvalidMotion: a finite D(a) differs from 1 beyond 1e-12 (relative).
     """
-    d = square_modulus(motion.a)
+    a, b = motion.a, motion.b
+    if not all(math.isfinite(v) for v in (a.x, a.y, b.x, b.y)):
+        raise DomainError(f"plane motion constants {a}, {b} are not finite")
+    if not (math.isfinite(z.x) and math.isfinite(z.y)):
+        raise DomainError(f"plane point ({z.x}, {z.y}) is not finite")
+    d = square_modulus(a)
+    if not math.isfinite(d):
+        raise DomainError(f"D(a) of the plane motion constant {a} overflows")
     if abs(d - 1.0) > 1e-12 * max(1.0, abs(d)):
         raise InvalidMotion(f"plane motion needs D(a) = 1, got {d}")
-    w = conj(z) if motion.reflect else z
-    return mul(motion.a, w) + motion.b
+    w = mul(a, conj(z) if motion.reflect else z) + b
+    if not (math.isfinite(w.x) and math.isfinite(w.y)):
+        raise DomainError(f"image ({w.x}, {w.y}) of {z} is not finite")
+    return w
 
 
 # --------------------------------------------------------------------------
@@ -110,21 +126,40 @@ def number_for(spec: SurfaceSpec, x: float, y: float) -> Number:
     return _number_type(spec)(float(x), float(y))
 
 
-def _as_number(spec: SurfaceSpec, z) -> Number:
-    """Coerce a point to the surface's number type.
+def _parts(spec: SurfaceSpec, z) -> tuple[float, float]:
+    """Chart components of a point given as a pair or in the surface's
+    number type.
 
     Raises:
         DomainError: a component is NaN or infinite.
     """
     if isinstance(z, (tuple, list)):
-        z = number_for(spec, z[0], z[1])
+        x, y = float(z[0]), float(z[1])
     else:
         want = _number_type(spec)
         if not isinstance(z, want):
             raise TypeError(f"{spec.name} points must be {want.__name__}, got {type(z).__name__}")
-    if not (math.isfinite(z.x) and math.isfinite(z.y)):
-        raise DomainError(f"{spec.name} point ({z.x}, {z.y}) is not finite")
-    return z
+        x, y = z.x, z.y
+    if not (math.isfinite(x) and math.isfinite(y)):
+        raise DomainError(f"{spec.name} point ({x}, {y}) is not finite")
+    return x, y
+
+
+def _shown(spec: SurfaceSpec, z) -> Number:
+    """A point accepted by :func:`_parts` as the error messages print it."""
+    return z if isinstance(z, Number) else number_for(spec, z[0], z[1])
+
+
+def _inverse_parts(cls: type[Number], x: float, y: float) -> tuple[float, float]:
+    """Parts of ``inverse(cls(x, y))``, with its guards; the number is built
+    only where :func:`~lorentzcc.hypernum.inverse` raises."""
+    d = x * x - cls.unit * y * y
+    if math.isfinite(d) and (
+        abs(d) > 1e-12 * max(1.0, abs(x), abs(y)) if cls.unit > 0.0 else d != 0.0
+    ):
+        return x / d, -y / d
+    inv = inverse(cls(x, y))  # raises DomainError or DivisorOfZero
+    return inv.x, inv.y
 
 
 @dataclass(frozen=True, slots=True)
@@ -139,8 +174,6 @@ class BilinearMotion:
     alpha: Number
     beta: Number
     spec: SurfaceSpec
-    # (conj(beta), conj(alpha)), filled in by the first apply
-    _conj: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         spec = self.spec
@@ -168,23 +201,31 @@ def apply(motion: BilinearMotion, z) -> Number:
             image is not finite.
     """
     spec = motion.spec
-    z = _as_number(spec, z)
-    cached = motion._conj
-    if cached is None:
-        cached = conj(motion.beta), conj(motion.alpha)
-        object.__setattr__(motion, "_conj", cached)
-    cb, ca = cached
-    num = mul(motion.alpha, z) + motion.beta
-    # -kappa cb z + ca; ca - m rounds as (-m) + ca does, signed zeros included,
-    # where m times a cached -cb would flip the sign of a zero product
-    den = ca - mul(cb, z) if spec.kappa > 0.0 else mul(cb, z) + ca
+    x, y = _parts(spec, z)
+    alpha, beta = motion.alpha, motion.beta
+    cls = type(alpha)
+    u = cls.unit
+    ax, ay, bx, by = alpha.x, alpha.y, beta.x, beta.y
+    # alpha z + beta
+    nx, ny = ax * x + u * ay * y + bx, ax * y + ay * x + by
+    # conj(beta) z, and the denominator -kappa conj(beta) z + conj(alpha),
+    # formed as conj(alpha) - m or m + conj(alpha) to keep the signs of zeros
+    cy = -by
+    mx, my = bx * x + u * cy * y, bx * y + cy * x
+    if spec.kappa > 0.0:
+        dx, dy = ax - mx, -ay - my
+    else:
+        dx, dy = mx + ax, my + -ay
     try:
-        w = mul(num, inverse(den))
+        ix, iy = _inverse_parts(cls, dx, dy)
     except DivisorOfZero as exc:
-        raise MapsToInfinity(f"denominator {den} is not invertible at {z}") from exc
-    if not (math.isfinite(w.x) and math.isfinite(w.y)):
-        raise MapsToInfinity(f"image ({w.x}, {w.y}) of {z} is not finite")
-    return w
+        raise MapsToInfinity(
+            f"denominator {cls(dx, dy)} is not invertible at {_shown(spec, z)}"
+        ) from exc
+    wx, wy = nx * ix + u * ny * iy, nx * iy + ny * ix
+    if not (math.isfinite(wx) and math.isfinite(wy)):
+        raise MapsToInfinity(f"image ({wx}, {wy}) of {_shown(spec, z)} is not finite")
+    return cls(wx, wy)
 
 
 def inverse_motion(motion: BilinearMotion) -> BilinearMotion:
@@ -238,11 +279,14 @@ class TwoPointSolution:
         and ``S = alpha^2 + kappa conj(beta)^2`` the normalized conic is
         ``(-kappa G.y, S.y, S.x, G.y)``, rescaled here to the physical chart."""
         alpha, beta, spec = self.motion.alpha, self.motion.beta, self.motion.spec
-        g = mul(alpha, beta)
-        cb = conj(beta)
-        s = mul(alpha, alpha) + spec.kappa * mul(cb, cb)
+        u, kappa = alpha.unit, spec.kappa
+        ax, ay, bx, by = alpha.x, alpha.y, beta.x, beta.y
+        cy = -by
+        gy = ax * by + ay * bx
+        sx = ax * ax + u * ay * ay + kappa * (bx * bx + u * cy * cy)
+        sy = ax * ay + ay * ax + kappa * (bx * cy + cy * bx)
         r = spec.radius
-        return GeodesicConic(-spec.kappa * g.y / (r * r), s.y / r, s.x / r, g.y, spec)
+        return GeodesicConic(-kappa * gy / (r * r), sy / r, sx / r, gy, spec)
 
     @property
     def distance(self) -> float:
@@ -281,48 +325,55 @@ def solve_two_point(spec: SurfaceSpec, z1, z2) -> TwoPointSolution:
             (null or spacelike separation on a Lorentzian surface, a
             limiting-curve base point, antipodal points, ...).
     """
-    z1 = _as_number(spec, z1)
-    z2 = _as_number(spec, z2)
-    tol = 1e-14 * max(1.0, abs(z1.x), abs(z1.y), abs(z2.x), abs(z2.y))
-    if abs(z1.x - z2.x) <= tol and abs(z1.y - z2.y) <= tol:
-        raise CoincidentPoints(f"points coincide: {z1}")
-    d1 = square_modulus(z1)
+    x1, y1 = _parts(spec, z1)
+    x2, y2 = _parts(spec, z2)
+    tol = 1e-14 * max(1.0, abs(x1), abs(y1), abs(x2), abs(y2))
+    if abs(x1 - x2) <= tol and abs(y1 - y2) <= tol:
+        raise CoincidentPoints(f"points coincide: {_shown(spec, z1)}")
+    cls = _number_type(spec)
+    u = cls.unit
+    d1 = x1 * x1 - u * y1 * y1
     if not math.isfinite(d1):
-        raise DomainError(f"D of the base point {z1} overflows")
+        raise DomainError(f"D of the base point {_shown(spec, z1)} overflows")
     kappa = spec.kappa
     # the normalized limiting curve D(z) + kappa = 0 (never met on def-pos)
     if abs(d1 + kappa) <= 1e-12 * max(1.0, abs(d1)):
-        raise NoGeodesic(f"base point {z1} lies on the limiting curve")
+        raise NoGeodesic(f"base point {_shown(spec, z1)} lies on the limiting curve")
 
-    one = type(z1)(1.0, 0.0)
-    den = one + mul(conj(z1), z2) if kappa > 0.0 else one - mul(conj(z1), z2)
+    # the denominator 1 +/- conj(z1) z2, and q = (z2 - z1) / denominator
+    cy = -y1
+    px, py = x1 * x2 + u * cy * y2, x1 * y2 + cy * x2
+    ex, ey = (1.0 + px, 0.0 + py) if kappa > 0.0 else (1.0 - px, 0.0 - py)
+    sx, sy = x2 - x1, y2 - y1
     try:
-        q = mul(z2 - z1, inverse(den))
+        ix, iy = _inverse_parts(cls, ex, ey)
     except DivisorOfZero as exc:
         raise NoGeodesic(f"normal-form denominator degenerates: {exc}") from exc
+    q = cls(sx * ix + u * sy * iy, sx * iy + sy * ix)
 
     try:
         pol = polar(q)
     except OnNullLine as exc:
-        raise NoGeodesic(f"{z1} and {z2} are null-separated") from exc
+        raise NoGeodesic(f"{_shown(spec, z1)} and {_shown(spec, z2)} are null-separated") from exc
     if pol.sector in (Sector.UP, Sector.DOWN):
         raise NoGeodesic(
-            f"{z1} and {z2} are separated across the null cone "
+            f"{_shown(spec, z1)} and {_shown(spec, z2)} are separated across the null cone "
             "(no geodesic of the family joins them)"
         )
     # alpha = exp(-j half), times h on the left sector
     half = pol.theta / 2.0
-    c, s = cos_sin(z1.unit, half)
-    alpha = type(z1)(-s, c) if pol.sector is Sector.LEFT else type(z1)(c, -s)
+    c, s = cos_sin(u, half)
+    ax, ay = (-s, c) if pol.sector is Sector.LEFT else (c, -s)
 
-    beta = -mul(alpha, z1)
-    n = square_modulus(z2 - z1)
-    m = square_modulus(den) if kappa > 0.0 else (1.0 - d1) * (1.0 - square_modulus(z2))
+    # beta = -alpha z1
+    bx, by = -(ax * x1 + u * ay * y1), -(ax * y1 + ay * x1)
+    n = sx * sx - u * sy * sy
+    m = ex * ex - u * ey * ey if kappa > 0.0 else (1.0 - d1) * (1.0 - (x2 * x2 - u * y2 * y2))
     r = n / m if m else math.inf
     # r = inf is the antipodal or boundary limit; only a NaN is refused
     if r != r:
         raise DomainError(f"r = D(z2 - z1) / m = {n} / {m} is not a number")
-    return TwoPointSolution(BilinearMotion(alpha, beta, spec), pol.rho, -half, r)
+    return TwoPointSolution(BilinearMotion(cls(ax, ay), cls(bx, by), spec), pol.rho, -half, r)
 
 
 def geodesic_through(spec: SurfaceSpec, z1, z2) -> GeodesicConic:

@@ -4,11 +4,13 @@ import copy
 import dataclasses
 import math
 import pickle
+import random
 
 import numpy as np
 import pytest
 
 from lorentzcc import cli, motion
+from lorentzcc.hypernum import cos_sin
 from lorentzcc import (
     SURFACE_NAMES,
     BilinearMotion,
@@ -16,16 +18,19 @@ from lorentzcc import (
     CoincidentPoints,
     ComplexNumber,
     DegenerateTuple,
+    DivisorOfZero,
     DomainError,
     HyperbolicNumber,
     InvalidMotion,
     MapsToInfinity,
     MetricField,
     NoGeodesic,
+    OnNullLine,
     OutOfDisk,
     PlaneMotion,
     Sector,
     SurfaceSpec,
+    TwoPointSolution,
     apply,
     arc_length,
     conj,
@@ -78,6 +83,25 @@ class TestPlaneMotions:
         motion = PlaneMotion(HyperbolicNumber(2.0, 0.0), HyperbolicNumber(0.0, 0.0))
         with pytest.raises(InvalidMotion, match=r"D\(a\) = 1"):
             plane_apply(motion, HyperbolicNumber(1.0, 0.0))
+
+    @pytest.mark.parametrize(
+        "a, b, z, match",
+        [
+            # abs(D(a) - 1) > tol is False for NaN: the image read (nan, nan)
+            ((math.nan, 0.0), (0.0, 0.0), (0.1, 0.2), "constants"),
+            ((1.0, 0.0), (math.inf, 0.0), (0.1, 0.2), "constants"),
+            ((1.0, 0.0), (0.0, 0.0), (math.nan, 0.2), "point"),
+            ((1.0, 0.0), (0.0, 0.0), (0.1, -math.inf), "point"),
+            # D(a) = inf passed the unit test, and the image read (1e199, 2e199)
+            ((1e200, 0.0), (0.0, 0.0), (0.1, 0.2), "overflows"),
+            ((1.0, 0.0), (1e308, 0.0), (1e308, 0.2), "image"),
+        ],
+    )
+    @pytest.mark.parametrize("reflect", [False, True])
+    def test_non_finite_input_or_image_is_a_domain_error(self, a, b, z, match, reflect):
+        motion = PlaneMotion(HyperbolicNumber(*a), HyperbolicNumber(*b), reflect)
+        with pytest.raises(DomainError, match=match):
+            plane_apply(motion, HyperbolicNumber(*z))
 
 
 class TestBilinearMotion:
@@ -200,6 +224,7 @@ class TestBilinearMotion:
         spec = SurfaceSpec.from_name("lorentz-neg")
         alpha, beta = number_for(spec, 1.0, 0.2), number_for(spec, 0.1, 0.1)
         motion = BilinearMotion(alpha, beta, spec)
+        assert [f.name for f in dataclasses.fields(motion)] == ["alpha", "beta", "spec"]
         for _ in range(2):
             fields = dataclasses.asdict(motion)
             assert (fields["alpha"], fields["beta"]) == ({"x": 1.0, "y": 0.2}, {"x": 0.1, "y": 0.1})
@@ -218,6 +243,180 @@ class TestBilinearMotion:
         # denominator conj(beta) z + conj(alpha) vanishes at z = -2
         with pytest.raises(MapsToInfinity):
             apply(motion, ComplexNumber(-2.0, 0.0))
+
+
+# Reference bodies of apply, solve_two_point and the conic, written with the
+# public number operations in the order the plain-float kernels follow.
+
+
+def _reference_point(spec, z):
+    return number_for(spec, *z) if isinstance(z, tuple) else z
+
+
+def _reference_apply(m, z):
+    z = _reference_point(m.spec, z)
+    cb, ca = conj(m.beta), conj(m.alpha)
+    num = mul(m.alpha, z) + m.beta
+    den = ca - mul(cb, z) if m.spec.kappa > 0.0 else mul(cb, z) + ca
+    try:
+        w = mul(num, inverse(den))
+    except DivisorOfZero as exc:
+        raise MapsToInfinity(f"denominator {den} is not invertible at {z}") from exc
+    if not (math.isfinite(w.x) and math.isfinite(w.y)):
+        raise MapsToInfinity(f"image ({w.x}, {w.y}) of {z} is not finite")
+    return w
+
+
+def _reference_solve(spec, z1, z2):
+    """``(l, theta_alpha, r, alpha, beta)`` of the normal form."""
+    z1, z2 = _reference_point(spec, z1), _reference_point(spec, z2)
+    tol = 1e-14 * max(1.0, abs(z1.x), abs(z1.y), abs(z2.x), abs(z2.y))
+    if abs(z1.x - z2.x) <= tol and abs(z1.y - z2.y) <= tol:
+        raise CoincidentPoints(f"points coincide: {z1}")
+    d1 = square_modulus(z1)
+    if not math.isfinite(d1):
+        raise DomainError(f"D of the base point {z1} overflows")
+    kappa = spec.kappa
+    if abs(d1 + kappa) <= 1e-12 * max(1.0, abs(d1)):
+        raise NoGeodesic(f"base point {z1} lies on the limiting curve")
+    one = type(z1)(1.0, 0.0)
+    den = one + mul(conj(z1), z2) if kappa > 0.0 else one - mul(conj(z1), z2)
+    try:
+        q = mul(z2 - z1, inverse(den))
+    except DivisorOfZero as exc:
+        raise NoGeodesic(f"normal-form denominator degenerates: {exc}") from exc
+    try:
+        pol = polar(q)
+    except OnNullLine as exc:
+        raise NoGeodesic(f"{z1} and {z2} are null-separated") from exc
+    if pol.sector in (Sector.UP, Sector.DOWN):
+        raise NoGeodesic(
+            f"{z1} and {z2} are separated across the null cone "
+            "(no geodesic of the family joins them)"
+        )
+    half = pol.theta / 2.0
+    c, s = cos_sin(z1.unit, half)
+    alpha = type(z1)(-s, c) if pol.sector is Sector.LEFT else type(z1)(c, -s)
+    beta = -mul(alpha, z1)
+    n = square_modulus(z2 - z1)
+    m = square_modulus(den) if kappa > 0.0 else (1.0 - d1) * (1.0 - square_modulus(z2))
+    r = n / m if m else math.inf
+    if r != r:
+        raise DomainError(f"r = D(z2 - z1) / m = {n} / {m} is not a number")
+    motion = BilinearMotion(alpha, beta, spec)
+    return pol.rho, -half, r, motion.alpha, motion.beta
+
+
+def _reference_conic(m):
+    alpha, beta, spec = m.alpha, m.beta, m.spec
+    g = mul(alpha, beta)
+    cb = conj(beta)
+    s = mul(alpha, alpha) + spec.kappa * mul(cb, cb)
+    r = spec.radius
+    return -spec.kappa * g.y / (r * r), s.y / r, s.x / r, g.y
+
+
+def _bits(f, *args):
+    """Hex parts of a result, or type, message and cause of its exception."""
+    try:
+        out = f(*args)
+    except Exception as exc:  # every outcome is compared, errors included
+        cause = exc.__cause__
+        return type(exc), str(exc), None if cause is None else (type(cause), str(cause))
+    values = out if isinstance(out, tuple) else (out,)
+    return tuple(
+        (v.x.hex(), v.y.hex()) if isinstance(v, (HyperbolicNumber, ComplexNumber)) else v.hex()
+        for v in values
+    )
+
+
+_SPECIAL = (0.0, -0.0, 5e-324, -5e-324, 1e-310, 2.2250738585072014e-308,
+            1e-300, -1e-300, 1e300, -1e300, 1.0, -0.5)
+
+
+def _component(rng):
+    k = rng.random()
+    if k < 0.55:
+        return rng.uniform(-1.0, 1.0)
+    if k < 0.8:
+        return rng.choice(_SPECIAL)
+    return rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-300.0, 300.0)
+
+
+def _point(rng):
+    """A pair with signed zeros, subnormals and 1e+-300 parts, on a null line
+    through the origin one time in five."""
+    x, y = _component(rng), _component(rng)
+    k = rng.random()
+    return (x, x) if k < 0.1 else (x, -x) if k < 0.2 else (x, y)
+
+
+def _solution_parts(spec, z1, z2):
+    sol = solve_two_point(spec, z1, z2)
+    return sol.l, sol.theta_alpha, sol.r, sol.motion.alpha, sol.motion.beta
+
+
+def _conic_parts(m):
+    conic = TwoPointSolution(m, 0.0, 0.0, 0.0).conic
+    return conic.quad, conic.lin_x, conic.lin_y, conic.const_term
+
+
+class TestPlainFloatKernels:
+    """apply, solve_two_point and the conic agree bit for bit with their
+    bodies over the public number operations, errors included."""
+
+    def test_bit_identical_to_the_number_operations(self):
+        rng = random.Random(29)
+        outcomes = set()
+
+        def compare(f, reference, *args):
+            got = _bits(f, *args)
+            assert got == _bits(reference, *args), args
+            outcomes.add((f.__name__, got[0] if isinstance(got[0], type) else "ok"))
+
+        settings = [(name, radius) for name in SURFACE_NAMES for radius in (0.5, 1.0, 2.5)]
+        for name, radius in settings * 120:
+            spec = SurfaceSpec.from_name(name, radius)
+            p1, p2 = _point(rng), _point(rng)
+            if rng.random() < 0.1:
+                p2 = (p1[0] + 1e-16 * _component(rng), p1[1])
+            if rng.random() < 0.5:
+                p1, p2 = number_for(spec, *p1), number_for(spec, *p2)
+            compare(_solution_parts, _reference_solve, spec, p1, p2)
+            try:
+                m = solve_two_point(spec, p1, _point(rng)).motion
+            except (CoincidentPoints, DomainError, NoGeodesic):
+                try:
+                    m = BilinearMotion(
+                        number_for(spec, *_point(rng)), number_for(spec, *_point(rng)), spec
+                    )
+                except (DomainError, InvalidMotion):
+                    continue
+            compare(_conic_parts, _reference_conic, m)
+            for p in (p1, p2, number_for(spec, *_point(rng))):
+                compare(apply, _reference_apply, m, p)
+        kinds = {
+            "_solution_parts": ("ok", CoincidentPoints, DomainError, NoGeodesic),
+            "apply": ("ok", DomainError, MapsToInfinity),
+        }
+        assert {(f, k) for f, ks in kinds.items() for k in ks} <= outcomes
+
+    @pytest.mark.parametrize("name", SURFACE_NAMES)
+    def test_signed_zeros_keep_their_bits(self, name):
+        # a zero part's sign reaches the argument: (0, 0) -> (0.5, -0.0) on
+        # def-pos reads theta_alpha +0.0, and -0.0 where the denominator's
+        # 0.0 + conj(z1) z2 part is formed without its 0.0 +
+        spec = SurfaceSpec.from_name(name)
+        parts = (0.0, -0.0, 0.5, -0.25, 5e-324)
+        grid = [(x, y) for x in parts for y in parts]
+        for p1 in grid:
+            for p2 in grid:
+                assert _bits(_solution_parts, spec, p1, p2) == _bits(_reference_solve, spec, p1, p2)
+        for a in ((1.0, 0.0), (1.0, -0.0)):
+            for b in ((0.0, -0.0), (-0.0, 0.0), (0.25, -0.0)):
+                m = BilinearMotion(number_for(spec, *a), number_for(spec, *b), spec)
+                for p in grid:
+                    assert _bits(apply, m, p) == _bits(_reference_apply, m, p), (a, b, p)
 
 
 class TestTwoPointSolver:
