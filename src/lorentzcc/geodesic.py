@@ -104,14 +104,9 @@ class PlaneLine:
     theta: float
     c: float
 
-    @property
-    def _normal(self) -> tuple[float, float]:
-        """The residual's gradient ``(n_x, n_y)``."""
-        ch, sh = cos_sin(1.0, self.theta)
-        return (sh, ch) if self.kind is LineKind.FIRST else (ch, sh)
-
     def residual(self, x: float, y: float) -> float:
-        nx, ny = self._normal
+        ch, sh = cos_sin(1.0, self.theta)
+        nx, ny = (sh, ch) if self.kind is LineKind.FIRST else (ch, sh)
         return x * nx + y * ny - self.c
 
 
@@ -144,10 +139,14 @@ class Worldline:
 
     def position(self, s: float) -> tuple[float, float]:
         """``(t, x)`` at proper time s; raises :class:`DomainError` where
-        ``accel s`` is not finite or cosh overflows."""
+        ``accel s`` is not finite, cosh overflows, or ``t`` or ``x`` is not
+        finite (``sinh(accel s) / accel`` overflows)."""
         g = self.accel
         ch, sh = cos_sin(1.0, g * s)
-        return (self.t0 + sh / g, self.x0 + (ch - 1.0) / g)
+        t, x = self.t0 + sh / g, self.x0 + (ch - 1.0) / g
+        if not (math.isfinite(t) and math.isfinite(x)):
+            raise DomainError(f"worldline event ({t}, {x}) at s = {s} is not finite")
+        return t, x
 
     def invariant_residual(self, s: float) -> float:
         """Scale-relative defect of the hyperbola invariant at proper time s.
@@ -157,6 +156,10 @@ class Worldline:
         branch, which no parametrization can beat in double precision.
         Where ``dx^2`` overflows (``accel s`` beyond about 355) the identity
         is divided through by ``dx^2`` before anything is squared.
+
+        Raises:
+            DomainError: as :meth:`position`, or the residual is not finite
+                (``x0`` absorbs the displacement, so ``dx`` cannot hold it).
         """
         t, x = self.position(s)
         dt = t - self.t0
@@ -164,9 +167,13 @@ class Worldline:
         target = 1.0 / (self.accel * self.accel)
         dx2 = dx * dx
         if math.isfinite(dx2):
-            return abs((dx2 - dt * dt) - target) / max(target, dx2)
-        q, k = dt / dx, 1.0 / (self.accel * dx)
-        return abs((1.0 - q) * (1.0 + q) - k * k)
+            res = abs((dx2 - dt * dt) - target) / max(target, dx2)
+        else:
+            q, k = dt / dx, 1.0 / (self.accel * dx)
+            res = abs((1.0 - q) * (1.0 + q) - k * k)
+        if not math.isfinite(res):
+            raise DomainError(f"invariant residual {res} at s = {s} is not finite")
+        return res
 
 
 # --------------------------------------------------------------------------

@@ -172,26 +172,31 @@ def is_null(z: Number) -> bool:
     return abs(d) <= zero_divisor_tolerance(z)
 
 
-def inverse(z: Number) -> Number:
-    """Multiplicative inverse ``conj(z) / square_modulus(z)``.
+def inverse_parts(unit: float, x: float, y: float) -> tuple[float, float]:
+    """Parts ``(x/D, -y/D)`` of the inverse of ``x + j*y``, ``j*j = unit``;
+    the one divisor-of-zero guard (tolerance inline: no call per division).
 
     Raises:
-        DivisorOfZero: hyperbolic ``z`` with ``|D| <= tol``, or complex ``z``
-            whose ``D`` is zero (which includes underflow of ``x*x + y*y``).
-        DomainError: ``D`` is not finite (it overflows, or ``z`` is not
+        DivisorOfZero: hyperbolic ``|D| <= tol``, or complex ``D`` zero
+            (which includes underflow of ``x*x + y*y``).
+        DomainError: ``D`` is not finite (it overflows, or a part is not
             finite); the quotient would silently read zero or NaN.
     """
-    d = square_modulus(z)
+    d = x * x - unit * y * y
     if not math.isfinite(d):
-        raise DomainError(f"D({z.x}, {z.y}) = {d} is not finite; no inverse")
-    if z.unit > 0.0:
-        if abs(d) <= zero_divisor_tolerance(z):
-            raise DivisorOfZero(
-                f"({z.x}, {z.y}) lies on a null line and has no inverse"
-            )
+        raise DomainError(f"D({x}, {y}) = {d} is not finite; no inverse")
+    if unit > 0.0:
+        if abs(d) <= 1e-12 * max(1.0, abs(x), abs(y)):
+            raise DivisorOfZero(f"({x}, {y}) lies on a null line and has no inverse")
     elif d == 0.0:
         raise DivisorOfZero("complex zero has no inverse")
-    return type(z)(z.x / d, -z.y / d)
+    return x / d, -y / d
+
+
+def inverse(z: Number) -> Number:
+    """Multiplicative inverse ``conj(z) / square_modulus(z)``; raises what
+    :func:`inverse_parts` raises."""
+    return type(z)(*inverse_parts(z.unit, z.x, z.y))
 
 
 def cos_sin(unit: float, t: float) -> tuple[float, float]:

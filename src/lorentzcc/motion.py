@@ -25,6 +25,8 @@ with ``D(a) = 1`` are kept separately in :class:`PlaneMotion` and applied by
 work on the float parts, term for term in the order of
 :func:`~lorentzcc.hypernum.mul`, ``conj`` and ``inverse`` (signed zeros
 included), and build a ``Number`` only for what they return or print.
+They take the divisor-of-zero guard of the inverse, with its messages,
+from :func:`~lorentzcc.hypernum.inverse_parts`.
 """
 
 from __future__ import annotations
@@ -53,6 +55,7 @@ from .hypernum import (
     conj,
     cos_sin,
     inverse,
+    inverse_parts,
     is_null,
     mul,
     polar,
@@ -150,18 +153,6 @@ def _shown(spec: SurfaceSpec, z) -> Number:
     return z if isinstance(z, Number) else number_for(spec, z[0], z[1])
 
 
-def _inverse_parts(cls: type[Number], x: float, y: float) -> tuple[float, float]:
-    """Parts of ``inverse(cls(x, y))``, with its guards; the number is built
-    only where :func:`~lorentzcc.hypernum.inverse` raises."""
-    d = x * x - cls.unit * y * y
-    if math.isfinite(d) and (
-        abs(d) > 1e-12 * max(1.0, abs(x), abs(y)) if cls.unit > 0.0 else d != 0.0
-    ):
-        return x / d, -y / d
-    inv = inverse(cls(x, y))  # raises DomainError or DivisorOfZero
-    return inv.x, inv.y
-
-
 @dataclass(frozen=True, slots=True)
 class BilinearMotion:
     """Isometry of a curved surface in normalized model coordinates.
@@ -217,7 +208,7 @@ def apply(motion: BilinearMotion, z) -> Number:
     else:
         dx, dy = mx + ax, my + -ay
     try:
-        ix, iy = _inverse_parts(cls, dx, dy)
+        ix, iy = inverse_parts(u, dx, dy)
     except DivisorOfZero as exc:
         raise MapsToInfinity(
             f"denominator {cls(dx, dy)} is not invertible at {_shown(spec, z)}"
@@ -346,7 +337,7 @@ def solve_two_point(spec: SurfaceSpec, z1, z2) -> TwoPointSolution:
     ex, ey = (1.0 + px, 0.0 + py) if kappa > 0.0 else (1.0 - px, 0.0 - py)
     sx, sy = x2 - x1, y2 - y1
     try:
-        ix, iy = _inverse_parts(cls, ex, ey)
+        ix, iy = inverse_parts(u, ex, ey)
     except DivisorOfZero as exc:
         raise NoGeodesic(f"normal-form denominator degenerates: {exc}") from exc
     q = cls(sx * ix + u * sy * iy, sx * iy + sy * ix)

@@ -28,11 +28,9 @@ Numerical notes
   the path drifts within ``10 * step`` of a chart boundary.
 * ``arc_length`` binds ``field.factor`` once per polyline and tracks the
   causal type with two flags; a segment costs one factor call and no
-  container operation.  ``TauField`` holds its isometric ``MetricField``
-  from construction on, so an evaluation builds no field.
-  ``FlatPlaneField`` rejects a NaN or infinite point with
-  :class:`~lorentzcc.errors.DomainError`, as the Cartesian ``MetricField``
-  does, so no routine answers NaN on the flat plane.
+  container operation.  ``FlatPlaneField`` rejects a NaN or infinite point
+  with :class:`~lorentzcc.errors.DomainError`, as the Cartesian
+  ``MetricField`` does, so no routine answers NaN on the flat plane.
 * ``_adaptive_simpson`` accepts an interval when ``|S2 - S1| <= 15 tol``,
   which bounds the extrapolated error by roughly ``tol``, or when
   ``|S2 - S1|`` is at rounding level, ``1e-15 |S2|``: next to an integrable
@@ -51,7 +49,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .errors import (
@@ -288,12 +286,10 @@ class TauField:
     A: float
     C: float
     spec: SurfaceSpec
-    _metric: MetricField = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.spec.metric_sign > 0.0:
             raise DomainError("tau fields are defined for Lorentzian surfaces")
-        object.__setattr__(self, "_metric", MetricField(self.spec, Chart.ISOMETRIC))
 
     @property
     def rho_ref(self) -> float:
@@ -302,7 +298,7 @@ class TauField:
     def __call__(self, rho: float, phi: float) -> float:
         if self.spec.kappa < 0.0 and rho <= 0.0:
             raise DomainError(f"need rho > 0 on {self.spec.name}, got {rho}")
-        factor = self._metric.factor
+        factor = MetricField(self.spec, Chart.ISOMETRIC).factor
         a2 = self.A * self.A
 
         def integrand(r: float) -> float:

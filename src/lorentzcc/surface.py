@@ -44,6 +44,7 @@ by ``+-1.0`` is exact, so each surface gets the bits of its own formula.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -92,7 +93,10 @@ class Chart(Enum):
 
 @dataclass(frozen=True, slots=True)
 class SurfaceSpec:
-    """A constant-curvature surface: signature, sign of K, and finite radius R > 0.
+    """A constant-curvature surface: signature, sign of K, and radius R.
+
+    R lies in about [1.2e-71, 8.2e75]: there ``4 R^4``, the limiting-curve
+    guard and ``base^2`` out to ``|x|, |y| <= 10 R`` are normal floats.
 
     ``metric_sign`` is s in ``ds^2 = factor * (da^2 + s db^2)``: +1 definite,
     -1 Lorentzian.  ``kappa`` is the sign of the Gauss curvature.  Both are
@@ -114,15 +118,22 @@ class SurfaceSpec:
     def __post_init__(self) -> None:
         if not 0.0 < self.radius < math.inf:
             raise ValueError(f"radius must be positive and finite, got {self.radius}")
+        r2 = self.radius * self.radius
+        guard = 1e-12 * r2
+        big = 201.0 * r2  # |base| runs from the guard up to 201 R^2
+        if not (sys.float_info.min <= guard * guard and big * big < math.inf):
+            raise ValueError(
+                "radius must lie in [1.221338669755462e-71, 8.167344249464855e75] "
+                f"for the metric factors to be normal floats, got {self.radius}"
+            )
         s = 1.0 if self.signature is Signature.DEFINITE else -1.0
         kappa = 1.0 if self.curvature_sign is CurvatureSign.POSITIVE else -1.0
-        r2 = self.radius * self.radius
         object.__setattr__(self, "metric_sign", s)
         object.__setattr__(self, "kappa", kappa)
         object.__setattr__(self, "_r2", r2)
         object.__setattr__(self, "_kappa_r2", kappa * r2)
         object.__setattr__(self, "_four_r4", 4.0 * r2 * r2)
-        object.__setattr__(self, "_guard", 1e-12 * r2)
+        object.__setattr__(self, "_guard", guard)
 
     # -- constructors ------------------------------------------------------
 
@@ -244,17 +255,31 @@ class MetricField:
         return abs((a - b) * (a + b) + spec._kappa_r2) / grad
 
 
+def _line_element(spec: SurfaceSpec, lam: float, da: float, db: float) -> float:
+    """``lam (da^2 + s db^2)``; overflow to +-inf is returned as is.
+
+    Raises:
+        DomainError: a tangent component is not finite, or ds^2 is NaN (the
+            factor underflows to 0 where the quadratic form overflows).
+    """
+    ds2 = lam * (da * da + spec.metric_sign * db * db)
+    if ds2 != ds2 or not (math.isfinite(da) and math.isfinite(db)):
+        raise DomainError(
+            f"{spec.name} ds^2 of the tangent ({da}, {db}) under the factor {lam} is {ds2}"
+        )
+    return ds2
+
+
 def line_element_isometric(
     spec: SurfaceSpec, rho: float, drho: float, dphi: float
 ) -> float:
     """Signed ``ds^2`` of a tangent vector in the isometric chart.
 
     Raises:
-        DomainError: rho is not finite.
+        DomainError: rho, drho or dphi is not finite, or ds^2 is NaN.
         SingularPoint: negative curvature at rho = 0 (the chart's pole).
     """
-    lam = _isometric_factor(spec, rho)
-    return lam * (drho * drho + spec.metric_sign * dphi * dphi)
+    return _line_element(spec, _isometric_factor(spec, rho), drho, dphi)
 
 
 def line_element_cartesian(
@@ -263,11 +288,11 @@ def line_element_cartesian(
     """Signed ``ds^2`` of a tangent vector in the Cartesian chart.
 
     Raises:
-        DomainError: x or y is not finite, or the factor's base is NaN.
+        DomainError: a coordinate or tangent component is not finite, or the
+            factor's base or ds^2 is NaN.
         OnLimitingCurve: the point is on the curve where the factor diverges.
     """
-    lam = _cartesian_factor(spec, x, y)
-    return lam * (dx * dx + spec.metric_sign * dy * dy)
+    return _line_element(spec, _cartesian_factor(spec, x, y), dx, dy)
 
 
 def exp_map_to_cartesian(

@@ -256,6 +256,15 @@ _PATH_TO_INFINITY = (
         ("worldline", "--g", "1e200", "--s-range", "0,1,3"),
         ("worldline", "--g", "1e-200", "--s-range", "0,1,3"),
         ("worldline", "--g", "1", "--t0", "nan", "--s-range", "0,1,2"),
+        # sinh(700) / g overflows: once inf,inf,nan and, in json, bare inf/nan
+        ("worldline", "--g", "1e-100", "--s-range", "0,7e102,2"),
+        ("worldline", "--g", "1e-100", "--s-range", "0,7e102,2", "--format", "json"),
+        # x0 absorbs the displacement: once the residual inf
+        ("worldline", "--g", "5.1946932671654176e+38", "--t0", "7.73487485085848e-47",
+         "--x0", "5.228747651457688e+207", "--s-range=-7.839751711909104e-37,0,2"),
+        # radii whose metric factors underflow or overflow
+        ("distance", "--surface", "def-pos", "--R", "1e-160", "--points", "0,0", "3e-161,1e-161"),
+        ("distance", "--surface", "lorentz-pos", "--R", "1e300", "--points", "0,0", "0.1e300,0"),
         ("verify", "--scale", "inf"),  # was an OverflowError traceback, exit 1
         ("verify", "--scale", "nan"),
         ("verify", "--scale", "0"),  # 0 and -1 ran the floor workloads

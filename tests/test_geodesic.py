@@ -690,11 +690,26 @@ class TestWorldline:
         res = Worldline(0.3, -1.0, accel).invariant_residual(s)
         assert math.isfinite(res) and res <= 1e-12
 
-    def test_overflow_is_a_domain_error(self):
-        wl = Worldline(0.0, 0.0, 1.0)
-        for s in (1000.0, -1000.0, math.inf, math.nan):
-            with pytest.raises(DomainError, match="not finite"):
-                wl.position(s)
+    @pytest.mark.parametrize(
+        "accel, s",
+        [
+            (1.0, 1000.0),
+            (1.0, -1000.0),
+            (1.0, math.inf),
+            (1.0, math.nan),
+            (1e-100, 7e102),  # sinh(700) / accel overflows; it was answered as inf
+        ],
+    )
+    def test_overflow_is_a_domain_error(self, accel, s):
+        with pytest.raises(DomainError, match="not finite"):
+            Worldline(0.0, 0.0, accel).position(s)
+
+    def test_non_finite_residual_is_a_domain_error(self):
+        # x0 absorbs the displacement, so dt^2 / (1/accel^2) overflows
+        wl = Worldline(7.73487485085848e-47, 5.228747651457688e207, 5.1946932671654176e38)
+        assert wl.invariant_residual(0.0) == 0.0
+        with pytest.raises(DomainError, match="residual inf"):
+            wl.invariant_residual(-7.839751711909104e-37)
 
     def test_bad_acceleration(self):
         with pytest.raises(ValueError, match="positive"):

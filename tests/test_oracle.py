@@ -349,12 +349,6 @@ class TestTauField:
         with pytest.raises(DomainError, match="Lorentzian"):
             TauField(0.4, 0.0, SurfaceSpec.from_name("def-neg"))
 
-    def test_metric_field_is_built_once(self, monkeypatch):
-        tau = TauField(0.7, 0.3, SurfaceSpec.from_name("lorentz-pos"))
-        first = tau(0.8, 0.5)
-        monkeypatch.setattr(oracle, "MetricField", None)
-        assert tau(0.8, 0.5) == first
-
     def test_equality_hash_and_repr_read_the_constants_only(self):
         spec = SurfaceSpec.from_name("lorentz-neg")
         tau = TauField(0.4, 1.5, spec)

@@ -70,6 +70,35 @@ class TestSurfaceSpec:
         with pytest.raises(ValueError):
             SurfaceSpec.from_name("banana")
 
+    # the measured edges: 4 R^4, the guard 1e-12 R^2 and base^2 for
+    # |x|, |y| <= 10 R are normal finite floats from R_MIN to R_MAX
+    R_MIN, R_MAX = 1.221338669755462e-71, 8.167344249464855e75
+
+    @pytest.mark.parametrize("radius", [R_MIN, R_MAX])
+    @pytest.mark.parametrize("name", SURFACE_NAMES)
+    def test_factors_are_normal_floats_at_the_radius_bounds(self, name, radius):
+        spec = SurfaceSpec.from_name(name, radius)
+        field = MetricField(spec, Chart.CARTESIAN)
+        for a, b in [(0.0, 0.0), (0.9, 0.5), (10.0, 10.0), (-10.0, 3.0), (0.0, -10.0)]:
+            x, y = a * radius, b * radius
+            lam = field.factor(x, y)
+            ds2 = line_element_cartesian(spec, x, y, 0.5 * radius, 0.0)
+            assert 1e-5 < lam < 1e4 and ds2 / (radius * radius) == pytest.approx(0.25 * lam)
+
+    @pytest.mark.parametrize(
+        "radius",
+        [
+            math.nextafter(R_MIN, 0.0),
+            math.nextafter(R_MAX, math.inf),
+            1e-160,  # 4 R^4 and base^2 underflow: the factor was a ZeroDivisionError
+            8e76,  # base^2 overflows: the factor read 0.0 at (0.9 R, 0.5 R)
+            1e300,  # the Cartesian factor was NaN, the isometric one inf
+        ],
+    )
+    def test_radius_outside_the_bounds_is_refused(self, radius):
+        with pytest.raises(ValueError, match="radius must lie in"):
+            SurfaceSpec.from_name("def-pos", radius)
+
 
 class TestLineElements:
     def test_isometric_negative_definite(self):
@@ -124,6 +153,23 @@ class TestLineElements:
     def test_isometric_factor_needs_finite_rho(self, name, rho):
         with pytest.raises(DomainError, match="finite rho"):
             line_element_isometric(SurfaceSpec.from_name(name), rho, 1.0, 0.5)
+
+    @pytest.mark.parametrize(
+        "chart, point, tangent",
+        [
+            ("isometric", (0.5,), (math.nan, 0.1)),
+            ("isometric", (0.5,), (math.inf, 0.1)),
+            # the factor underflows to 0 while the quadratic form overflows
+            ("isometric", (4.4e150,), (-0.277, -1e308)),
+            ("cartesian", (0.1, 0.2), (math.nan, 0.1)),
+            ("cartesian", (0.1, 0.2), (0.1, -math.inf)),
+        ],
+    )
+    def test_non_finite_tangent_or_nan_ds2_is_a_domain_error(self, chart, point, tangent):
+        spec = SurfaceSpec.from_name("lorentz-pos", 2.5)
+        element = line_element_isometric if chart == "isometric" else line_element_cartesian
+        with pytest.raises(DomainError, match="ds\\^2 of the tangent"):
+            element(spec, *point, *tangent)
 
     def test_singular_points_flagged(self):
         with pytest.raises(SingularPoint):
