@@ -19,20 +19,18 @@ pair ``(cosh t, sinh t)`` / ``(cos t, sin t)``: the two parts of
 ``exp(j t)``, shared with :meth:`PolarForm.reconstruct` and the chart
 maps of the surfaces.
 
-The near-null guard of the hyperbolic plane is
-
-    tol = 1e-12 * max(1, |x|, |y|)
-
-applied to ``|D(z)|``; small numbers are deliberately treated as near-null
-because every statement downstream degrades in the same absolute way.
-The rule also holds for a finite ``z`` whose ``D`` overflows: ``is_null``
-then tests ``|D| / max(|x|, |y|)`` and ``polar`` returns the finite
-modulus, both from ``1 - r``, ``r = min(|x|, |y|) / max(|x|, |y|)``.
+The one null rule of the hyperbolic plane is ``abs(|x| - |y|) <=
+_NULL_ANGLE * max(|x|, |y|)``: ``z`` is a divisor of zero when its direction
+is within that angle of a null line, whatever its size.  The rule is
+homogeneous, so it cannot overflow.  Where ``D`` of a non-null ``z`` leaves
+the float range, ``polar`` forms the modulus from the angle and
+``inverse_parts`` refuses to divide.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 
@@ -135,11 +133,6 @@ class PolarForm:
         return cls(r * c, r * s)
 
 
-def zero_divisor_tolerance(z: Number) -> float:
-    """Absolute guard under which ``D(z)`` counts as vanishing."""
-    return 1e-12 * max(1.0, abs(z.x), abs(z.y))
-
-
 def mul(a: Number, b: Number) -> Number:
     """Product; the two factors must be of the same kind."""
     cls = type(a)
@@ -158,38 +151,41 @@ def square_modulus(z: Number) -> float:
     return z.x * z.x - z.unit * z.y * z.y
 
 
+# the null rule's bound on t = 1 - min / max of (|x|, |y|); where max = 1,
+# |D| = t (2 - t), so the rule reads |D| <= 1e-12 on numbers of unit size
+_NULL_ANGLE = 5e-13
+_MIN_NORMAL = sys.float_info.min
+
+
+def _null_parts(unit: float, x: float, y: float) -> bool:
+    """The null rule (module docstring) on float parts; complex null is zero."""
+    ax, ay = abs(x), abs(y)
+    return abs(ax - ay) <= _NULL_ANGLE * max(ax, ay) if unit > 0.0 else ax == ay == 0.0
+
+
 def is_null(z: Number) -> bool:
-    """True when ``z`` is (numerically) a divisor of zero."""
-    if z.unit < 0.0:
-        return z.x == 0.0 and z.y == 0.0
-    d = square_modulus(z)
-    if d != d and math.isfinite(z.x) and math.isfinite(z.y):
-        # both squares overflow: the same rule divided by m = max(|x|, |y|),
-        # |D| / m = m (1 - r)(1 + r) with r = min / m and t = 1 - r exact
-        m = max(abs(z.x), abs(z.y))
-        t = (m - min(abs(z.x), abs(z.y))) / m
-        return m * (t * (2.0 - t)) <= 1e-12
-    return abs(d) <= zero_divisor_tolerance(z)
+    """True when ``z`` is a divisor of zero by the null rule, at any size."""
+    return _null_parts(z.unit, z.x, z.y)
 
 
 def inverse_parts(unit: float, x: float, y: float) -> tuple[float, float]:
     """Parts ``(x/D, -y/D)`` of the inverse of ``x + j*y``, ``j*j = unit``;
-    the one divisor-of-zero guard (tolerance inline: no call per division).
+    the one divisor-of-zero guard.
 
     Raises:
-        DivisorOfZero: hyperbolic ``|D| <= tol``, or complex ``D`` zero
-            (which includes underflow of ``x*x + y*y``).
-        DomainError: ``D`` is not finite (it overflows, or a part is not
-            finite); the quotient would silently read zero or NaN.
+        DivisorOfZero: ``x + j*y`` is null (:func:`is_null`).
+        DomainError: ``D`` is not finite, or it underflows below the normal
+            range; the quotient would silently read zero, NaN or lost digits.
     """
     d = x * x - unit * y * y
     if not math.isfinite(d):
         raise DomainError(f"D({x}, {y}) = {d} is not finite; no inverse")
-    if unit > 0.0:
-        if abs(d) <= 1e-12 * max(1.0, abs(x), abs(y)):
+    if _null_parts(unit, x, y):
+        if unit > 0.0:
             raise DivisorOfZero(f"({x}, {y}) lies on a null line and has no inverse")
-    elif d == 0.0:
         raise DivisorOfZero("complex zero has no inverse")
+    if abs(d) < _MIN_NORMAL:
+        raise DomainError(f"D({x}, {y}) = {d} underflows; no inverse")
     return x / d, -y / d
 
 
@@ -239,19 +235,19 @@ def hyper_exp(w: Number) -> Number:
 def polar(z: Number) -> PolarForm:
     """Polar decomposition.
 
-    Hyperbolic case raises :class:`OnNullLine` when ``|D(z)| <= tol``; the
-    complex case raises :class:`DivisorOfZero` at the origin only.  Both
-    raise :class:`DomainError` where ``z`` is not finite.
+    Where :func:`is_null` holds, the hyperbolic case raises
+    :class:`OnNullLine`, at any size, and the complex case (zero) raises
+    :class:`DivisorOfZero`.  Both raise :class:`DomainError` where ``z`` is
+    not finite.
     """
     if not (math.isfinite(z.x) and math.isfinite(z.y)):
         raise DomainError(f"({z.x}, {z.y}) is not finite; no polar form")
-    if z.unit < 0.0:
-        if z.x == 0.0 and z.y == 0.0:
-            raise DivisorOfZero("complex zero has no polar form")
-        return PolarForm(math.hypot(z.x, z.y), math.atan2(z.y, z.x), None, 1)
-
     if is_null(z):
+        if z.unit < 0.0:
+            raise DivisorOfZero("complex zero has no polar form")
         raise OnNullLine(f"({z.x}, {z.y}) lies on a null line")
+    if z.unit < 0.0:
+        return PolarForm(math.hypot(z.x, z.y), math.atan2(z.y, z.x), None, 1)
     # h (x + h y) = y + h x: up/down are right/left with the parts swapped
     p, q = z.x, z.y
     ap, aq = abs(p), abs(q)
@@ -259,9 +255,8 @@ def polar(z: Number) -> PolarForm:
     if aq >= ap:
         p, q, ap, aq = q, p, aq, ap
         pos, neg = _UP_DOWN
-    rho = math.sqrt((ap - aq) * (ap + aq))
-    if rho == math.inf:  # D overflowed, not the modulus: |p| sqrt((1 - r)(1 + r))
-        t = (ap - aq) / ap
-        rho = ap * math.sqrt(t * (2.0 - t))
+    d, t = (ap - aq) * (ap + aq), (ap - aq) / ap
+    # where D over- or underflows, not the modulus: |p| sqrt(t (2 - t))
+    rho = math.sqrt(d) if _MIN_NORMAL <= d < math.inf else ap * math.sqrt(t * (2.0 - t))
     sector, sign = (pos, 1) if p > 0 else (neg, -1)
     return PolarForm(rho, math.atanh(q / p), sector, sign)

@@ -32,6 +32,7 @@ from :func:`~lorentzcc.hypernum.inverse_parts`.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .errors import (
@@ -159,7 +160,7 @@ class BilinearMotion:
 
     Raises:
         DomainError: a constant is not finite, or its ``D`` overflows.
-        InvalidMotion: ``D(alpha) + kappa D(beta)`` vanishes (to 1e-12).
+        InvalidMotion: ``|D(alpha) + kappa D(beta)| <= 1e-12 max(|D(alpha)|, |D(beta)|)``.
     """
 
     alpha: Number
@@ -179,7 +180,7 @@ class BilinearMotion:
             )
         kappa = spec.kappa
         nd = da + kappa * db
-        if abs(nd) <= 1e-12 * max(1.0, abs(da), abs(db)):
+        if abs(nd) <= 1e-12 * max(abs(da), abs(db)):
             sign = "+" if kappa > 0.0 else "-"
             raise InvalidMotion(f"degenerate motion: D(alpha) {sign} D(beta) = {nd}")
 
@@ -308,17 +309,17 @@ def solve_two_point(spec: SurfaceSpec, z1, z2) -> TwoPointSolution:
     ``z2 - z1`` is tested against the null cone.
 
     Raises:
-        CoincidentPoints: z1 == z2 (to 1e-14, relative).
-        DomainError: ``D`` of the base point overflows, or ``r`` is NaN
-            because ``D(z2 - z1)``, ``D(z2)`` or ``D`` of the normal-form
-            denominator overflows.
+        CoincidentPoints: z1 == z2 to 1e-14 of their largest coordinate.
+        DomainError: ``D`` of the base point overflows, ``D(z2 - z1)``
+            underflows, or ``r`` is NaN because ``D(z2 - z1)``, ``D(z2)`` or
+            ``D`` of the normal-form denominator overflows.
         NoGeodesic: no geodesic of the closed-form family joins the points
             (null or spacelike separation on a Lorentzian surface, a
             limiting-curve base point, antipodal points, ...).
     """
     x1, y1 = _parts(spec, z1)
     x2, y2 = _parts(spec, z2)
-    tol = 1e-14 * max(1.0, abs(x1), abs(y1), abs(x2), abs(y2))
+    tol = 1e-14 * max(abs(x1), abs(y1), abs(x2), abs(y2))
     if abs(x1 - x2) <= tol and abs(y1 - y2) <= tol:
         raise CoincidentPoints(f"points coincide: {_shown(spec, z1)}")
     cls = _number_type(spec)
@@ -359,6 +360,8 @@ def solve_two_point(spec: SurfaceSpec, z1, z2) -> TwoPointSolution:
     # beta = -alpha z1
     bx, by = -(ax * x1 + u * ay * y1), -(ax * y1 + ay * x1)
     n = sx * sx - u * sy * sy
+    if abs(n) < sys.float_info.min:
+        raise DomainError(f"D(z2 - z1) = {n} underflows: the points are too close to resolve")
     m = ex * ex - u * ey * ey if kappa > 0.0 else (1.0 - d1) * (1.0 - (x2 * x2 - u * y2 * y2))
     r = n / m if m else math.inf
     # r = inf is the antipodal or boundary limit; only a NaN is refused
@@ -375,8 +378,8 @@ def geodesic_through(spec: SurfaceSpec, z1, z2) -> GeodesicConic:
 
 def geodesic_distance(spec: SurfaceSpec, z1, z2) -> float:
     """:attr:`TwoPointSolution.distance` of two normalized points, ``0.0``
-    where they coincide (to 1e-14, relative); raises everything else that
-    :func:`solve_two_point` and the property raise."""
+    where they coincide to 1e-14 of their largest coordinate; raises
+    everything else that :func:`solve_two_point` and the property raise."""
     try:
         return solve_two_point(spec, z1, z2).distance
     except CoincidentPoints:

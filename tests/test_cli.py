@@ -14,6 +14,7 @@ from pathlib import Path
 import pytest
 from test_golden_cli import run
 
+from lorentzcc import SURFACE_NAMES
 from lorentzcc.cli import main
 
 
@@ -164,16 +165,60 @@ class TestDistanceCommand:
         )
         assert proc.stdout.strip() == "0.911064672715205"
 
-    def test_motion_invariance(self):
-        base = run_cli(
-            "distance", "--surface", "lorentz-neg",
-            "--points", "0.1,0.2", "0.4,0.1", check=True,
-        )
-        moved = run_cli(
-            "distance", "--surface", "lorentz-neg",
-            "--points", "0.1,0.2", "0.4,0.1",
-            "--apply-motion", "1,0.15,0.1,-0.05", check=True,
-        )
+    @pytest.mark.parametrize(
+        "surface, radius, p1, p2",
+        [
+            # z = p / R fell under an absolute coincidence floor: printed 0
+            ("def-pos", "1e20", "0,0", "2e5,1e5"),
+            # D(z2 - z1) = 3e-14 fell under an absolute null guard: exit 2
+            ("lorentz-pos", "1", "0,0", "2e-7,1e-7"),
+            # a physical pair refused from R = 1e6 on, as null-separated
+            ("lorentz-pos", "1e6", "0.1,0.05", "0.5,0.2"),
+            ("lorentz-neg", "1e6", "0.1,0.05", "0.5,0.2"),
+        ],
+    )
+    def test_short_separation_reads_the_flat_distance(self, surface, radius, p1, p2):
+        # far below R the distance is 2 sqrt|dx^2 + s dy^2| (the factor 4 of
+        # the origin) up to a relative (p / R)^2
+        proc = run_cli("distance", "--surface", surface, "--R", radius,
+                       "--points", p1, p2, check=True)
+        (x1, y1), (x2, y2) = ([float(v) for v in p.split(",")] for p in (p1, p2))
+        s = -1.0 if surface.startswith("lorentz") else 1.0
+        flat = 2.0 * math.sqrt(abs((x2 - x1) ** 2 + s * (y2 - y1) ** 2))
+        assert float(proc.stdout) == pytest.approx(flat, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("radius", ["1.23e-71", "1", "1e20", "8.1e75"])
+    @pytest.mark.parametrize("surface", SURFACE_NAMES)
+    def test_distance_and_geodesic_points_agree(self, surface, radius):
+        # both read one solution of two distinct points: the same distance,
+        # or the same error
+        for points in (("0,0", "2e5,1e5"), ("0.1,0.05", "0.5,0.2"), ("0,0", "5e-15,0"),
+                       ("1e-60,0", "3e-60,1e-60"), ("0.3,0.12", "-1e10,2e10")):
+            args = ["--surface", surface, "--R", radius, "--points", *points]
+            dist = run_cli("distance", *args)
+            geo = run_cli("geodesic", *args, "--samples", "3")
+            if dist.returncode == 0:
+                assert geo.returncode == 0, (points, geo.stderr)
+                distance = json.loads(geo.stdout)["distance"]
+                assert format(distance, ".15g") == dist.stdout.strip(), points
+            else:
+                assert dist.returncode == geo.returncode == 2, (points, geo.stdout)
+                error = json.loads(dist.stderr)["error"]
+                assert json.loads(geo.stderr)["error"] == error, points
+
+    @pytest.mark.parametrize(
+        "surface, motion",
+        [
+            ("lorentz-neg", "1,0.15,0.1,-0.05"),
+            # alpha = 1e-7 is the identity up to the common scale of a
+            # motion; it once exited 2 with InvalidMotion
+            *((surface, "1e-7,0,0,0") for surface in SURFACE_NAMES),
+        ],
+    )
+    def test_motion_invariance(self, surface, motion):
+        points = ["--surface", surface, "--points", "0.1,0.2", "0.4,0.1"]
+        base = run_cli("distance", *points, check=True)
+        moved = run_cli("distance", *points, "--apply-motion", motion, check=True)
         assert float(moved.stdout) == pytest.approx(float(base.stdout), rel=1e-12)
 
     def test_physical_radius_scaling(self):

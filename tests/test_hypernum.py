@@ -26,7 +26,7 @@ from lorentzcc import (
     polar,
     square_modulus,
 )
-from lorentzcc.hypernum import cos_sin, is_null, zero_divisor_tolerance
+from lorentzcc.hypernum import cos_sin, inverse_parts, is_null
 
 
 def _as_matrix(z):
@@ -155,8 +155,20 @@ class TestInverse:
         with pytest.raises(DomainError, match="not finite"):
             inverse(z)
 
+    def test_small_number_has_an_inverse(self):
+        # D = 1e-14 once fell under the absolute guard |D| <= 1e-12
+        w = inverse(HyperbolicNumber(1e-7, 0.0))
+        assert (w.x, w.y) == (pytest.approx(1e7, rel=1e-15), -0.0)
+
+    @pytest.mark.parametrize("unit", [1.0, -1.0])
+    @pytest.mark.parametrize("x, y", [(1e-170, 0.0), (1e-160, 3e-161), (2e-155, 0.0)])
+    def test_underflowing_modulus_rejected(self, unit, x, y):
+        # x / D with D = 0 divides by zero, and a subnormal D keeps a few digits
+        with pytest.raises(DomainError, match="underflows"):
+            inverse_parts(unit, x, y)
+
     def test_near_null_rejected_by_relative_tolerance(self):
-        # D = (x - y)(x + y) ~ 2e-13 * x at x = y(1 + 1e-13): inside the guard
+        # the angle t = 1 - y / x = 1e-14 lies inside the null rule's 5e-13
         x = 10.0
         z = HyperbolicNumber(x, x * (1.0 - 1e-14))
         with pytest.raises(DivisorOfZero):
@@ -190,16 +202,27 @@ class TestNullLines:
         assert is_null(HyperbolicNumber(0.0, 0.0))
         assert not is_null(HyperbolicNumber(0.7, 0.6))
 
-    def test_tolerance_scales_with_magnitude(self):
-        assert zero_divisor_tolerance(HyperbolicNumber(0.1, 0.1)) == pytest.approx(1e-12)
-        assert zero_divisor_tolerance(HyperbolicNumber(50.0, 0.0)) == pytest.approx(5e-11)
+    @pytest.mark.parametrize("scale", [1e-300, 1e-7, 1.0, 1e7, 1e300])
+    def test_rule_reads_the_direction_not_the_size(self, scale):
+        # the angle t = 1 - min / max decides, at every size; small numbers
+        # were once null under an absolute |D| <= 1e-12
+        for x, y, null in [
+            (1.0, 1.0, True),
+            (-1.0, 1.0, True),
+            (1.0, 1.0 - 2e-13, True),
+            (1.0, 1.0 - 1e-12, False),
+            (1.0, 0.0, False),
+        ]:
+            assert is_null(HyperbolicNumber(scale * x, scale * y)) is null
 
     @pytest.mark.parametrize(
         "x, y, null",
         [
             (1e200, 1e200, True),  # |inf - inf| = nan once read "not null"
             (-1.5e308, 1.5e308, True),  # x + y itself overflows
-            (1e200, 1e200 * (1.0 + 1e-15), False),
+            # the angle rule calls this null; the old |D| <= 1e-12 did not,
+            # because D ~ 2e185 grows with the size
+            (1e200, 1e200 * (1.0 + 1e-15), True),
             (1.7976931348623157e308, 1e300, False),
         ],
     )
@@ -275,9 +298,13 @@ class TestPolar:
             (HyperbolicNumber(3e200, 5e200), 4e200, Sector.UP, 1),
             (HyperbolicNumber(1.7976931348623157e308, 1e300), 1.7976931348623157e308,
              Sector.RIGHT, 1),
+            # D underflows to 0 or to a subnormal; once null under |D| <= 1e-12
+            (HyperbolicNumber(5e-170, 3e-170), 4e-170, Sector.RIGHT, 1),
+            (HyperbolicNumber(-1e-160, 0.0), 1e-160, Sector.LEFT, -1),
+            (HyperbolicNumber(3e-155, 5e-155), 4e-155, Sector.UP, 1),
         ],
     )
-    def test_finite_modulus_where_d_overflows(self, z, rho, sector, sign):
+    def test_finite_modulus_where_d_leaves_the_float_range(self, z, rho, sector, sign):
         p = polar(z)
         assert (p.sector, p.sign) == (sector, sign)
         assert p.rho == pytest.approx(rho, rel=1e-15)

@@ -5,6 +5,7 @@ import dataclasses
 import math
 import pickle
 import random
+import sys
 
 import numpy as np
 import pytest
@@ -178,12 +179,15 @@ class TestBilinearMotion:
         with pytest.raises(MapsToInfinity, match="not finite"):
             apply(motion, (1e308, 0.0))
 
-    def test_projective_scaling_is_invisible(self):
+    # a common scale of 1e-7 was once "degenerate": D(alpha) - D(beta) = 9.4e-15
+    # fell under an absolute 1e-12
+    @pytest.mark.parametrize("scale", [3.0, 1e-7, 1e-150, 1e150])
+    def test_projective_scaling_is_invisible(self, scale):
         spec = SurfaceSpec.from_name("def-neg")
         alpha = ComplexNumber(1.0, 0.2)
         beta = ComplexNumber(0.1, -0.3)
         m1 = BilinearMotion(alpha, beta, spec)
-        m2 = BilinearMotion(3.0 * alpha, 3.0 * beta, spec)
+        m2 = BilinearMotion(scale * alpha, scale * beta, spec)
         z = ComplexNumber(0.25, -0.4)
         w1, w2 = apply(m1, z), apply(m2, z)
         assert w1.x == pytest.approx(w2.x, rel=1e-12)
@@ -270,7 +274,7 @@ def _reference_apply(m, z):
 def _reference_solve(spec, z1, z2):
     """``(l, theta_alpha, r, alpha, beta)`` of the normal form."""
     z1, z2 = _reference_point(spec, z1), _reference_point(spec, z2)
-    tol = 1e-14 * max(1.0, abs(z1.x), abs(z1.y), abs(z2.x), abs(z2.y))
+    tol = 1e-14 * max(abs(z1.x), abs(z1.y), abs(z2.x), abs(z2.y))
     if abs(z1.x - z2.x) <= tol and abs(z1.y - z2.y) <= tol:
         raise CoincidentPoints(f"points coincide: {z1}")
     d1 = square_modulus(z1)
@@ -299,6 +303,8 @@ def _reference_solve(spec, z1, z2):
     alpha = type(z1)(-s, c) if pol.sector is Sector.LEFT else type(z1)(c, -s)
     beta = -mul(alpha, z1)
     n = square_modulus(z2 - z1)
+    if abs(n) < sys.float_info.min:
+        raise DomainError(f"D(z2 - z1) = {n} underflows: the points are too close to resolve")
     m = square_modulus(den) if kappa > 0.0 else (1.0 - d1) * (1.0 - square_modulus(z2))
     r = n / m if m else math.inf
     if r != r:
@@ -528,12 +534,27 @@ class TestTwoPointSolver:
         length = arc_length(MetricField(spec, Chart.CARTESIAN), pts)
         assert length == pytest.approx(geodesic_distance(spec, z1, z2), abs=1e-7)
 
-    def test_coincident_points(self):
+    @pytest.mark.parametrize(
+        "z1, z2, coincide",
+        [
+            ((0.2, 0.1), (0.2, 0.1), True),
+            ((0.2, 0.1), (0.2 + 1e-15, 0.1), True),
+            # the coincidence test once had an absolute floor of 1e-14
+            ((0.0, 0.0), (5e-15, 0.0), False),
+            ((1e-30, 0.0), (3e-30, 1e-30), False),
+            ((1e-30, 0.0), (1e-30 * (1.0 + 1e-15), 0.0), True),
+        ],
+    )
+    def test_coincident_points(self, z1, z2, coincide):
         spec = SurfaceSpec.from_name("def-pos")
-        z = number_for(spec, 0.2, 0.1)
-        with pytest.raises(CoincidentPoints):
-            solve_two_point(spec, z, number_for(spec, 0.2, 0.1))
-        assert geodesic_distance(spec, z, number_for(spec, 0.2, 0.1)) == 0.0
+        if coincide:
+            with pytest.raises(CoincidentPoints):
+                solve_two_point(spec, z1, z2)
+            assert geodesic_distance(spec, z1, z2) == 0.0
+        else:
+            dx, dy = z2[0] - z1[0], z2[1] - z1[1]
+            flat = 2.0 * math.hypot(dx, dy)  # the factor 4 of the origin
+            assert geodesic_distance(spec, z1, z2) == pytest.approx(flat, rel=1e-14, abs=0.0)
 
     def test_tuple_inputs_coerced(self):
         spec = SurfaceSpec.from_name("def-neg")
@@ -710,6 +731,51 @@ class TestTwoPointSolver:
             half = mpmath.asinh(mpmath.sqrt(n / m)) if kappa < 0 else mpmath.asin(mpmath.sqrt(n / m))
             want = float(2 * radius * half)
         assert geodesic_distance(spec, z1, z2) == pytest.approx(want, rel=rel)
+
+
+class TestSmallSeparations:
+    """``d(z, z + delta w) / delta`` tends to ``sqrt|lambda(z) (w_x^2 + s w_y^2)|``
+    (the local limit), down to delta = 1e-300, or the solver raises."""
+
+    DIRECTIONS = [(1.0, 0.5), (0.5, 1.0), (-0.6, 0.35), (0.8, -0.79),
+                  (1.0, 0.0), (0.0, -1.0), (0.3, 0.3 * (1.0 - 1e-9))]
+
+    @pytest.mark.parametrize("name", SURFACE_NAMES)
+    def test_local_limit_or_a_named_error(self, name):
+        spec = SurfaceSpec.from_name(name)  # R = 1: normalized is physical
+        factor = MetricField(spec, Chart.CARTESIAN).factor
+        s = spec.metric_sign
+        smallest = {}
+        for k in range(1, 301):
+            delta = 10.0**-k
+            bases = {"origin": (0.0, 0.0), "delta": (0.7 * delta, -0.4 * delta),
+                     "0.3": (0.3, 0.12)}
+            for base, z1 in bases.items():
+                for wx, wy in self.DIRECTIONS:
+                    z2 = (z1[0] + delta * wx, z1[1] + delta * wy)
+                    if z2 == z1:
+                        continue
+                    # w as the floats hold it: z2 is z1 + delta w rounded
+                    dx, dy = z2[0] - z1[0], z2[1] - z1[1]
+                    interval = dx * dx + s * dy * dy
+                    try:
+                        d = solve_two_point(spec, z1, z2).distance
+                    except CoincidentPoints:
+                        assert max(abs(dx), abs(dy)) <= 1e-14 * max(map(abs, z1 + z2))
+                        continue
+                    except DomainError:  # D(z2 - z1) leaves the normal range
+                        assert abs(interval) < sys.float_info.min
+                        continue
+                    except NoGeodesic:  # one causal type is joined
+                        assert s < 0.0
+                        continue
+                    local = math.sqrt(abs(factor(*z1) * interval))
+                    # measured: at most 0.48 delta, on def-neg from (0.3, 0.12)
+                    assert abs(d - local) <= delta * local, (base, delta, (wx, wy), d)
+                    smallest[base] = min(smallest.get(base, 1.0), delta)
+        # answered down to the underflow of D(z2 - z1) near delta = 1e-154,
+        # and down to the coincidence bound 1e-14 |z| from (0.3, 0.12)
+        assert smallest == {"origin": 1e-153, "delta": 1e-153, "0.3": 1e-14}
 
 
 class TestSolveOnce:
