@@ -232,24 +232,20 @@ def hyper_exp(w: Number) -> Number:
     return type(w)(x, y)
 
 
-def polar(z: Number) -> PolarForm:
-    """Polar decomposition.
-
-    Where :func:`is_null` holds, the hyperbolic case raises
-    :class:`OnNullLine`, at any size, and the complex case (zero) raises
-    :class:`DivisorOfZero`.  Both raise :class:`DomainError` where ``z`` is
-    not finite.
-    """
-    if not (math.isfinite(z.x) and math.isfinite(z.y)):
-        raise DomainError(f"({z.x}, {z.y}) is not finite; no polar form")
-    if is_null(z):
-        if z.unit < 0.0:
+def polar_parts(unit: float, x: float, y: float) -> tuple[float, float, Sector | None, int]:
+    """``(rho, theta, sector, sign)`` of the polar form of ``x + j*y``,
+    ``j*j = unit``; the one body of :func:`polar`, which raises what this
+    raises."""
+    if not (math.isfinite(x) and math.isfinite(y)):
+        raise DomainError(f"({x}, {y}) is not finite; no polar form")
+    if _null_parts(unit, x, y):
+        if unit < 0.0:
             raise DivisorOfZero("complex zero has no polar form")
-        raise OnNullLine(f"({z.x}, {z.y}) lies on a null line")
-    if z.unit < 0.0:
-        return PolarForm(math.hypot(z.x, z.y), math.atan2(z.y, z.x), None, 1)
+        raise OnNullLine(f"({x}, {y}) lies on a null line")
+    if unit < 0.0:
+        return math.hypot(x, y), math.atan2(y, x), None, 1
     # h (x + h y) = y + h x: up/down are right/left with the parts swapped
-    p, q = z.x, z.y
+    p, q = x, y
     ap, aq = abs(p), abs(q)
     pos, neg = _RIGHT_LEFT
     if aq >= ap:
@@ -259,4 +255,15 @@ def polar(z: Number) -> PolarForm:
     # where D over- or underflows, not the modulus: |p| sqrt(t (2 - t))
     rho = math.sqrt(d) if _MIN_NORMAL <= d < math.inf else ap * math.sqrt(t * (2.0 - t))
     sector, sign = (pos, 1) if p > 0 else (neg, -1)
-    return PolarForm(rho, math.atanh(q / p), sector, sign)
+    return rho, math.atanh(q / p), sector, sign
+
+
+def polar(z: Number) -> PolarForm:
+    """Polar decomposition.
+
+    Where :func:`is_null` holds, the hyperbolic case raises
+    :class:`OnNullLine`, at any size, and the complex case (zero) raises
+    :class:`DivisorOfZero`.  Both raise :class:`DomainError` where ``z`` is
+    not finite.
+    """
+    return PolarForm(*polar_parts(z.unit, z.x, z.y))

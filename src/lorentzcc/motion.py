@@ -21,12 +21,19 @@ finite.  The flat-plane rigid motions ``w = a z + b`` / ``w = a conj(z) + b``
 with ``D(a) = 1`` are kept separately in :class:`PlaneMotion` and applied by
 :func:`plane_apply`.
 
-:func:`apply`, :func:`solve_two_point` and :attr:`TwoPointSolution.conic`
-work on the float parts, term for term in the order of
-:func:`~lorentzcc.hypernum.mul`, ``conj`` and ``inverse`` (signed zeros
-included), and build a ``Number`` only for what they return or print.
-They take the divisor-of-zero guard of the inverse, with its messages,
-from :func:`~lorentzcc.hypernum.inverse_parts`.
+:func:`apply` and the two-point solver work on the float parts, term for
+term in the order of :func:`~lorentzcc.hypernum.mul`, ``conj`` and
+``inverse`` (signed zeros included).  They take the divisor-of-zero guard
+and the polar form, with their messages, from
+:func:`~lorentzcc.hypernum.inverse_parts` and
+:func:`~lorentzcc.hypernum.polar_parts`.  The solver is one kernel,
+``_solve``, that returns the parts of a pair's normal form; the checks of
+the motion, its conic and the distance are float functions of those parts.
+:func:`solve_two_point` builds from them the two constants, the
+:class:`BilinearMotion` and the :class:`TwoPointSolution` it returns,
+:func:`geodesic_through` only the conic, and :func:`geodesic_distance` no
+object at all.  Otherwise a ``Number`` is built only where an error message
+prints one.
 """
 
 from __future__ import annotations
@@ -53,6 +60,7 @@ from .hypernum import (
     Number,
     PolarForm,
     Sector,
+    _null_parts,
     conj,
     cos_sin,
     inverse,
@@ -60,6 +68,7 @@ from .hypernum import (
     is_null,
     mul,
     polar,
+    polar_parts,
     square_modulus,
 )
 from .surface import SurfaceSpec
@@ -159,7 +168,10 @@ class BilinearMotion:
     """Isometry of a curved surface in normalized model coordinates.
 
     Raises:
-        DomainError: a constant is not finite, or its ``D`` overflows.
+        DomainError: a constant is not finite, its ``D`` overflows, or both
+            ``D`` underflow below the normal range while a constant is not
+            null (:func:`~lorentzcc.hypernum.is_null`), so that their
+            nondegeneracy cannot be read.
         InvalidMotion: ``|D(alpha) + kappa D(beta)| <= 1e-12 max(|D(alpha)|, |D(beta)|)``.
     """
 
@@ -168,21 +180,36 @@ class BilinearMotion:
     spec: SurfaceSpec
 
     def __post_init__(self) -> None:
-        spec = self.spec
+        spec, alpha, beta = self.spec, self.alpha, self.beta
         want = _number_type(spec)
-        if not (isinstance(self.alpha, want) and isinstance(self.beta, want)):
+        if not (isinstance(alpha, want) and isinstance(beta, want)):
             raise TypeError(f"{spec.name} motions need {want.__name__} constants")
-        da, db = square_modulus(self.alpha), square_modulus(self.beta)
-        if not (math.isfinite(da) and math.isfinite(db)):
-            raise DomainError(
-                f"{spec.name} motion constants {self.alpha}, {self.beta} are not "
-                f"finite or overflow D (D(alpha) = {da}, D(beta) = {db})"
-            )
-        kappa = spec.kappa
-        nd = da + kappa * db
-        if abs(nd) <= 1e-12 * max(abs(da), abs(db)):
-            sign = "+" if kappa > 0.0 else "-"
-            raise InvalidMotion(f"degenerate motion: D(alpha) {sign} D(beta) = {nd}")
+        _check_motion(spec, alpha.x, alpha.y, beta.x, beta.y)
+
+
+def _check_motion(spec: SurfaceSpec, ax: float, ay: float, bx: float, by: float) -> None:
+    """The checks of :class:`BilinearMotion`, with its errors, on the parts
+    ``(ax, ay)`` of ``alpha`` and ``(bx, by)`` of ``beta``."""
+    cls = _number_type(spec)
+    u = cls.unit
+    da, db = ax * ax - u * ay * ay, bx * bx - u * by * by
+    if not (math.isfinite(da) and math.isfinite(db)):
+        raise DomainError(
+            f"{spec.name} motion constants {cls(ax, ay)}, {cls(bx, by)} are not "
+            f"finite or overflow D (D(alpha) = {da}, D(beta) = {db})"
+        )
+    if max(abs(da), abs(db)) < sys.float_info.min and not (
+        _null_parts(u, ax, ay) and _null_parts(u, bx, by)
+    ):
+        raise DomainError(
+            f"{spec.name} motion constants {cls(ax, ay)}, {cls(bx, by)} underflow D "
+            f"(D(alpha) = {da}, D(beta) = {db}); their nondegeneracy cannot be read"
+        )
+    kappa = spec.kappa
+    nd = da + kappa * db
+    if abs(nd) <= 1e-12 * max(abs(da), abs(db)):
+        sign = "+" if kappa > 0.0 else "-"
+        raise InvalidMotion(f"degenerate motion: D(alpha) {sign} D(beta) = {nd}")
 
 
 def apply(motion: BilinearMotion, z) -> Number:
@@ -270,15 +297,8 @@ class TwoPointSolution:
         """Physical-chart conic through the two points: with ``G = alpha beta``
         and ``S = alpha^2 + kappa conj(beta)^2`` the normalized conic is
         ``(-kappa G.y, S.y, S.x, G.y)``, rescaled here to the physical chart."""
-        alpha, beta, spec = self.motion.alpha, self.motion.beta, self.motion.spec
-        u, kappa = alpha.unit, spec.kappa
-        ax, ay, bx, by = alpha.x, alpha.y, beta.x, beta.y
-        cy = -by
-        gy = ax * by + ay * bx
-        sx = ax * ax + u * ay * ay + kappa * (bx * bx + u * cy * cy)
-        sy = ax * ay + ay * ax + kappa * (bx * cy + cy * bx)
-        r = spec.radius
-        return GeodesicConic(-kappa * gy / (r * r), sy / r, sx / r, gy, spec)
+        alpha, beta = self.motion.alpha, self.motion.beta
+        return _conic(self.motion.spec, alpha.x, alpha.y, beta.x, beta.y)
 
     @property
     def distance(self) -> float:
@@ -290,40 +310,43 @@ class TwoPointSolution:
                 outside ``[0, inf)`` (the second point is not inside the
                 model domain).
         """
-        spec = self.motion.spec
-        l, r = self.l, self.r
-        if spec.kappa < 0.0:
-            if l >= 1.0:
-                raise OutOfDisk(f"image abscissa l = {l} >= 1; point outside the model")
-            if not 0.0 <= r < math.inf:
-                raise OutOfDisk(f"sinh^2 of half the distance r = {r}; point on the boundary")
-            return 2.0 * spec.radius * math.asinh(math.sqrt(r))
-        return 2.0 * spec.radius * math.atan(math.sqrt(r))
+        return _distance(self.motion.spec, self.l, self.r)
 
 
-def solve_two_point(spec: SurfaceSpec, z1, z2) -> TwoPointSolution:
-    """Motion normal form of the geodesic through two normalized points.
+def _conic(spec: SurfaceSpec, ax: float, ay: float, bx: float, by: float) -> GeodesicConic:
+    """:attr:`TwoPointSolution.conic` of the motion with constants
+    ``(ax, ay)`` and ``(bx, by)``."""
+    u, kappa = _number_type(spec).unit, spec.kappa
+    cy = -by
+    gy = ax * by + ay * bx
+    sx = ax * ax + u * ay * ay + kappa * (bx * bx + u * cy * cy)
+    sy = ax * ay + ay * ax + kappa * (bx * cy + cy * bx)
+    r = spec.radius
+    return GeodesicConic(-kappa * gy / (r * r), sy / r, sx / r, gy, spec)
 
-    A point on a null line through the origin is an ordinary point of a
-    Lorentzian surface, so it may be either point; only the separation
-    ``z2 - z1`` is tested against the null cone.
 
-    Raises:
-        CoincidentPoints: z1 == z2 to 1e-14 of their largest coordinate.
-        DomainError: ``D`` of the base point overflows, ``D(z2 - z1)``
-            underflows, or ``r`` is NaN because ``D(z2 - z1)``, ``D(z2)`` or
-            ``D`` of the normal-form denominator overflows.
-        NoGeodesic: no geodesic of the closed-form family joins the points
-            (null or spacelike separation on a Lorentzian surface, a
-            limiting-curve base point, antipodal points, ...).
-    """
+def _distance(spec: SurfaceSpec, l: float, r: float) -> float:
+    """:attr:`TwoPointSolution.distance` of the normal form with ``l`` and ``r``."""
+    if spec.kappa < 0.0:
+        if l >= 1.0:
+            raise OutOfDisk(f"image abscissa l = {l} >= 1; point outside the model")
+        if not 0.0 <= r < math.inf:
+            raise OutOfDisk(f"sinh^2 of half the distance r = {r}; point on the boundary")
+        return 2.0 * spec.radius * math.asinh(math.sqrt(r))
+    return 2.0 * spec.radius * math.atan(math.sqrt(r))
+
+
+def _solve(spec: SurfaceSpec, z1, z2) -> tuple[float, float, float, float, float, float, float]:
+    """Parts ``(ax, ay, bx, by, l, theta_alpha, r)`` of the normal form of two
+    normalized points, the motion's constants not yet checked
+    (:func:`_check_motion`); raises what :func:`solve_two_point` raises
+    before that check."""
     x1, y1 = _parts(spec, z1)
     x2, y2 = _parts(spec, z2)
     tol = 1e-14 * max(abs(x1), abs(y1), abs(x2), abs(y2))
     if abs(x1 - x2) <= tol and abs(y1 - y2) <= tol:
         raise CoincidentPoints(f"points coincide: {_shown(spec, z1)}")
-    cls = _number_type(spec)
-    u = cls.unit
+    u = _number_type(spec).unit
     d1 = x1 * x1 - u * y1 * y1
     if not math.isfinite(d1):
         raise DomainError(f"D of the base point {_shown(spec, z1)} overflows")
@@ -341,21 +364,21 @@ def solve_two_point(spec: SurfaceSpec, z1, z2) -> TwoPointSolution:
         ix, iy = inverse_parts(u, ex, ey)
     except DivisorOfZero as exc:
         raise NoGeodesic(f"normal-form denominator degenerates: {exc}") from exc
-    q = cls(sx * ix + u * sy * iy, sx * iy + sy * ix)
+    qx, qy = sx * ix + u * sy * iy, sx * iy + sy * ix
 
     try:
-        pol = polar(q)
+        rho, theta, sector, _ = polar_parts(u, qx, qy)
     except OnNullLine as exc:
         raise NoGeodesic(f"{_shown(spec, z1)} and {_shown(spec, z2)} are null-separated") from exc
-    if pol.sector in (Sector.UP, Sector.DOWN):
+    if sector in (Sector.UP, Sector.DOWN):
         raise NoGeodesic(
             f"{_shown(spec, z1)} and {_shown(spec, z2)} are separated across the null cone "
             "(no geodesic of the family joins them)"
         )
     # alpha = exp(-j half), times h on the left sector
-    half = pol.theta / 2.0
+    half = theta / 2.0
     c, s = cos_sin(u, half)
-    ax, ay = (-s, c) if pol.sector is Sector.LEFT else (c, -s)
+    ax, ay = (-s, c) if sector is Sector.LEFT else (c, -s)
 
     # beta = -alpha z1
     bx, by = -(ax * x1 + u * ay * y1), -(ax * y1 + ay * x1)
@@ -367,23 +390,51 @@ def solve_two_point(spec: SurfaceSpec, z1, z2) -> TwoPointSolution:
     # r = inf is the antipodal or boundary limit; only a NaN is refused
     if r != r:
         raise DomainError(f"r = D(z2 - z1) / m = {n} / {m} is not a number")
-    return TwoPointSolution(BilinearMotion(cls(ax, ay), cls(bx, by), spec), pol.rho, -half, r)
+    return ax, ay, bx, by, rho, -half, r
+
+
+def solve_two_point(spec: SurfaceSpec, z1, z2) -> TwoPointSolution:
+    """Motion normal form of the geodesic through two normalized points.
+
+    A point on a null line through the origin is an ordinary point of a
+    Lorentzian surface, so it may be either point; only the separation
+    ``z2 - z1`` is tested against the null cone.
+
+    Raises:
+        CoincidentPoints: z1 == z2 to 1e-14 of their largest coordinate.
+        DomainError: ``D`` of the base point overflows, ``D(z2 - z1)``
+            underflows, ``r`` is NaN because ``D(z2 - z1)``, ``D(z2)`` or
+            ``D`` of the normal-form denominator overflows, or ``D`` of
+            ``beta = -alpha z1`` overflows (:class:`BilinearMotion`).
+        NoGeodesic: no geodesic of the closed-form family joins the points
+            (null or spacelike separation on a Lorentzian surface, a
+            limiting-curve base point, antipodal points, ...).
+    """
+    ax, ay, bx, by, l, theta_alpha, r = _solve(spec, z1, z2)
+    cls = _number_type(spec)
+    return TwoPointSolution(BilinearMotion(cls(ax, ay), cls(bx, by), spec), l, theta_alpha, r)
 
 
 def geodesic_through(spec: SurfaceSpec, z1, z2) -> GeodesicConic:
-    """:attr:`TwoPointSolution.conic` of two normalized points; raises
-    everything :func:`solve_two_point` raises."""
-    return solve_two_point(spec, z1, z2).conic
+    """:attr:`TwoPointSolution.conic` of two normalized points, from the
+    solver's parts without a motion object; raises everything
+    :func:`solve_two_point` raises."""
+    ax, ay, bx, by, _, _, _ = _solve(spec, z1, z2)
+    _check_motion(spec, ax, ay, bx, by)
+    return _conic(spec, ax, ay, bx, by)
 
 
 def geodesic_distance(spec: SurfaceSpec, z1, z2) -> float:
-    """:attr:`TwoPointSolution.distance` of two normalized points, ``0.0``
-    where they coincide to 1e-14 of their largest coordinate; raises
-    everything else that :func:`solve_two_point` and the property raise."""
+    """:attr:`TwoPointSolution.distance` of two normalized points, from the
+    solver's parts without a motion object; ``0.0`` where they coincide to
+    1e-14 of their largest coordinate; raises everything else that
+    :func:`solve_two_point` and the property raise."""
     try:
-        return solve_two_point(spec, z1, z2).distance
+        ax, ay, bx, by, l, _, r = _solve(spec, z1, z2)
     except CoincidentPoints:
         return 0.0
+    _check_motion(spec, ax, ay, bx, by)
+    return _distance(spec, l, r)
 
 
 def cross_ratio(a: Number, b: Number, c: Number, d: Number) -> Number:

@@ -213,6 +213,8 @@ class TestDistanceCommand:
             # alpha = 1e-7 is the identity up to the common scale of a
             # motion; it once exited 2 with InvalidMotion
             *((surface, "1e-7,0,0,0") for surface in SURFACE_NAMES),
+            # the smallest of these rescalings whose D is still a normal float
+            ("def-neg", "1e-150,0,0,0"),
         ],
     )
     def test_motion_invariance(self, surface, motion):
@@ -260,10 +262,14 @@ class TestDistanceCommand:
             ("def-neg", "0.1,0", "0.3,0.1", "nan,0,0,0"),
             # D(z2 - z1) is inf - inf: once "nan" with exit 0
             ("lorentz-pos", "1e-153,0", "-1e252,-3e275", None),
+            # D(alpha) underflows: once InvalidMotion, and an inverse_parts error
+            ("def-neg", "0.1,0.2", "0.4,0.1", "1e-170,0,0,0"),
+            ("def-neg", "0.1,0.2", "0.4,0.1", "1e-160,0,0,0"),
         ],
     )
     def test_overflow_inside_finite_input_exits_2(self, surface, p1, p2, motion):
-        # D overflows inside finite input, or a motion constant is not finite
+        # D over- or underflows inside finite input, or a motion constant is
+        # not finite
         extra = ["--apply-motion", motion] if motion else []
         proc = run_cli("distance", "--surface", surface, "--points", p1, p2, *extra)
         assert proc.returncode == 2

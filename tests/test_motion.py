@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from lorentzcc import cli, motion
-from lorentzcc.hypernum import cos_sin
+from lorentzcc.hypernum import cos_sin, is_null, polar_parts
 from lorentzcc import (
     SURFACE_NAMES,
     BilinearMotion,
@@ -114,14 +114,20 @@ class TestBilinearMotion:
                 SurfaceSpec.from_name("def-neg"),
             )
 
-    def test_degenerate_pair_rejected(self):
-        # D(alpha) + D(beta) = 1 - 1 = 0 on a positive-curvature family
+    @pytest.mark.parametrize(
+        "name, alpha, beta",
+        [
+            # D(alpha) + D(beta) = 1 - 1 = 0 on a positive-curvature family
+            ("lorentz-pos", (1.0, 0.0), (0.0, 1.0)),
+            # both constants null: D is 0 at any size, not an underflow
+            ("lorentz-neg", (1e-170, 1e-170), (0.0, 0.0)),
+            ("lorentz-pos", (1e-170, -1e-170), (2e-200, 2e-200)),
+        ],
+    )
+    def test_degenerate_pair_rejected(self, name, alpha, beta):
+        spec = SurfaceSpec.from_name(name)
         with pytest.raises(InvalidMotion, match="degenerate"):
-            BilinearMotion(
-                HyperbolicNumber(1.0, 0.0),
-                HyperbolicNumber(0.0, 1.0),
-                SurfaceSpec.from_name("lorentz-pos"),
-            )
+            BilinearMotion(number_for(spec, *alpha), number_for(spec, *beta), spec)
 
     @pytest.mark.parametrize("name", SURFACE_NAMES)
     def test_inverse_round_trip(self, name):
@@ -138,18 +144,23 @@ class TestBilinearMotion:
             assert w.y == pytest.approx(z.y, rel=1e-10, abs=1e-12)
 
     @pytest.mark.parametrize(
-        "alpha, beta",
+        "alpha, beta, match",
         [
-            ((math.nan, 0.0), (0.0, 0.0)),
-            ((1.0, 0.0), (math.inf, 0.0)),
-            ((1e200, 0.0), (0.0, 0.0)),  # finite, but D(alpha) overflows
+            ((math.nan, 0.0), (0.0, 0.0), "not finite"),
+            ((1.0, 0.0), (math.inf, 0.0), "not finite"),
+            ((1e200, 0.0), (0.0, 0.0), "not finite"),  # finite, but D(alpha) overflows
+            # the identity rescaled, its D below the normal range: once
+            # "degenerate" (D = 0.0) or an inverse_parts error in apply (D = 1e-320)
+            ((1e-170, 0.0), (0.0, 0.0), "underflow D"),
+            ((1e-160, 0.0), (0.0, 0.0), "underflow D"),
+            ((0.0, 0.0), (3e-170, -1e-170), "underflow D"),
         ],
     )
     @pytest.mark.parametrize("name", SURFACE_NAMES)
-    def test_non_finite_constants_rejected(self, name, alpha, beta):
+    def test_constants_whose_d_leaves_the_float_range_rejected(self, name, alpha, beta, match):
         # abs(nan) <= tol is False: the degeneracy test alone lets NaN through
         spec = SurfaceSpec.from_name(name)
-        with pytest.raises(DomainError, match="not finite"):
+        with pytest.raises(DomainError, match=match):
             BilinearMotion(number_for(spec, *alpha), number_for(spec, *beta), spec)
 
     @pytest.mark.parametrize("name", SURFACE_NAMES)
@@ -249,8 +260,9 @@ class TestBilinearMotion:
             apply(motion, ComplexNumber(-2.0, 0.0))
 
 
-# Reference bodies of apply, solve_two_point and the conic, written with the
-# public number operations in the order the plain-float kernels follow.
+# Reference bodies of apply, solve_two_point, the conic, the distance and the
+# polar form, written with the public number operations in the order the
+# plain-float kernels follow.
 
 
 def _reference_point(spec, z):
@@ -322,6 +334,48 @@ def _reference_conic(m):
     return -spec.kappa * g.y / (r * r), s.y / r, s.x / r, g.y
 
 
+def _reference_distance(spec, z1, z2):
+    try:
+        l, _, r, _, _ = _reference_solve(spec, z1, z2)
+    except CoincidentPoints:
+        return 0.0
+    if spec.kappa < 0.0:
+        if l >= 1.0:
+            raise OutOfDisk(f"image abscissa l = {l} >= 1; point outside the model")
+        if not 0.0 <= r < math.inf:
+            raise OutOfDisk(f"sinh^2 of half the distance r = {r}; point on the boundary")
+        return 2.0 * spec.radius * math.asinh(math.sqrt(r))
+    return 2.0 * spec.radius * math.atan(math.sqrt(r))
+
+
+def _reference_through(spec, z1, z2):
+    *_, alpha, beta = _reference_solve(spec, z1, z2)
+    return _reference_conic(BilinearMotion(alpha, beta, spec))
+
+
+def _reference_polar(z):
+    """``(rho, theta, sector, sign)`` of the polar form, read from the
+    ``Number`` and its ``is_null``."""
+    if not (math.isfinite(z.x) and math.isfinite(z.y)):
+        raise DomainError(f"({z.x}, {z.y}) is not finite; no polar form")
+    if is_null(z):
+        if z.unit < 0.0:
+            raise DivisorOfZero("complex zero has no polar form")
+        raise OnNullLine(f"({z.x}, {z.y}) lies on a null line")
+    if z.unit < 0.0:
+        return math.hypot(z.x, z.y), math.atan2(z.y, z.x), None, 1
+    p, q = z.x, z.y
+    ap, aq = abs(p), abs(q)
+    pos, neg = Sector.RIGHT, Sector.LEFT
+    if aq >= ap:
+        p, q, ap, aq = q, p, aq, ap
+        pos, neg = Sector.UP, Sector.DOWN
+    d, t = (ap - aq) * (ap + aq), (ap - aq) / ap
+    rho = math.sqrt(d) if sys.float_info.min <= d < math.inf else ap * math.sqrt(t * (2.0 - t))
+    sector, sign = (pos, 1) if p > 0 else (neg, -1)
+    return rho, math.atanh(q / p), sector, sign
+
+
 def _bits(f, *args):
     """Hex parts of a result, or type, message and cause of its exception."""
     try:
@@ -331,7 +385,8 @@ def _bits(f, *args):
         return type(exc), str(exc), None if cause is None else (type(cause), str(cause))
     values = out if isinstance(out, tuple) else (out,)
     return tuple(
-        (v.x.hex(), v.y.hex()) if isinstance(v, (HyperbolicNumber, ComplexNumber)) else v.hex()
+        (v.x.hex(), v.y.hex()) if isinstance(v, (HyperbolicNumber, ComplexNumber))
+        else v.hex() if isinstance(v, float) else v
         for v in values
     )
 
@@ -367,9 +422,20 @@ def _conic_parts(m):
     return conic.quad, conic.lin_x, conic.lin_y, conic.const_term
 
 
+def _through_parts(spec, z1, z2):
+    conic = geodesic_through(spec, z1, z2)
+    return conic.quad, conic.lin_x, conic.lin_y, conic.const_term
+
+
+def _polar_parts(z):
+    pol = polar(z)
+    return pol.rho, pol.theta, pol.sector, pol.sign
+
+
 class TestPlainFloatKernels:
-    """apply, solve_two_point and the conic agree bit for bit with their
-    bodies over the public number operations, errors included."""
+    """apply, solve_two_point, geodesic_distance, geodesic_through, the conic
+    and polar agree bit for bit with their bodies over the public number
+    operations, errors included."""
 
     def test_bit_identical_to_the_number_operations(self):
         rng = random.Random(29)
@@ -389,6 +455,8 @@ class TestPlainFloatKernels:
             if rng.random() < 0.5:
                 p1, p2 = number_for(spec, *p1), number_for(spec, *p2)
             compare(_solution_parts, _reference_solve, spec, p1, p2)
+            compare(geodesic_distance, _reference_distance, spec, p1, p2)
+            compare(_through_parts, _reference_through, spec, p1, p2)
             try:
                 m = solve_two_point(spec, p1, _point(rng)).motion
             except (CoincidentPoints, DomainError, NoGeodesic):
@@ -401,9 +469,25 @@ class TestPlainFloatKernels:
             compare(_conic_parts, _reference_conic, m)
             for p in (p1, p2, number_for(spec, *_point(rng))):
                 compare(apply, _reference_apply, m, p)
+        # far-out base points whose beta = -alpha z1 overflows D: the motion
+        # check, not the solver body, raises
+        for name, p1, p2 in (
+            ("lorentz-pos", (-1.2060870320479939e154, 1.8891710715196855e152),
+             (0.40513595643633815, 0.3033635465286444)),
+            ("lorentz-neg", (-1.3292675690700919e154, 3.498326461713851e153),
+             (-0.28023754206945695, -0.19922539281295726)),
+        ):
+            spec = SurfaceSpec.from_name(name)
+            for f, reference in ((geodesic_distance, _reference_distance),
+                                 (_through_parts, _reference_through)):
+                got = _bits(f, spec, p1, p2)
+                assert got == _bits(reference, spec, p1, p2)
+                assert got[0] is DomainError and "motion constants" in got[1], got
         kinds = {
             "_solution_parts": ("ok", CoincidentPoints, DomainError, NoGeodesic),
             "apply": ("ok", DomainError, MapsToInfinity),
+            "geodesic_distance": ("ok", DomainError, NoGeodesic, OutOfDisk),
+            "_through_parts": ("ok", CoincidentPoints, DomainError, NoGeodesic),
         }
         assert {(f, k) for f, ks in kinds.items() for k in ks} <= outcomes
 
@@ -417,12 +501,32 @@ class TestPlainFloatKernels:
         grid = [(x, y) for x in parts for y in parts]
         for p1 in grid:
             for p2 in grid:
-                assert _bits(_solution_parts, spec, p1, p2) == _bits(_reference_solve, spec, p1, p2)
+                for f, reference in (
+                    (_solution_parts, _reference_solve),
+                    (geodesic_distance, _reference_distance),
+                    (_through_parts, _reference_through),
+                ):
+                    assert _bits(f, spec, p1, p2) == _bits(reference, spec, p1, p2), (f, p1, p2)
         for a in ((1.0, 0.0), (1.0, -0.0)):
             for b in ((0.0, -0.0), (-0.0, 0.0), (0.25, -0.0)):
                 m = BilinearMotion(number_for(spec, *a), number_for(spec, *b), spec)
                 for p in grid:
                     assert _bits(apply, m, p) == _bits(_reference_apply, m, p), (a, b, p)
+
+
+    @pytest.mark.parametrize("cls", [HyperbolicNumber, ComplexNumber])
+    def test_polar_and_its_float_parts_body_agree(self, cls):
+        # the solver reads q's polar form from polar_parts, with no Number
+        parts = (*_SPECIAL, math.inf, -math.nan)
+        kinds = set()
+        for x in parts:
+            for y in parts:
+                want = _bits(_reference_polar, cls(x, y))
+                assert _bits(_polar_parts, cls(x, y)) == want, (x, y)
+                assert _bits(polar_parts, cls.unit, x, y) == want, (x, y)
+                kinds.add(want[0] if isinstance(want[0], type) else "ok")
+        null = OnNullLine if cls is HyperbolicNumber else DivisorOfZero
+        assert kinds == {"ok", DomainError, null}
 
 
 class TestTwoPointSolver:
