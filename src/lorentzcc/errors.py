@@ -10,9 +10,7 @@ from __future__ import annotations
 __all__ = [
     "GeometryError",
     "DivisorOfZero",
-    "OnNullLine",
     "DomainError",
-    "SingularPoint",
     "OnLimitingCurve",
     "DegenerateEpsilon",
     "OutOfChart",
@@ -22,7 +20,6 @@ __all__ = [
     "NoGeodesic",
     "CoincidentPoints",
     "OutOfDisk",
-    "DegenerateTuple",
     "NearSingular",
     "MixedCausality",
     "DomainExit",
@@ -36,11 +33,8 @@ class GeometryError(Exception):
 # --- scalar algebra -------------------------------------------------------
 
 class DivisorOfZero(GeometryError):
-    """Inversion of a split-complex number whose indefinite modulus vanishes."""
-
-
-class OnNullLine(GeometryError):
-    """Polar decomposition requested on a null line (|x| = |y|)."""
+    """Inverse or polar form of a null number: a hyperbolic number on a null
+    line, or complex zero."""
 
 
 # --- surface charts -------------------------------------------------------
@@ -49,14 +43,10 @@ class DomainError(GeometryError):
     """Argument outside the validity range of a chart or formula."""
 
 
-class SingularPoint(GeometryError):
-    """Evaluation at a pole of the conformal factor (rho = 0 on a
-    negative-curvature isometric chart)."""
-
-
 class OnLimitingCurve(GeometryError):
-    """Cartesian-chart evaluation on the curve where the conformal factor
-    diverges."""
+    """Conformal factor evaluated where it diverges: the limiting curve, which
+    is ``rho = 0`` of the isometric chart (kappa < 0) and ``base = 0`` of the
+    Cartesian chart."""
 
 
 # --- closed-form geodesics ------------------------------------------------
@@ -78,8 +68,8 @@ class NoRealIntersection(GeometryError):
 # --- motions --------------------------------------------------------------
 
 class InvalidMotion(GeometryError):
-    """Motion constants violate their defining constraint (unit modulus or
-    nondegeneracy)."""
+    """Motion constants given by the caller violate their defining constraint
+    (unit modulus or nondegeneracy)."""
 
 
 class MapsToInfinity(GeometryError):
@@ -93,17 +83,12 @@ class NoGeodesic(GeometryError):
 
 
 class CoincidentPoints(GeometryError):
-    """Two-point construction called with equal points."""
+    """Two-point construction or cross ratio called with a repeated point."""
 
 
 class OutOfDisk(GeometryError):
     """Distance requested for a configuration outside the unit-model domain
     (negative curvature, image abscissa >= 1)."""
-
-
-class DegenerateTuple(GeometryError):
-    """Cross ratio of a tuple with repeated points or non-invertible
-    denominators."""
 
 
 # --- numerical oracle -----------------------------------------------------

@@ -34,7 +34,7 @@ import sys
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import DivisorOfZero, DomainError, OnNullLine
+from .errors import DivisorOfZero, DomainError
 
 __all__ = [
     "HyperbolicNumber",
@@ -170,10 +170,10 @@ def is_null(z: Number) -> bool:
 
 def inverse_parts(unit: float, x: float, y: float) -> tuple[float, float]:
     """Parts ``(x/D, -y/D)`` of the inverse of ``x + j*y``, ``j*j = unit``;
-    the one divisor-of-zero guard.
+    the one divisor-of-zero guard of a quotient.
 
     Raises:
-        DivisorOfZero: ``x + j*y`` is null (:func:`is_null`).
+        DivisorOfZero: ``x + j*y`` is null (:func:`is_null`), as in :func:`polar`.
         DomainError: ``D`` is not finite, or it underflows below the normal
             range; the quotient would silently read zero, NaN or lost digits.
     """
@@ -239,9 +239,7 @@ def polar_parts(unit: float, x: float, y: float) -> tuple[float, float, Sector |
     if not (math.isfinite(x) and math.isfinite(y)):
         raise DomainError(f"({x}, {y}) is not finite; no polar form")
     if _null_parts(unit, x, y):
-        if unit < 0.0:
-            raise DivisorOfZero("complex zero has no polar form")
-        raise OnNullLine(f"({x}, {y}) lies on a null line")
+        raise DivisorOfZero(f"({x}, {y}) is null and has no polar form")
     if unit < 0.0:
         return math.hypot(x, y), math.atan2(y, x), None, 1
     # h (x + h y) = y + h x: up/down are right/left with the parts swapped
@@ -261,9 +259,9 @@ def polar_parts(unit: float, x: float, y: float) -> tuple[float, float, Sector |
 def polar(z: Number) -> PolarForm:
     """Polar decomposition.
 
-    Where :func:`is_null` holds, the hyperbolic case raises
-    :class:`OnNullLine`, at any size, and the complex case (zero) raises
-    :class:`DivisorOfZero`.  Both raise :class:`DomainError` where ``z`` is
-    not finite.
+    Raises:
+        DivisorOfZero: ``z`` is null (:func:`is_null`): on a null line, at any
+            size, or complex zero.
+        DomainError: ``z`` is not finite.
     """
     return PolarForm(*polar_parts(z.unit, z.x, z.y))

@@ -44,13 +44,11 @@ from dataclasses import dataclass
 
 from .errors import (
     CoincidentPoints,
-    DegenerateTuple,
     DivisorOfZero,
     DomainError,
     InvalidMotion,
     MapsToInfinity,
     NoGeodesic,
-    OnNullLine,
     OutOfDisk,
 )
 from .geodesic import GeodesicConic
@@ -227,14 +225,12 @@ def apply(motion: BilinearMotion, z) -> Number:
     ax, ay, bx, by = alpha.x, alpha.y, beta.x, beta.y
     # alpha z + beta
     nx, ny = ax * x + u * ay * y + bx, ax * y + ay * x + by
-    # conj(beta) z, and the denominator -kappa conj(beta) z + conj(alpha),
-    # formed as conj(alpha) - m or m + conj(alpha) to keep the signs of zeros
+    # m = conj(beta) z, and the denominator conj(alpha) - kappa m; kappa = +-1
+    # is an exact factor, and a - (-b) is a + b, signed zeros included
     cy = -by
     mx, my = bx * x + u * cy * y, bx * y + cy * x
-    if spec.kappa > 0.0:
-        dx, dy = ax - mx, -ay - my
-    else:
-        dx, dy = mx + ax, my + -ay
+    kappa = spec.kappa
+    dx, dy = ax - kappa * mx, -ay - kappa * my
     try:
         ix, iy = inverse_parts(u, dx, dy)
     except DivisorOfZero as exc:
@@ -358,7 +354,7 @@ def _solve(spec: SurfaceSpec, z1, z2) -> tuple[float, float, float, float, float
     # the denominator 1 +/- conj(z1) z2, and q = (z2 - z1) / denominator
     cy = -y1
     px, py = x1 * x2 + u * cy * y2, x1 * y2 + cy * x2
-    ex, ey = (1.0 + px, 0.0 + py) if kappa > 0.0 else (1.0 - px, 0.0 - py)
+    ex, ey = 1.0 + kappa * px, 0.0 + kappa * py
     sx, sy = x2 - x1, y2 - y1
     try:
         ix, iy = inverse_parts(u, ex, ey)
@@ -366,9 +362,10 @@ def _solve(spec: SurfaceSpec, z1, z2) -> tuple[float, float, float, float, float
         raise NoGeodesic(f"normal-form denominator degenerates: {exc}") from exc
     qx, qy = sx * ix + u * sy * iy, sx * iy + sy * ix
 
+    # q is null only on a null line: complex q != 0 once z1 != z2, D(den) finite
     try:
         rho, theta, sector, _ = polar_parts(u, qx, qy)
-    except OnNullLine as exc:
+    except DivisorOfZero as exc:
         raise NoGeodesic(f"{_shown(spec, z1)} and {_shown(spec, z2)} are null-separated") from exc
     if sector in (Sector.UP, Sector.DOWN):
         raise NoGeodesic(
@@ -393,6 +390,15 @@ def _solve(spec: SurfaceSpec, z1, z2) -> tuple[float, float, float, float, float
     return ax, ay, bx, by, rho, -half, r
 
 
+def _base_point_fault(spec: SurfaceSpec, z1, exc: Exception) -> Exception:
+    """The base point's fault behind a failed check of the solver's own
+    constants: ``D(alpha) = +-1``, so a degenerate motion puts ``z1`` on the
+    limiting curve, and ``D(beta) = +-D(z1)`` overflows only with ``D(z1)``."""
+    if isinstance(exc, InvalidMotion):
+        return NoGeodesic(f"base point {_shown(spec, z1)} lies on the limiting curve")
+    return DomainError(f"D of the base point {_shown(spec, z1)} overflows in beta = -alpha z1")
+
+
 def solve_two_point(spec: SurfaceSpec, z1, z2) -> TwoPointSolution:
     """Motion normal form of the geodesic through two normalized points.
 
@@ -402,17 +408,22 @@ def solve_two_point(spec: SurfaceSpec, z1, z2) -> TwoPointSolution:
 
     Raises:
         CoincidentPoints: z1 == z2 to 1e-14 of their largest coordinate.
-        DomainError: ``D`` of the base point overflows, ``D(z2 - z1)``
-            underflows, ``r`` is NaN because ``D(z2 - z1)``, ``D(z2)`` or
-            ``D`` of the normal-form denominator overflows, or ``D`` of
-            ``beta = -alpha z1`` overflows (:class:`BilinearMotion`).
+        DomainError: ``D`` of the base point overflows (also as ``D(beta)``,
+            ``beta = -alpha z1``), ``D(z2 - z1)`` underflows, or ``r`` is NaN
+            because ``D(z2 - z1)``, ``D(z2)`` or ``D`` of the normal-form
+            denominator overflows.
         NoGeodesic: no geodesic of the closed-form family joins the points
             (null or spacelike separation on a Lorentzian surface, a
-            limiting-curve base point, antipodal points, ...).
+            limiting-curve base point, also where the solver's own motion is
+            degenerate, antipodal points, ...).
     """
     ax, ay, bx, by, l, theta_alpha, r = _solve(spec, z1, z2)
     cls = _number_type(spec)
-    return TwoPointSolution(BilinearMotion(cls(ax, ay), cls(bx, by), spec), l, theta_alpha, r)
+    try:
+        motion = BilinearMotion(cls(ax, ay), cls(bx, by), spec)
+    except (DomainError, InvalidMotion) as exc:
+        raise _base_point_fault(spec, z1, exc) from exc
+    return TwoPointSolution(motion, l, theta_alpha, r)
 
 
 def geodesic_through(spec: SurfaceSpec, z1, z2) -> GeodesicConic:
@@ -420,7 +431,10 @@ def geodesic_through(spec: SurfaceSpec, z1, z2) -> GeodesicConic:
     solver's parts without a motion object; raises everything
     :func:`solve_two_point` raises."""
     ax, ay, bx, by, _, _, _ = _solve(spec, z1, z2)
-    _check_motion(spec, ax, ay, bx, by)
+    try:
+        _check_motion(spec, ax, ay, bx, by)
+    except (DomainError, InvalidMotion) as exc:
+        raise _base_point_fault(spec, z1, exc) from exc
     return _conic(spec, ax, ay, bx, by)
 
 
@@ -433,7 +447,10 @@ def geodesic_distance(spec: SurfaceSpec, z1, z2) -> float:
         ax, ay, bx, by, l, _, r = _solve(spec, z1, z2)
     except CoincidentPoints:
         return 0.0
-    _check_motion(spec, ax, ay, bx, by)
+    try:
+        _check_motion(spec, ax, ay, bx, by)
+    except (DomainError, InvalidMotion) as exc:
+        raise _base_point_fault(spec, z1, exc) from exc
     return _distance(spec, l, r)
 
 
@@ -441,15 +458,12 @@ def cross_ratio(a: Number, b: Number, c: Number, d: Number) -> Number:
     """Cross ratio ``(a-c)(b-d) / ((a-d)(b-c))``, invariant under motions.
 
     Raises:
-        DegenerateTuple: repeated points, or a non-invertible denominator
-            (distinct points that are null-separated).
+        CoincidentPoints: a repeated point.
+        DivisorOfZero: the denominator is null (distinct points that are
+            null-separated).
     """
     pts = (a, b, c, d)
-    for i in range(4):
-        for j in range(i + 1, 4):
-            if pts[i] == pts[j]:
-                raise DegenerateTuple(f"repeated point {pts[i]} in cross ratio")
-    try:
-        return mul(mul(a - c, b - d), inverse(mul(a - d, b - c)))
-    except DivisorOfZero as exc:
-        raise DegenerateTuple(f"cross-ratio denominator degenerates: {exc}") from exc
+    for i, p in enumerate(pts):
+        if p in pts[i + 1:]:
+            raise CoincidentPoints(f"repeated point {p} in cross ratio")
+    return mul(mul(a - c, b - d), inverse(mul(a - d, b - c)))

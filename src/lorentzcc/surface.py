@@ -48,7 +48,7 @@ import sys
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .errors import DomainError, OnLimitingCurve, SingularPoint
+from .errors import DomainError, OnLimitingCurve
 from .hypernum import cos_sin
 
 __all__ = [
@@ -165,9 +165,7 @@ def _isometric_factor(spec: SurfaceSpec, rho: float) -> float:
     if not math.isfinite(rho):
         raise DomainError(f"isometric factor of {spec.name} needs a finite rho, got {rho}")
     if spec.kappa < 0.0 and abs(rho) < 1e-12:
-        raise SingularPoint(
-            f"isometric chart of {spec.name} is singular at rho = 0 (got {rho})"
-        )
+        raise OnLimitingCurve(f"rho = {rho} lies on the limiting curve of {spec.name}")
     try:
         c = math.cosh(rho) if spec.kappa > 0.0 else math.sinh(rho)
     except OverflowError:
@@ -277,7 +275,8 @@ def line_element_isometric(
 
     Raises:
         DomainError: rho, drho or dphi is not finite, or ds^2 is NaN.
-        SingularPoint: negative curvature at rho = 0 (the chart's pole).
+        OnLimitingCurve: negative curvature at ``|rho| < 1e-12``; ``rho = 0``
+            is the limiting curve, as ``x^2 + s y^2 = R^2 e^(2 rho)``.
     """
     return _line_element(spec, _isometric_factor(spec, rho), drho, dphi)
 

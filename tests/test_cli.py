@@ -277,6 +277,29 @@ class TestDistanceCommand:
         assert len(proc.stderr.splitlines()) == 1
         assert json.loads(proc.stderr)["error"] == "DomainError"
 
+    @pytest.mark.parametrize(
+        "surface, p1, p2, error, message",
+        [
+            ("def-neg", "0.9999319236004413,-0.011668254613320541",
+             "0.5619963055376892,-0.6671012744920237", "NoGeodesic", "lies on the limiting curve"),
+            ("lorentz-neg", "107.00931843213104,-107.00464583983829",
+             "106.92555108138781,-107.05068167084876", "NoGeodesic", "lies on the limiting curve"),
+            ("lorentz-pos", "-1.2060870320479939e154,1.8891710715196855e152",
+             "0.40513595643633815,0.3033635465286444", "DomainError", "D of the base point"),
+        ],
+    )
+    def test_solver_motion_faults_name_the_base_point(self, surface, p1, p2, error, message):
+        # the motion the solver builds fails its check: once InvalidMotion, or
+        # a DomainError about motion constants the caller never gave
+        args = ["--surface", surface, "--points", p1, p2]
+        dist, geo = run_cli("distance", *args), run_cli("geodesic", *args)
+        assert dist.returncode == geo.returncode == 2
+        assert dist.stdout == geo.stdout == ""
+        assert len(dist.stderr.splitlines()) == 1
+        assert geo.stderr == dist.stderr
+        doc = json.loads(dist.stderr)
+        assert doc["error"] == error and message in doc["message"], doc
+
     @pytest.mark.parametrize("point", ["nan,0", "inf,0"])
     def test_non_finite_point_exits_2(self, point):
         proc = run_cli("distance", "--surface", "def-neg", "--points", point, "0.5,0")
@@ -425,7 +448,7 @@ class TestWorldlineCommand:
     @pytest.mark.parametrize("name", ["lorentz-pos", "lorentz-neg"])
     def test_two_point_json_from_a_null_base_point_matches_distance(self, name):
         # (0.1, 0.1) lies on the null line y = x; geodesic --points once exited
-        # 2 with OnNullLine from the polar form of the motion constant beta
+        # 2 from the polar form of the null motion constant beta
         points = ["--surface", name, "--points", "0.1,0.1", "0.5,0.2"]
         doc = json.loads(run_cli("geodesic", *points, check=True).stdout)
         dist = run_cli("distance", *points, check=True).stdout.strip()
