@@ -27,7 +27,6 @@ from .motion import (
     BilinearMotion,
     apply as motion_apply,
     geodesic_distance,
-    inverse_motion,
     number_for,
     solve_two_point,
 )
@@ -184,11 +183,8 @@ def cmd_geodesic(args) -> int:
         r = spec.radius
         logger.debug("two-point geodesic on %s through %s and %s", spec.name, p1, p2)
         sol = solve_two_point(spec, z1, z2)
-        inv = inverse_motion(sol.motion)
-        path = []
-        for t in _linspace(0.0, sol.l, args.samples):
-            w = motion_apply(inv, number_for(spec, t, 0.0))
-            path.append((t, w.x * r, w.y * r))
+        ts = _linspace(0.0, sol.l, args.samples)
+        path = [(t, x * r, y * r) for t, (x, y) in zip(ts, sol.path(ts))]
         payload = {
             "surface": spec.name,
             "radius": spec.radius,
@@ -222,9 +218,9 @@ def cmd_geodesic(args) -> int:
         pad = 0.01 * (hi - lo)
         lo, hi = lo + pad, hi - pad
     r = spec.radius
+    us = _linspace(lo, hi, args.samples)
     samples = []
-    for u in _linspace(lo, hi, args.samples):
-        (rho, phi), _ = fam.state(u)
+    for u, (rho, phi) in zip(us, fam.points(us)):
         x, y = exp_map_to_cartesian(spec, rho, phi)
         samples.append((fam.tau0 + r * u, rho, phi, x, y))
     payload = {

@@ -26,10 +26,11 @@ Their crossings with the limiting curve are plain ``(x, y)`` points
 
 The arc-length parametrization lives in ``u = (tau - A sigma)/R``: a
 :class:`GeodesicFamily`, built once per ``(eps, sigma)`` by
-:func:`geodesic_family`, holds ``(C, S)``, the in-chart u-window and the
+:func:`geodesic_family`, holds ``(C, S)``, the in-chart u-window, the
 point and velocity at ``u`` (:func:`geodesic_parametric_with_velocity` is
-its tau form).  It has one branch per curvature sign, primes d/du, definite
-surface first:
+its tau form) and the points alone at a sequence of ``u``, in one loop
+that forms the family constants once.  It has one branch per curvature
+sign, primes d/du, definite surface first:
 
     kappa > 0:  tanh(rho) = w = C sin(u),   1 - w^2 = cos(u)^2 + s S^2 sin(u)^2
                 rho' = C cos(u)/(1 - w^2),  phi' = (S or -S sign(cos u))/(1 - w^2)
@@ -313,10 +314,6 @@ def origin_line(spec: SurfaceSpec, sigma: float) -> GeodesicConic:
 # arc-length parametrizations
 
 
-def _sign(x: float) -> float:
-    return math.copysign(1.0, x)
-
-
 class GeodesicFamily(NamedTuple):
     """The (eps, sigma) geodesic family of one surface, in ``u = (tau - tau0)/R``.
 
@@ -349,9 +346,70 @@ class GeodesicFamily(NamedTuple):
             return (-u_star, u_star)
         return (math.acosh(1.0 / self.C), math.inf)
 
+    def _track(self, us):
+        """Yield, for each ``u`` of ``us``, the point ``(rho, phi)`` and the
+        two numbers its velocity is formed from: ``(cos u, 1 - w^2)`` where
+        kappa > 0, ``(u, c^2 - 1)`` where kappa < 0.  The family constants are
+        formed once; each point raises what :meth:`state` raises."""
+        spec, sigma, C, S = self
+        s = spec.metric_sign
+        # phi's constant: the sign of S on definite surfaces, t = S/C on Lorentzian ones
+        if s > 0.0:
+            sign_s = math.copysign(1.0, S)
+        else:
+            t = S / C
+
+        if spec.kappa > 0.0:  # def-pos, lorentz-pos: tanh(rho) = w
+            for u in us:
+                if not math.isfinite(u):
+                    raise DomainError(f"u = {u} is not finite")
+                cu, su = math.cos(u), math.sin(u)
+                w, v = C * su, S * su
+                one_w2 = cu * cu + s * v * v
+                if not (abs(w) < 1.0 and one_w2 > 0.0):
+                    raise OutOfChart(f"u = {u} leaves the chart (|C sin(u)| >= 1)")
+                sinh_rho = w / math.sqrt(one_w2)
+                if s > 0.0:  # the angle unwrapped across the turns u = m pi
+                    m = round(u / math.pi)
+                    phi = sigma + sign_s * m * math.pi + math.atan(S * math.tan(u - m * math.pi))
+                else:
+                    phi = sigma - math.asinh(t * sinh_rho)
+                yield (math.asinh(sinh_rho), phi), cu, one_w2
+            return
+
+        # def-neg, lorentz-neg: coth(rho) = c = 1 + cm1
+        floor = s * S * (S / (1.0 + C))
+        if s > 0.0:
+            quarter = sigma + sign_s * math.pi / 2.0
+        for u in us:
+            if not math.isfinite(u):
+                raise DomainError(f"u = {u} is not finite")
+            sh = math.sinh(0.5 * u) if abs(u) < 1400.0 else math.inf  # sinh overflows past 1420
+            cm1 = 2.0 * C * sh * sh + floor
+            c2m1 = cm1 * (cm1 + 2.0)
+            if not (cm1 > 0.0 and c2m1 < math.inf):
+                raise OutOfChart(f"u = {u} is off the branch or overflows (c - 1 = {cm1})")
+            if s > 0.0:
+                phi = quarter + math.atan(math.tanh(u) / S)
+            else:
+                phi = sigma - math.asinh(t * ((1.0 + cm1) / math.sqrt(c2m1)))
+            yield (0.5 * math.log1p(2.0 / cm1), phi), u, c2m1
+
+    def points(self, us) -> list[tuple[float, float]]:
+        """The points ``(rho, phi)`` of :meth:`state` at each ``u`` of ``us``,
+        bit for bit, without the velocities: one pass with the family
+        constants formed once.
+
+        Raises:
+            OutOfChart, DomainError: at the first ``u`` where :meth:`state`
+                raises, with its message.
+        """
+        return [point for point, _, _ in self._track(us)]
+
     def state(self, u: float) -> tuple[tuple[float, float], tuple[float, float]]:
         """Point and velocity at ``u``: ``((rho, phi), (drho/dtau, dphi/dtau))``
-        in the isometric chart, unit speed in ``tau = tau0 + R u``.
+        in the isometric chart, unit speed in ``tau = tau0 + R u``.  The point
+        is that of :meth:`points`; only the velocity is formed here.
 
         Conditioning: near the lorentz-pos edge ``|u| -> asin(1/C)`` the
         velocity's relative error is about
@@ -363,44 +421,15 @@ class GeodesicFamily(NamedTuple):
                 c^2 - 1 overflows.
             DomainError: u not finite.
         """
-        spec, sigma, C, S = self
-        if not math.isfinite(u):
-            raise DomainError(f"u = {u} is not finite")
-        r, s = spec.radius, spec.metric_sign
-
-        if spec.kappa > 0.0:  # def-pos, lorentz-pos: tanh(rho) = w
-            cu, su = math.cos(u), math.sin(u)
-            w, v = C * su, S * su
-            one_w2 = cu * cu + s * v * v
-            if not (abs(w) < 1.0 and one_w2 > 0.0):
-                raise OutOfChart(f"u = {u} leaves the chart (|C sin(u)| >= 1)")
-            sinh_rho = w / math.sqrt(one_w2)
-            rho = math.asinh(sinh_rho)
-            drho = C * cu / one_w2
-            if s > 0.0:  # the angle unwrapped across the turns u = m pi
-                m = round(u / math.pi)
-                phi = sigma + _sign(S) * m * math.pi + math.atan(S * math.tan(u - m * math.pi))
-                dphi = S / one_w2
-            else:
-                phi = sigma - math.asinh(S / C * sinh_rho)
-                dphi = -S * _sign(cu) / one_w2
-            return (rho, phi), (drho / r, dphi / r)
-
-        # def-neg, lorentz-neg: coth(rho) = c = 1 + cm1
-        sh = math.sinh(0.5 * u) if abs(u) < 1400.0 else math.inf  # sinh overflows past 1420
-        cm1 = 2.0 * C * sh * sh + s * S * (S / (1.0 + C))
-        c2m1 = cm1 * (cm1 + 2.0)
-        if not (cm1 > 0.0 and c2m1 < math.inf):
-            raise OutOfChart(f"u = {u} is off the branch or overflows (c - 1 = {cm1})")
-        rho = 0.5 * math.log1p(2.0 / cm1)
-        drho = -C * math.sinh(u) / c2m1
-        if s > 0.0:
-            phi = sigma + _sign(S) * math.pi / 2.0 + math.atan(math.tanh(u) / S)
-            dphi = S / c2m1
-        else:
-            phi = sigma - math.asinh(S / C * ((1.0 + cm1) / math.sqrt(c2m1)))
-            dphi = S * _sign(u) / c2m1
-        return (rho, phi), (drho / r, dphi / r)
+        ((point, a, b),) = self._track((u,))  # runs the one-point loop to its end
+        spec, _, C, S = self
+        r = spec.radius
+        if spec.kappa > 0.0:  # a = cos(u), b = 1 - w^2
+            dphi = S / b if spec.metric_sign > 0.0 else -S * math.copysign(1.0, a) / b
+            return point, (C * a / b / r, dphi / r)
+        # a = u, b = c^2 - 1
+        dphi = S / b if spec.metric_sign > 0.0 else S * math.copysign(1.0, a) / b
+        return point, (-C * math.sinh(a) / b / r, dphi / r)
 
 
 def geodesic_family(spec: SurfaceSpec, eps: float, sigma: float) -> GeodesicFamily:

@@ -26,14 +26,17 @@ term in the order of :func:`~lorentzcc.hypernum.mul`, ``conj`` and
 ``inverse`` (signed zeros included).  They take the divisor-of-zero guard
 and the polar form, with their messages, from
 :func:`~lorentzcc.hypernum.inverse_parts` and
-:func:`~lorentzcc.hypernum.polar_parts`.  The solver is one kernel,
-``_solve``, that returns the parts of a pair's normal form; the checks of
-the motion, its conic and the distance are float functions of those parts.
-:func:`solve_two_point` builds from them the two constants, the
-:class:`BilinearMotion` and the :class:`TwoPointSolution` it returns,
+:func:`~lorentzcc.hypernum.polar_parts`.  Each is one float kernel:
+``_apply`` returns the parts of a point's image, and ``_solve`` the parts
+of a pair's normal form; the checks of the motion, its conic and the
+distance are float functions of those parts.  :func:`apply` builds one
+``Number``, the image.  :func:`solve_two_point` builds the two constants,
+the :class:`BilinearMotion` and the :class:`TwoPointSolution` it returns,
 :func:`geodesic_through` only the conic, and :func:`geodesic_distance` no
-object at all.  Otherwise a ``Number`` is built only where an error message
-prints one.
+object at all.  :meth:`TwoPointSolution.path` checks the inverse constants
+once and runs ``_apply`` along the real axis, so it builds no ``Number``
+and no inverse motion.  Otherwise a ``Number`` is built only where an error
+message prints one.
 """
 
 from __future__ import annotations
@@ -152,8 +155,13 @@ def _parts(spec: SurfaceSpec, z) -> tuple[float, float]:
             raise TypeError(f"{spec.name} points must be {want.__name__}, got {type(z).__name__}")
         x, y = z.x, z.y
     if not (math.isfinite(x) and math.isfinite(y)):
-        raise DomainError(f"{spec.name} point ({x}, {y}) is not finite")
+        raise _not_finite(spec, x, y)
     return x, y
+
+
+def _not_finite(spec: SurfaceSpec, x: float, y: float) -> DomainError:
+    """The error of :func:`_parts` for a point with a NaN or infinite part."""
+    return DomainError(f"{spec.name} point ({x}, {y}) is not finite")
 
 
 def _shown(spec: SurfaceSpec, z) -> Number:
@@ -210,19 +218,13 @@ def _check_motion(spec: SurfaceSpec, ax: float, ay: float, bx: float, by: float)
         raise InvalidMotion(f"degenerate motion: D(alpha) {sign} D(beta) = {nd}")
 
 
-def apply(motion: BilinearMotion, z) -> Number:
-    """Image of a normalized point under the motion.
-
-    Raises:
-        MapsToInfinity: the denominator is not invertible at ``z``, or the
-            image is not finite.
-    """
-    spec = motion.spec
-    x, y = _parts(spec, z)
-    alpha, beta = motion.alpha, motion.beta
-    cls = type(alpha)
-    u = cls.unit
-    ax, ay, bx, by = alpha.x, alpha.y, beta.x, beta.y
+def _apply(
+    spec: SurfaceSpec, ax: float, ay: float, bx: float, by: float, x: float, y: float
+) -> tuple[float, float]:
+    """Parts of the image of the point ``(x, y)`` under the motion with
+    constants ``(ax, ay)`` and ``(bx, by)``, the motion checked and the point
+    finite; raises what :func:`apply` raises."""
+    u = -spec.metric_sign  # j*j: +1 hyperbolic, -1 complex
     # alpha z + beta
     nx, ny = ax * x + u * ay * y + bx, ax * y + ay * x + by
     # m = conj(beta) z, and the denominator conj(alpha) - kappa m; kappa = +-1
@@ -234,13 +236,25 @@ def apply(motion: BilinearMotion, z) -> Number:
     try:
         ix, iy = inverse_parts(u, dx, dy)
     except DivisorOfZero as exc:
-        raise MapsToInfinity(
-            f"denominator {cls(dx, dy)} is not invertible at {_shown(spec, z)}"
-        ) from exc
+        cls = _number_type(spec)
+        raise MapsToInfinity(f"denominator {cls(dx, dy)} is not invertible at {cls(x, y)}") from exc
     wx, wy = nx * ix + u * ny * iy, nx * iy + ny * ix
     if not (math.isfinite(wx) and math.isfinite(wy)):
-        raise MapsToInfinity(f"image ({wx}, {wy}) of {_shown(spec, z)} is not finite")
-    return cls(wx, wy)
+        raise MapsToInfinity(f"image ({wx}, {wy}) of {_number_type(spec)(x, y)} is not finite")
+    return wx, wy
+
+
+def apply(motion: BilinearMotion, z) -> Number:
+    """Image of a normalized point under the motion.
+
+    Raises:
+        MapsToInfinity: the denominator is not invertible at ``z``, or the
+            image is not finite.
+    """
+    spec = motion.spec
+    x, y = _parts(spec, z)
+    alpha, beta = motion.alpha, motion.beta
+    return type(alpha)(*_apply(spec, alpha.x, alpha.y, beta.x, beta.y, x, y))
 
 
 def inverse_motion(motion: BilinearMotion) -> BilinearMotion:
@@ -307,6 +321,27 @@ class TwoPointSolution:
                 model domain).
         """
         return _distance(self.motion.spec, self.l, self.r)
+
+    def path(self, ts) -> list[tuple[float, float]]:
+        """The normalized points ``apply(inverse_motion(motion), (t, 0))`` of
+        the geodesic for each ``t`` of ``ts``, as float pairs, bit for bit:
+        the inverse constants ``(conj(alpha), -beta)`` are checked once, and
+        no ``Number`` is built.
+
+        Raises:
+            DomainError, MapsToInfinity: at the first ``t`` where that
+                ``apply`` raises, with its message.
+        """
+        spec, alpha, beta = self.motion.spec, self.motion.alpha, self.motion.beta
+        ax, ay, bx, by = alpha.x, -alpha.y, -beta.x, -beta.y
+        _check_motion(spec, ax, ay, bx, by)
+        points = []
+        for t in ts:
+            x = float(t)
+            if not math.isfinite(x):
+                raise _not_finite(spec, x, 0.0)
+            points.append(_apply(spec, ax, ay, bx, by, x, 0.0))
+        return points
 
 
 def _conic(spec: SurfaceSpec, ax: float, ay: float, bx: float, by: float) -> GeodesicConic:

@@ -26,11 +26,14 @@ Numerical notes
   multiple.  It refuses non-unit-speed (or NaN) starts and raises
   :class:`~lorentzcc.errors.DomainExit` carrying the partial trajectory when
   the path drifts within ``10 * step`` of a chart boundary.
-* ``arc_length`` binds ``field.factor`` once per polyline and tracks the
-  causal type with two flags; a segment costs one factor call and no
-  container operation.  ``FlatPlaneField`` rejects a NaN or infinite point
-  with :class:`~lorentzcc.errors.DomainError`, as the Cartesian
-  ``MetricField`` does, so no routine answers NaN on the flat plane.
+* ``arc_length`` binds ``field.factor`` once per polyline and walks it in
+  one pass, carrying the previous point; it copies no slice.  Each segment
+  sets its causal flag in its sign branch, where a flag of the other sign
+  ends the walk with :class:`~lorentzcc.errors.MixedCausality`; a segment
+  costs one factor call and no container operation.  ``FlatPlaneField``
+  rejects a NaN or infinite point with :class:`~lorentzcc.errors.DomainError`,
+  as the Cartesian ``MetricField`` does, so no routine answers NaN on the
+  flat plane.
 * ``_adaptive_simpson`` accepts an interval when ``|S2 - S1| <= 15 tol``,
   which bounds the extrapolated error by roughly ``tol``, or when
   ``|S2 - S1|`` is at rounding level, ``1e-15 |S2|``: next to an integrable
@@ -217,19 +220,25 @@ def arc_length(field, points: Sequence[tuple[float, float]]) -> float:
     s = field.signature_sign
     total = 0.0
     spacelike = timelike = False
-    for (ax, ay), (bx, by) in zip(points[:-1], points[1:]):
+    pts = iter(points)
+    ax, ay = next(pts, (0.0, 0.0))  # no point: the loop below never runs
+    for bx, by in pts:
         dx, dy = bx - ax, by - ay
-        if dx == 0.0 and dy == 0.0:
-            continue
-        ds2 = factor(0.5 * (ax + bx), 0.5 * (ay + by)) * (dx * dx + s * dy * dy)
-        if ds2 > 0.0:
-            spacelike = True
-        elif ds2 < 0.0:
-            timelike = True
-        if spacelike and timelike:
-            raise MixedCausality("polyline mixes spacelike and timelike segments")
-        total += math.sqrt(abs(ds2))
-    return total
+        if dx != 0.0 or dy != 0.0:
+            ds2 = factor(0.5 * (ax + bx), 0.5 * (ay + by)) * (dx * dx + s * dy * dy)
+            if ds2 > 0.0:
+                if timelike:
+                    break
+                spacelike = True
+            elif ds2 < 0.0:
+                if spacelike:
+                    break
+                timelike = True
+            total += math.sqrt(abs(ds2))
+        ax, ay = bx, by
+    else:
+        return total
+    raise MixedCausality("polyline mixes spacelike and timelike segments")
 
 
 def _adaptive_simpson(fn: Callable[[float], float], a: float, b: float, tol: float) -> float:

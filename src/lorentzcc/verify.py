@@ -235,11 +235,10 @@ def _check_closed_form_consistency(rng, scale, perturb):
             conic = geodesic_from_constants(spec, eps, sigma)
             fam = geodesic_family(spec, eps, sigma)
             u_lo, u_hi = _u_window(fam)
-            for u in _linspace(u_lo, u_hi, 40):
-                x, y = exp_map_to_cartesian(spec, *fam.state(u)[0])
+            for rho, phi in fam.points(_linspace(u_lo, u_hi, 40)):
+                x, y = exp_map_to_cartesian(spec, rho, phi)
                 worst_conic = _worst(worst_conic, _conic_error(conic, x, y))
-            poly = [fam.state(u)[0] for u in _linspace(u_lo, u_hi, n_poly + 1)]
-            length = arc_length(field, poly)
+            length = arc_length(field, fam.points(_linspace(u_lo, u_hi, n_poly + 1)))
             expect = u_hi - u_lo
             worst_arc = _worst(worst_arc, abs(length - expect) / max(1.0, expect))
     return (
@@ -273,12 +272,13 @@ def _check_oracle_equivalence(rng, scale, perturb):
             speed = math.sqrt(abs(lam * (vx * vx + field.signature_sign * vy * vy)))
             state = GeodesicState((x, y), (vx / speed, vy / speed))
             states = integrate_geodesic(field, state, length, step)
-            for k in range(0, len(states), 50):
-                # the last step ends at length, and may be short
-                tau = min(k * step, length)
-                expected = exp_map_to_cartesian(spec, *fam.state(u_launch + tau)[0])
+            ks = range(0, len(states), 50)
+            # the last step ends at length, and may be short
+            track = fam.points([u_launch + min(k * step, length) for k in ks])
+            for k, (rho, phi) in zip(ks, track):
+                ex, ey = exp_map_to_cartesian(spec, rho, phi)
                 px, py = states[k].position
-                worst = _worst(worst, math.hypot(px - expected[0], py - expected[1]))
+                worst = _worst(worst, math.hypot(px - ex, py - ey))
     return (
         (("RK4 distance from the closed-form track", worst, 1.0),),
         f"Cartesian chart, step {step} on FD of ln(factor), "
@@ -383,9 +383,7 @@ def _check_two_point_solver(rng, scale, perturb):
             for z in (z1, z2):
                 worst_conic = _worst(worst_conic, _conic_error(conic, z.x, z.y))
             dist = sol.distance
-            ts = _linspace(0.0, sol.l, n_quad + 1)
-            path = [motion_apply(inv, number_for(spec, t, 0.0)) for t in ts]
-            pts = [(p.x, p.y) for p in path]
+            pts = sol.path(_linspace(0.0, sol.l, n_quad + 1))
             # Richardson: the half path cancels the midpoint rule's h^2 term
             qlen = (4.0 * arc_length(field, pts) - arc_length(field, pts[::2])) / 3.0
             worst_dist = _worst(worst_dist, abs(qlen - dist))

@@ -302,6 +302,112 @@ class TestParametrization:
         assert jumps.max() < 0.2
 
 
+class TestBatchedPoints:
+    """``points`` is the point of ``state``, bit for bit, errors included, and
+    ``state`` is the body it had before the batched loop shared it."""
+
+    @staticmethod
+    def _inputs(fam):
+        """Edges 1e-9 inside (and just outside) each finite window edge, the
+        def-pos turns, signed zeros, the overflow cut on kappa < 0 and
+        non-finite values, around a few ordinary points."""
+        lo, hi = fam.window
+        us = [0.0, -0.0, 0.3, -0.7, 2.5, math.nan, math.inf, -math.inf]
+        for edge in (lo, hi):
+            if math.isfinite(edge):
+                us += [edge + 1e-9, edge - 1e-9, edge]
+        if math.isfinite(lo) and math.isinf(hi):
+            us += [lo + 1e-9 + k * 0.37 for k in range(1, 6)]
+        if fam.spec.kappa < 0.0:
+            us += [1399.0, 1400.0, -1400.0, 1450.0, -1450.0, 1e6, 5.0, -5.0]
+        if fam.spec.metric_sign > 0.0 and fam.spec.kappa > 0.0:
+            us += [m * math.pi + d for m in (-3, -1, 1, 2, 40) for d in (0.0, 1e-9, -1e-9)]
+        return us
+
+    @pytest.mark.parametrize("name", SURFACE_NAMES)
+    def test_points_and_state_keep_the_reference_bits(self, name):
+        rng = np.random.default_rng(17)
+        outcomes = set()
+        for radius in (0.5, 1.0, 3.0):
+            spec = SurfaceSpec.from_name(name, radius)
+            for _ in range(8):
+                eps = float(rng.choice([-1.0, 1.0])) * rng.uniform(0.01, 1.5)
+                fam = geodesic_family(spec, eps, rng.uniform(-2.0, 2.0))
+                good, bad = [], []
+                for u in self._inputs(fam):
+                    want = _outcome(_reference_state, fam, u)
+                    assert _outcome(fam.state, u) == want, (fam, u)
+                    (bad if isinstance(want[0], type) else good).append(u)
+                    outcomes.add(want[0] if isinstance(want[0], type) else "ok")
+                want = [_outcome(_reference_state, fam, u)[0] for u in good]
+                assert _outcome(fam.points, good) == tuple(want)
+                assert fam.points([]) == []
+                # the first bad u raises what state raises for it
+                for first, second in zip(bad, bad[1:] + bad[:1]):
+                    us = [*good[:3], first, *good[3:5], second]
+                    assert _outcome(fam.points, us) == _outcome(fam.state, first), (fam, first)
+        # only def-pos keeps every finite u in its chart
+        assert outcomes == {"ok", DomainError} | ({OutOfChart} if name != "def-pos" else set())
+
+
+def _outcome(f, *args):
+    """A result as nested hex, or the type and message of its error."""
+    try:
+        out = f(*args)
+    except (DomainError, OutOfChart) as exc:
+        return type(exc), str(exc)
+
+    def hexed(v):
+        return v.hex() if isinstance(v, float) else tuple(hexed(w) for w in v)
+
+    return hexed(out)
+
+
+def _reference_state(fam, u):
+    """``GeodesicFamily.state`` as it was written before ``points`` shared
+    its point: one ``u``, the family constants formed per call."""
+    spec, sigma, C, S = fam
+    if not math.isfinite(u):
+        raise DomainError(f"u = {u} is not finite")
+    r, s = spec.radius, spec.metric_sign
+
+    def sign(x):
+        return math.copysign(1.0, x)
+
+    if spec.kappa > 0.0:
+        cu, su = math.cos(u), math.sin(u)
+        w, v = C * su, S * su
+        one_w2 = cu * cu + s * v * v
+        if not (abs(w) < 1.0 and one_w2 > 0.0):
+            raise OutOfChart(f"u = {u} leaves the chart (|C sin(u)| >= 1)")
+        sinh_rho = w / math.sqrt(one_w2)
+        rho = math.asinh(sinh_rho)
+        drho = C * cu / one_w2
+        if s > 0.0:
+            m = round(u / math.pi)
+            phi = sigma + sign(S) * m * math.pi + math.atan(S * math.tan(u - m * math.pi))
+            dphi = S / one_w2
+        else:
+            phi = sigma - math.asinh(S / C * sinh_rho)
+            dphi = -S * sign(cu) / one_w2
+        return (rho, phi), (drho / r, dphi / r)
+
+    sh = math.sinh(0.5 * u) if abs(u) < 1400.0 else math.inf
+    cm1 = 2.0 * C * sh * sh + s * S * (S / (1.0 + C))
+    c2m1 = cm1 * (cm1 + 2.0)
+    if not (cm1 > 0.0 and c2m1 < math.inf):
+        raise OutOfChart(f"u = {u} is off the branch or overflows (c - 1 = {cm1})")
+    rho = 0.5 * math.log1p(2.0 / cm1)
+    drho = -C * math.sinh(u) / c2m1
+    if s > 0.0:
+        phi = sigma + sign(S) * math.pi / 2.0 + math.atan(math.tanh(u) / S)
+        dphi = S / c2m1
+    else:
+        phi = sigma - math.asinh(S / C * ((1.0 + cm1) / math.sqrt(c2m1)))
+        dphi = S * sign(u) / c2m1
+    return (rho, phi), (drho / r, dphi / r)
+
+
 class TestWindows:
     def test_definite_windows_are_unbounded(self):
         for name in ("def-pos", "def-neg"):

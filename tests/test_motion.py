@@ -414,6 +414,21 @@ def _point(rng):
     return (x, x) if k < 0.1 else (x, -x) if k < 0.2 else (x, y)
 
 
+def _path_parts(sol, ts):
+    return tuple(part for point in sol.path(ts) for part in point)
+
+
+def _reference_path_parts(sol, ts):
+    """The loop ``path`` replaced, flattened like :func:`_path_parts`."""
+    spec = sol.motion.spec
+    inv = inverse_motion(sol.motion)
+    return tuple(
+        part
+        for w in (apply(inv, number_for(spec, t, 0.0)) for t in ts)
+        for part in (w.x, w.y)
+    )
+
+
 def _solution_parts(spec, z1, z2):
     sol = solve_two_point(spec, z1, z2)
     return sol.l, sol.theta_alpha, sol.r, sol.motion.alpha, sol.motion.beta
@@ -516,6 +531,86 @@ class TestPlainFloatKernels:
                 for p in grid:
                     assert _bits(apply, m, p) == _bits(_reference_apply, m, p), (a, b, p)
 
+    def test_path_is_the_inverse_apply_loop(self):
+        """``path`` matches the loop ``apply(inverse_motion(motion), (t, 0))``
+        bit for bit, errors included, over the random draws, the signed-zero
+        grid and the far-out Lorentzian pairs above."""
+        rng = random.Random(31)
+        outcomes = set()
+
+        def compare(sol, extra=()):
+            l = sol.l if math.isfinite(sol.l) else 1.0
+            ts = [0.0, -0.0, 5e-324, *(l * k / 8.0 for k in range(1, 9)), 1.0, -1.0, *extra]
+            for chosen in (ts, [*ts, math.inf], [*ts[:3], -math.nan, *ts[3:]], []):
+                got = _bits(_path_parts, sol, chosen)
+                assert got == _bits(_reference_path_parts, sol, chosen), (sol, chosen)
+                outcomes.add(got[0] if got and isinstance(got[0], type) else "ok")
+
+        settings = [(name, radius) for name in SURFACE_NAMES for radius in (0.5, 1.0, 2.5)]
+        for name, radius in settings * 40:
+            spec = SurfaceSpec.from_name(name, radius)
+            p1, p2 = _point(rng), _point(rng)
+            try:
+                sol = solve_two_point(spec, p1, p2)
+            except (CoincidentPoints, DomainError, NoGeodesic):
+                try:
+                    m = BilinearMotion(number_for(spec, *p1), number_for(spec, *p2), spec)
+                except (DomainError, InvalidMotion):
+                    continue
+                sol = TwoPointSolution(m, 0.0, 0.0, 0.0)
+            compare(sol, (_component(rng), _component(rng)))
+        for name in SURFACE_NAMES:
+            spec = SurfaceSpec.from_name(name)
+            parts = (0.0, -0.0, 0.5, -0.25, 5e-324)
+            grid = [(x, y) for x in parts for y in parts]
+            for p1 in grid:
+                for p2 in grid:
+                    try:
+                        sol = solve_two_point(spec, p1, p2)
+                    except (CoincidentPoints, DomainError, NoGeodesic):
+                        continue
+                    compare(sol, parts)
+        for name, p1, p2 in (
+            ("lorentz-pos", (-1.2060870320479939e154, 1.8891710715196855e152),
+             (0.40513595643633815, 0.3033635465286444)),
+            ("lorentz-neg", (-1.3292675690700919e154, 3.498326461713851e153),
+             (-0.28023754206945695, -0.19922539281295726)),
+        ):
+            spec = SurfaceSpec.from_name(name)
+            motion = BilinearMotion(number_for(spec, *p1), number_for(spec, *p2), spec)
+            compare(TwoPointSolution(motion, 0.0, 0.0, 0.0), (*p1, *p2, 1e300, -1e300))
+            compare(solve_two_point(spec, p2, (0.1, 0.02)), (*p1, *p2))
+        assert outcomes == {"ok", DomainError, MapsToInfinity}
+
+    # apply's two refusals, as they read before its float kernel
+    MAPS_TO_INFINITY = (
+        ("def-neg", (0.5, 0.0), (-2.0, 0.0),
+         "denominator ComplexNumber(x=0.0, y=0.0) is not invertible at "
+         "ComplexNumber(x=-2.0, y=0.0)", "complex zero has no inverse"),
+        ("lorentz-pos", (0.5, 0.0), (0.0, 2.0),
+         "denominator HyperbolicNumber(x=1.0, y=-1.0) is not invertible at "
+         "HyperbolicNumber(x=0.0, y=2.0)", "(1.0, -1.0) lies on a null line and has no inverse"),
+        ("lorentz-neg", (0.5, 0.0), (0.0, 2.0),
+         "denominator HyperbolicNumber(x=1.0, y=1.0) is not invertible at "
+         "HyperbolicNumber(x=0.0, y=2.0)", "(1.0, 1.0) lies on a null line and has no inverse"),
+        ("def-pos", (0.0, 0.0), (1.5e308, 0.0),
+         "image (inf, nan) of ComplexNumber(x=1.5e+308, y=0.0) is not finite", None),
+    )
+
+    @pytest.mark.parametrize("name, beta, z, message, cause", MAPS_TO_INFINITY)
+    def test_maps_to_infinity_messages(self, name, beta, z, message, cause):
+        spec = SurfaceSpec.from_name(name)
+        alpha = (1.5, 0.0) if cause is None else (1.0, 0.0)
+        m = BilinearMotion(number_for(spec, *alpha), number_for(spec, *beta), spec)
+        for point in (z, number_for(spec, *z)):
+            with pytest.raises(MapsToInfinity) as info:
+                apply(m, point)
+            assert str(info.value) == message
+            assert (None if info.value.__cause__ is None else str(info.value.__cause__)) == cause
+        if z[1] == 0.0:  # a path through the motion whose inverse is m reaches z too
+            with pytest.raises(MapsToInfinity) as info:
+                TwoPointSolution(inverse_motion(m), 0.0, 0.0, 0.0).path([0.0, z[0]])
+            assert str(info.value) == message
 
     @pytest.mark.parametrize("cls", [HyperbolicNumber, ComplexNumber])
     def test_polar_and_its_float_parts_body_agree(self, cls):

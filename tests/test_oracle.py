@@ -10,6 +10,7 @@ which this file uses as the independent truth for the FD stencil.
 """
 
 import math
+import random
 import subprocess
 import sys
 
@@ -17,6 +18,7 @@ import numpy as np
 import pytest
 
 from lorentzcc import oracle
+from lorentzcc.verify import _ScaledField
 from lorentzcc import (
     SURFACE_NAMES,
     Chart,
@@ -329,6 +331,116 @@ class TestArcLength:
         field = FlatPlaneField()
         pts = [(0.0, float(t)) for t in np.linspace(0.0, 2.0, 11)]
         assert arc_length(field, pts) == pytest.approx(2.0)
+
+    def test_one_pass_matches_the_two_slice_loop(self):
+        """Bit for bit, with the same factor calls in the same order, errors
+        included: seeded walks on every surface and chart, a tampered field
+        and the flat plane, with repeated points, null legs and mixed legs."""
+        rng = random.Random(71)
+        fields = [
+            (MetricField(spec, chart), 0.5 if chart is Chart.CARTESIAN else 1.0)
+            for spec in (SurfaceSpec.from_name(name, 1.5) for name in SURFACE_NAMES)
+            for chart in (Chart.CARTESIAN, Chart.ISOMETRIC)
+        ]
+        fields += [
+            (_ScaledField(SurfaceSpec.from_name(name), Chart.CARTESIAN, 1.001), 0.3)
+            for name in ("def-neg", "lorentz-pos")
+        ]
+        fields.append((FlatPlaneField(), 0.5))
+        outcomes = set()
+        for field, center in fields:
+            for _ in range(40):
+                pts = _seeded_walk(rng, field.signature_sign, center)
+                got, want = _recorded(arc_length, field, pts), _recorded(_reference_arc_length, field, pts)
+                assert got == want, (field, pts)
+                outcomes.add(got[0][0] if isinstance(got[0], tuple) else "ok")
+            # a zero segment between signed zeros, whose second end starts the next one
+            for pts in ([(0.0, center), (-0.0, center), (-0.0, center + 0.1)],
+                        [(center, 0.0), (center, -0.0), (center + 0.1, -0.0)]):
+                assert _recorded(arc_length, field, pts) == _recorded(_reference_arc_length, field, pts)
+            # a mixed walk with a NaN point past its first mixed segment
+            pts = [(center, center), (center + 0.1, center + 0.01), (center + 0.11, center + 0.2),
+                   (math.nan, center), (center, center)]
+            if field.signature_sign < 0.0:
+                got = _recorded(arc_length, field, pts)
+                assert got == _recorded(_reference_arc_length, field, pts)
+                assert got[0] == ("MixedCausality", "polyline mixes spacelike and timelike segments")
+                assert len(got[1]) == 2  # the mixed segment is the last one measured
+        assert outcomes == {"ok", "MixedCausality", "DomainError"}
+
+
+def _reference_arc_length(field, points):
+    """The two-slice loop that ``arc_length`` replaced."""
+    factor = field.factor
+    s = field.signature_sign
+    total = 0.0
+    spacelike = timelike = False
+    for (ax, ay), (bx, by) in zip(points[:-1], points[1:]):
+        dx, dy = bx - ax, by - ay
+        if dx == 0.0 and dy == 0.0:
+            continue
+        ds2 = factor(0.5 * (ax + bx), 0.5 * (ay + by)) * (dx * dx + s * dy * dy)
+        if ds2 > 0.0:
+            spacelike = True
+        elif ds2 < 0.0:
+            timelike = True
+        if spacelike and timelike:
+            raise MixedCausality("polyline mixes spacelike and timelike segments")
+        total += math.sqrt(abs(ds2))
+    return total
+
+
+class _Recording:
+    """A field that logs the points its factor is read at, as hex."""
+
+    def __init__(self, field):
+        self.field, self.calls = field, []
+        self.signature_sign = field.signature_sign
+
+    def factor(self, a, b):
+        self.calls.append((a.hex(), b.hex()))
+        return self.field.factor(a, b)
+
+
+def _recorded(f, field, pts):
+    """``f(field, pts)`` as hex or as the error's type name and message,
+    with the factor calls it made."""
+    rec = _Recording(field)
+    try:
+        out = f(rec, pts).hex()
+    except GeometryError as exc:
+        out = (type(exc).__name__, str(exc))
+    return out, rec.calls
+
+
+def _seeded_walk(rng, s, center):
+    """A polyline of 2 to 30 points around ``(center, center)``: steps of one
+    causal type (or of either, on a Lorentzian walk, one time in four), with
+    repeated points, null legs (``|dx| = |dy|``), signed zeros, and now and
+    then a point far out or NaN."""
+    x = y = center
+    pts = [(x, y)]
+    mixed = rng.random() < 0.25
+    timelike = rng.random() < 0.5
+    for _ in range(rng.randrange(1, 30)):
+        k = rng.random()
+        if k < 0.1:
+            pts.append(pts[-1])  # a repeated point
+            continue
+        if k < 0.12:
+            pts.append((rng.choice((math.nan, 40.0, -0.0)), y))
+            continue
+        a, b = rng.uniform(0.0, 0.05), rng.uniform(0.0, 0.05)
+        big, small = max(a, b), min(a, b)
+        if k < 0.25:
+            small = big  # a null leg on a Lorentzian walk
+        if mixed:
+            timelike = rng.random() < 0.5
+        dx, dy = (small, big) if timelike and s < 0.0 else (big, small)
+        x += rng.choice((-1.0, 1.0)) * dx
+        y += rng.choice((-1.0, 1.0)) * dy
+        pts.append((x, y))
+    return pts
 
 
 class TestTauField:
